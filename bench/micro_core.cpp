@@ -5,6 +5,7 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "client/client_session.hpp"
@@ -134,6 +135,38 @@ void BM_EventQueueCascade(benchmark::State& state) {
   benchmark::DoNotOptimize(fired);
 }
 BENCHMARK(BM_EventQueueCascade);
+
+// A/B partner of BM_EventQueueChurn: the same arrival times pulled through
+// run_until's arrival feed instead of scheduled into the heap, with one
+// server event per 8 arrivals interleaving (the batch-completion shape of
+// the scheduled-multicast server and the control plane).
+void BM_EventQueueFeed(benchmark::State& state) {
+  const int batch = static_cast<int>(state.range(0));
+  struct Feed {
+    double base;
+    int count;
+    int next = 0;
+    [[nodiscard]] double next_at() const {
+      return next < count ? base + 0.25 * static_cast<double>(next)
+                          : std::numeric_limits<double>::infinity();
+    }
+    int pop() { return next++; }
+  };
+  sim::EventQueue q;
+  std::uint64_t acc = 0;
+  for (auto _ : state) {
+    Feed feed{.base = q.now() + 1.0, .count = batch};
+    q.run_until(feed.base + 0.25 * static_cast<double>(batch) + 2.0, feed,
+                [&q, &acc](int i) {
+                  acc += static_cast<std::uint64_t>(i);
+                  if (i % 8 == 0) {
+                    q.schedule(q.now() + 1.0, [&acc] { ++acc; });
+                  }
+                });
+  }
+  benchmark::DoNotOptimize(acc);
+}
+BENCHMARK(BM_EventQueueFeed)->Arg(64)->Arg(4096);
 
 void BM_SchemeEvaluation(benchmark::State& state) {
   const auto set = schemes::paper_figure_set();

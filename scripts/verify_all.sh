@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full verification chain: tier-1 build+tests, the ASan/UBSan sweep, an
+# Full verification chain: tier-1 build+tests, 50 repeats of the parallel
+# determinism pins, the ASan/UBSan and TSan sweeps, an
 # OpenMetrics exposition self-check (simulate --metrics-format openmetrics
 # must lint clean under tools/metrics_check, including the per-title wait
 # sketch vs clients-served invariant), a span capture self-check (a seeded
@@ -49,6 +50,11 @@ done
 echo "== tier-1: build + ctest =="
 cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure
+
+echo "== parallel determinism stress =="
+# The slot/merge pins race only under real concurrency: repeat them so a
+# data race that a single run can miss shows up on a multicore host.
+build/tests/test_parallel --gtest_repeat=50 --gtest_brief=1
 
 if [[ $skip_sanitize -eq 0 ]]; then
   echo "== sanitize sweep =="

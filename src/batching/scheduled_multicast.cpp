@@ -1,6 +1,7 @@
 #include "batching/scheduled_multicast.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "obs/log.hpp"
 #include "obs/timer.hpp"
@@ -87,8 +88,20 @@ std::size_t total_pending(const WaitQueues& queues) {
   return total;
 }
 
+/// The caller's request vector as an arrival feed for the event engine.
+struct InputFeed {
+  const std::vector<workload::Request>& requests;
+  std::size_t next = 0;
+
+  [[nodiscard]] double next_at() const noexcept {
+    return next < requests.size() ? requests[next].arrival.v
+                                  : std::numeric_limits<double>::infinity();
+  }
+  const workload::Request& pop() noexcept { return requests[next++]; }
+};
+
 /// The per-run simulation state, bundled so event callbacks capture one
-/// pointer (plus at most one Request) and stay inside the event engine's
+/// pointer (plus a channel index) and stay inside the event engine's
 /// inline-capture budget — the hot path then never boxes a callback.
 struct MulticastSim {
   const BatchingPolicy& policy;
@@ -251,6 +264,12 @@ MulticastReport simulate_scheduled_multicast(
   VB_EXPECTS(config.channels >= 1);
   VB_EXPECTS(config.video_length.v > 0.0);
   VB_EXPECTS(num_videos >= 1);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    VB_EXPECTS(requests[i].video < num_videos);
+    VB_EXPECTS_MSG(
+        i == 0 || requests[i - 1].arrival.v <= requests[i].arrival.v,
+        "request arrival times must be nondecreasing");
+  }
 
   MulticastReport report;
   report.policy = policy.name();
@@ -333,14 +352,12 @@ MulticastReport simulate_scheduled_multicast(
   probes.add("batching.event_queue.pending",
              [&events] { return static_cast<double>(events.pending()); });
 
-  for (const auto& request : requests) {
-    VB_EXPECTS(request.video < num_videos);
-    // 24-byte capture: stays in the engine's inline slot, no boxing.
-    events.schedule(request.arrival.v,
-                    [sim = &state, request] { sim->arrival(request); });
-  }
-
-  events.run_until(config.horizon.v);
+  // The input stream feeds the engine in place: the heap only ever holds
+  // batch completions.
+  InputFeed arrivals{.requests = requests};
+  events.run_until(
+      config.horizon.v, arrivals,
+      [&state](const workload::Request& request) { state.arrival(request); });
   probes.advance(config.horizon.v);
 
   // Anything still queued at the horizon: expired entries reneged, the rest

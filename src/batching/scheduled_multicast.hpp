@@ -52,7 +52,8 @@ struct MulticastReport {
   double channel_utilization = 0.0;  ///< busy channel-minutes / capacity
 };
 
-/// Simulates the policy on a pre-generated request stream (arrival order).
+/// Simulates the policy on a pre-generated request stream. Preconditions:
+/// arrival times are nondecreasing and every video id is below num_videos.
 [[nodiscard]] MulticastReport simulate_scheduled_multicast(
     const BatchingPolicy& policy, const std::vector<workload::Request>& requests,
     std::size_t num_videos, const MulticastConfig& config);

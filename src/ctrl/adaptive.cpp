@@ -41,8 +41,9 @@ std::vector<core::VideoId> flip_permutation(std::size_t n,
   return perm;
 }
 
-/// The whole per-run state; event callbacks capture one pointer (plus a
-/// small Request) and stay inside the event engine's inline-capture budget.
+/// The whole per-run state; event callbacks capture one pointer (plus at
+/// most a title and a time) and stay inside the event engine's
+/// inline-capture budget.
 struct AdaptiveSim {
   const batching::BatchingPolicy& policy;
   const AdaptiveConfig& config;
@@ -578,24 +579,20 @@ AdaptiveReport simulate_adaptive(const batching::BatchingPolicy& policy,
   VB_EXPECTS(evaluation.has_value());
   const double slot_d1 = evaluation->metrics.access_latency.v;
 
-  // Request stream: Zipf over *ranks*; the rank->title map is the identity
-  // until flip_at, then a seeded shuffle. Mapping per request up front keeps
-  // the event loop free of scenario branches.
+  // Request stream: Zipf over *ranks*, pulled one arrival at a time; the
+  // rank->title map is the identity until flip_at, then a seeded shuffle
+  // applied as each arrival is pulled.
   const auto rank_probs =
       workload::zipf_probabilities(config.catalog_size, config.zipf_theta);
-  workload::RequestGenerator generator(rank_probs, config.arrivals_per_minute,
-                                       util::Rng(config.seed));
-  auto requests = generator.generate_until(config.horizon);
+  workload::RequestFeed arrivals(
+      workload::RequestGenerator(rank_probs, config.arrivals_per_minute,
+                                 util::Rng(config.seed)),
+      config.horizon);
   const bool flips = config.flip_at.v >= 0.0 &&
                      config.flip_at.v < config.horizon.v;
   std::vector<core::VideoId> perm;
   if (flips) {
     perm = flip_permutation(config.catalog_size, config.seed ^ 0x9e3779b9u);
-    for (auto& r : requests) {
-      if (r.arrival.v >= config.flip_at.v) {
-        r.video = perm[r.video];
-      }
-    }
   }
 
   AdaptiveReport report;
@@ -724,11 +721,6 @@ AdaptiveReport simulate_adaptive(const batching::BatchingPolicy& policy,
               state.tail_capacity, capacity.degraded ? ", degraded" : "");
   }
 
-  for (const auto& request : requests) {
-    VB_EXPECTS(request.video < config.catalog_size);
-    events.schedule(request.arrival.v,
-                    [sim = &state, request] { sim->arrival(request); });
-  }
   if (flips) {
     events.schedule(config.flip_at.v, [sim = &state, &rank_probs] {
       sim->flipped = true;
@@ -758,7 +750,18 @@ AdaptiveReport simulate_adaptive(const batching::BatchingPolicy& policy,
     events.schedule(config.epoch.v, [sim = &state] { sim->run_epoch(); });
   }
 
-  events.run_until(config.horizon.v);
+  // Arrivals are pulled from the feed; the heap holds only the server-side
+  // events above and those the run schedules (batch completions, drains,
+  // later epochs).
+  events.run_until(config.horizon.v, arrivals,
+                   [&state, &perm, &config](workload::Request request) {
+                     if (!perm.empty() &&
+                         request.arrival.v >= config.flip_at.v) {
+                       request.video = perm[request.video];
+                     }
+                     VB_EXPECTS(request.video < config.catalog_size);
+                     state.arrival(request);
+                   });
   probes.advance(config.horizon.v);
 
   std::size_t unserved = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -55,6 +56,116 @@ std::uint64_t mbits_to_bytes(double mbits) {
   return static_cast<std::uint64_t>(std::llround(mbits * 125000.0));
 }
 
+/// Arrivals per window at the federation's aggregate rate (2^16): the
+/// request and decision buffers hold one window, not the whole campaign.
+constexpr double kWindowArrivals = 65536.0;
+
+/// Region g's phase-C state, carried across arrival windows: its report,
+/// its private sink with the instrument handles resolved on it, and the
+/// ordinal of the last arrival it accounted.
+struct RegionLedger {
+  RegionReport report;
+  std::unique_ptr<obs::Sink> sink;
+  obs::Counter* arrivals_total = nullptr;
+  obs::Counter* region_arrivals = nullptr;
+  obs::Counter* served_local = nullptr;
+  obs::Counter* rerouted = nullptr;
+  obs::Counter* rejected = nullptr;
+  obs::Counter* link_bytes = nullptr;
+  std::uint64_t ordinal = 0;
+
+  RegionLedger(std::size_t g, const FederationConfig& config) {
+    report.wait_minutes.set_sample_cap(config.stats_sample_cap);
+    if (config.sink == nullptr) {
+      return;
+    }
+    sink = std::make_unique<obs::Sink>(config.sink->trace.capacity(),
+                                       config.sink->spans.capacity());
+    auto& reg = sink->metrics;
+    const std::string label = std::to_string(g);
+    arrivals_total = &reg.counter("metro.arrivals");
+    region_arrivals =
+        &reg.counter_family("metro.region_arrivals", {"region"}).with({label});
+    served_local =
+        &reg.counter_family("metro.served_local", {"region"}).with({label});
+    rerouted = &reg.counter_family("metro.rerouted", {"region"}).with({label});
+    rejected = &reg.counter_family("metro.rejected", {"region"}).with({label});
+    link_bytes =
+        &reg.counter_family("metro.link_bytes", {"region"}).with({label});
+  }
+
+  /// Penalized wait, counters, sample and spans of one routed arrival that
+  /// originated in this region.
+  void account(const RouteDecision& d, const FederationConfig& config,
+               double d1) {
+    ++ordinal;
+    double wait = 0.0;
+    switch (d.kind) {
+      case RouteKind::kRejected:
+        wait = config.reject_penalty.v;
+        ++report.rejected;
+        break;
+      case RouteKind::kLocal:
+      case RouteKind::kRerouted:
+        wait = d.transit_min +
+               (d.broadcast ? tune_wait(d.arrival_min + d.transit_min, d1)
+                            : d.queue_wait_min);
+        if (d.kind == RouteKind::kLocal) {
+          ++report.served_local;
+        } else {
+          ++report.rerouted_out;
+        }
+        break;
+    }
+    ++report.arrivals;
+    report.link_mbits += d.link_mbits;
+    report.wait_minutes.add(wait);
+
+    if (sink == nullptr) {
+      return;
+    }
+    arrivals_total->add();
+    region_arrivals->add();
+    switch (d.kind) {
+      case RouteKind::kLocal:
+        served_local->add();
+        break;
+      case RouteKind::kRerouted:
+        rerouted->add();
+        break;
+      case RouteKind::kRejected:
+        rejected->add();
+        break;
+    }
+    if (d.link_mbits > 0.0) {
+      link_bytes->add(mbits_to_bytes(d.link_mbits));
+    }
+    obs::Span session;
+    session.start_min = d.arrival_min;
+    session.end_min = d.kind == RouteKind::kRejected
+                          ? d.arrival_min
+                          : d.arrival_min + wait + config.video.duration.v;
+    session.phase = obs::SpanPhase::kRegionSession;
+    session.channel = static_cast<std::int32_t>(d.served_by);
+    session.video = d.video;
+    session.client = ordinal;
+    session.value = wait;
+    const auto id = sink->spans.record(session);
+    if (d.kind == RouteKind::kRerouted) {
+      obs::Span hop;
+      hop.parent = id;
+      hop.start_min = d.arrival_min;
+      hop.end_min = d.arrival_min + d.transit_min;
+      hop.phase = obs::SpanPhase::kReroute;
+      hop.channel = static_cast<std::int32_t>(d.served_by);
+      hop.video = d.video;
+      hop.client = ordinal;
+      hop.value = d.transit_min;
+      sink->spans.record(hop);
+    }
+  }
+};
+
 }  // namespace
 
 FederationReport simulate_federation(const Topology& topology,
@@ -84,25 +195,20 @@ FederationReport simulate_federation(const Topology& topology,
     tail_slots_total += tail_slots[r];
   }
 
-  // Phase A — per-region workload. Region g's seed is the (g+1)-th output
-  // of SplitMix64(config.seed), derived up front so the schedule does not
-  // depend on execution order.
+  // Region g's request stream is drawn from a private Rng seeded with the
+  // (g+1)-th output of SplitMix64(config.seed), derived up front so the
+  // schedule does not depend on execution order.
   util::SplitMix64 seed_stream(config.seed);
-  std::vector<std::uint64_t> seeds(n);
-  for (auto& seed : seeds) {
-    seed = seed_stream.next();
-  }
-  std::vector<std::vector<workload::Request>> streams(n);
-  util::parallel_for_each(pool, n, [&](std::size_t g) {
-    workload::RequestGenerator gen(solver.popularity(),
+  std::vector<workload::RequestFeed> feeds;
+  feeds.reserve(n);
+  for (std::size_t g = 0; g < n; ++g) {
+    feeds.emplace_back(
+        workload::RequestGenerator(solver.popularity(),
                                    topology.region(g).arrivals_per_minute,
-                                   util::Rng(seeds[g]));
-    streams[g] = gen.generate_until(config.horizon);
-  });
+                                   util::Rng(seed_stream.next())),
+        config.horizon);
+  }
 
-  // Phase B — serial routing over the k-way time-ordered merge (ties break
-  // on the lower region index). The router's link/slot state is the one
-  // genuinely shared structure, so it gets exactly one writer.
   RouterConfig router_config;
   router_config.video = config.video;
   router_config.patience = config.patience;
@@ -110,150 +216,90 @@ FederationReport simulate_federation(const Topology& topology,
   router_config.fault_plans = &config.fault_plans;
   Router router(topology, placement, tail_slots, router_config);
 
-  std::vector<std::vector<RouteDecision>> per_origin(n);
-  std::vector<std::uint64_t> rerouted_in(n, 0);
-  std::vector<std::size_t> cursor(n, 0);
-  for (;;) {
-    std::size_t next = n;
-    double best = 0.0;
-    for (std::size_t g = 0; g < n; ++g) {
-      if (cursor[g] >= streams[g].size()) {
-        continue;
-      }
-      const double at = streams[g][cursor[g]].arrival.v;
-      if (next == n || at < best) {
-        next = g;
-        best = at;
-      }
-    }
-    if (next == n) {
-      break;
-    }
-    const auto& req = streams[next][cursor[next]++];
-    const RouteDecision d = router.route(
-        Arrival{req.arrival, req.video, static_cast<std::uint32_t>(next)});
-    if (d.kind == RouteKind::kRerouted) {
-      ++rerouted_in[d.served_by];
-    }
-    per_origin[next].push_back(d);
+  std::vector<RegionLedger> ledgers;
+  ledgers.reserve(n);
+  for (std::size_t g = 0; g < n; ++g) {
+    ledgers.emplace_back(g, config);
   }
 
-  // Phase C — per-region accounting into private sinks/distributions.
-  std::vector<RegionReport> region_reports(n);
-  std::vector<std::unique_ptr<obs::Sink>> sinks(n);
-  util::parallel_for_each(pool, n, [&](std::size_t g) {
-    auto& report = region_reports[g];
-    report.wait_minutes.set_sample_cap(config.stats_sample_cap);
-    report.rerouted_in = rerouted_in[g];
+  // Phases A-C run over consecutive time windows of about kWindowArrivals
+  // arrivals each. Windows partition time, so their merges concatenate to
+  // the merge over the whole horizon; the feeds, the router and the
+  // ledgers carry their state from one window to the next.
+  const double window_min =
+      kWindowArrivals / topology.total_arrivals_per_minute();
+  const auto arrivals_left = [&feeds] {
+    return std::any_of(feeds.begin(), feeds.end(), [](const auto& feed) {
+      return feed.next_at() != std::numeric_limits<double>::infinity();
+    });
+  };
+  std::vector<std::vector<workload::Request>> streams(n);
+  std::vector<std::vector<RouteDecision>> per_origin(n);
+  std::vector<std::uint64_t> rerouted_in(n, 0);
+  for (std::size_t window = 1; arrivals_left(); ++window) {
+    const double window_end = static_cast<double>(window) * window_min;
 
-    obs::Counter* arrivals_total = nullptr;
-    obs::Counter* region_arrivals = nullptr;
-    obs::Counter* served_local = nullptr;
-    obs::Counter* rerouted = nullptr;
-    obs::Counter* rejected = nullptr;
-    obs::Counter* link_bytes = nullptr;
-    obs::Sink* sink = nullptr;
-    if (config.sink != nullptr) {
-      sinks[g] = std::make_unique<obs::Sink>(config.sink->trace.capacity(),
-                                             config.sink->spans.capacity());
-      sink = sinks[g].get();
-      auto& reg = sink->metrics;
-      const std::string label = std::to_string(g);
-      arrivals_total = &reg.counter("metro.arrivals");
-      region_arrivals =
-          &reg.counter_family("metro.region_arrivals", {"region"})
-               .with({label});
-      served_local =
-          &reg.counter_family("metro.served_local", {"region"}).with({label});
-      rerouted =
-          &reg.counter_family("metro.rerouted", {"region"}).with({label});
-      rejected =
-          &reg.counter_family("metro.rejected", {"region"}).with({label});
-      link_bytes =
-          &reg.counter_family("metro.link_bytes", {"region"}).with({label});
-    }
-
-    std::uint64_t ordinal = 0;
-    for (const auto& d : per_origin[g]) {
-      ++ordinal;
-      double wait = 0.0;
-      switch (d.kind) {
-        case RouteKind::kRejected:
-          wait = config.reject_penalty.v;
-          ++report.rejected;
-          break;
-        case RouteKind::kLocal:
-        case RouteKind::kRerouted:
-          wait = d.transit_min +
-                 (d.broadcast ? tune_wait(d.arrival_min + d.transit_min, d1)
-                              : d.queue_wait_min);
-          if (d.kind == RouteKind::kLocal) {
-            ++report.served_local;
-          } else {
-            ++report.rerouted_out;
-          }
-          break;
+    // Phase A — per-region workload (parallel): region g pulls its
+    // arrivals before window_end.
+    util::parallel_for_each(pool, n, [&](std::size_t g) {
+      streams[g].clear();
+      while (feeds[g].next_at() < window_end) {
+        streams[g].push_back(feeds[g].pop());
       }
-      ++report.arrivals;
-      report.link_mbits += d.link_mbits;
-      report.wait_minutes.add(wait);
+    });
 
-      if (sink != nullptr) {
-        arrivals_total->add();
-        region_arrivals->add();
-        switch (d.kind) {
-          case RouteKind::kLocal:
-            served_local->add();
-            break;
-          case RouteKind::kRerouted:
-            rerouted->add();
-            break;
-          case RouteKind::kRejected:
-            rejected->add();
-            break;
+    // Phase B — serial routing over the k-way time-ordered merge (ties
+    // break on the lower region index). The router's link/slot state is
+    // the one genuinely shared structure, so it gets exactly one writer.
+    std::vector<std::size_t> cursor(n, 0);
+    for (auto& decisions : per_origin) {
+      decisions.clear();
+    }
+    for (;;) {
+      std::size_t next = n;
+      double best = 0.0;
+      for (std::size_t g = 0; g < n; ++g) {
+        if (cursor[g] >= streams[g].size()) {
+          continue;
         }
-        if (d.link_mbits > 0.0) {
-          link_bytes->add(mbits_to_bytes(d.link_mbits));
-        }
-        obs::Span session;
-        session.start_min = d.arrival_min;
-        session.end_min = d.kind == RouteKind::kRejected
-                              ? d.arrival_min
-                              : d.arrival_min + wait + config.video.duration.v;
-        session.phase = obs::SpanPhase::kRegionSession;
-        session.channel = static_cast<std::int32_t>(d.served_by);
-        session.video = d.video;
-        session.client = ordinal;
-        session.value = wait;
-        const auto id = sink->spans.record(session);
-        if (d.kind == RouteKind::kRerouted) {
-          obs::Span hop;
-          hop.parent = id;
-          hop.start_min = d.arrival_min;
-          hop.end_min = d.arrival_min + d.transit_min;
-          hop.phase = obs::SpanPhase::kReroute;
-          hop.channel = static_cast<std::int32_t>(d.served_by);
-          hop.video = d.video;
-          hop.client = ordinal;
-          hop.value = d.transit_min;
-          sink->spans.record(hop);
+        const double at = streams[g][cursor[g]].arrival.v;
+        if (next == n || at < best) {
+          next = g;
+          best = at;
         }
       }
+      if (next == n) {
+        break;
+      }
+      const auto& req = streams[next][cursor[next]++];
+      const RouteDecision d = router.route(
+          Arrival{req.arrival, req.video, static_cast<std::uint32_t>(next)});
+      if (d.kind == RouteKind::kRerouted) {
+        ++rerouted_in[d.served_by];
+      }
+      per_origin[next].push_back(d);
     }
-    if (sink != nullptr) {
-      obs::publish_drop_metrics(*sink);
-    }
-  });
+
+    // Phase C — per-region accounting into private sinks/distributions
+    // (parallel).
+    util::parallel_for_each(pool, n, [&](std::size_t g) {
+      for (const auto& d : per_origin[g]) {
+        ledgers[g].account(d, config, d1);
+      }
+    });
+  }
 
   // Phase D — fold in region index order.
   FederationReport out;
-  out.regions = std::move(region_reports);
   out.wait_minutes.set_sample_cap(config.stats_sample_cap);
   out.replicated_titles = placement.replicated;
   out.tail_slots_total = tail_slots_total;
   out.broadcast_latency_min = d1;
+  out.regions.reserve(n);
   for (std::size_t g = 0; g < n; ++g) {
-    const auto& r = out.regions[g];
+    auto& ledger = ledgers[g];
+    ledger.report.rerouted_in = rerouted_in[g];
+    const auto& r = out.regions.emplace_back(std::move(ledger.report));
     out.arrivals += r.arrivals;
     out.served_local += r.served_local;
     out.rerouted += r.rerouted_out;
@@ -261,9 +307,10 @@ FederationReport simulate_federation(const Topology& topology,
     out.link_mbits += r.link_mbits;
     out.wait_minutes.merge(r.wait_minutes);
     if (config.sink != nullptr) {
-      config.sink->metrics.merge_from(sinks[g]->metrics);
-      config.sink->trace.merge_from(sinks[g]->trace);
-      config.sink->spans.merge_from(sinks[g]->spans);
+      obs::publish_drop_metrics(*ledger.sink);
+      config.sink->metrics.merge_from(ledger.sink->metrics);
+      config.sink->trace.merge_from(ledger.sink->trace);
+      config.sink->spans.merge_from(ledger.sink->spans);
     }
   }
   return out;

@@ -1,10 +1,10 @@
 // metro::simulate_federation — the multi-head-end campaign driver.
 //
-// One federation run has four phases on the PR 3 slot/merge contract
+// One federation run has four phases on the slot/merge contract
 // (parallelism changes who computes a slot, never where results land):
 //
 //   A. per-region workload (parallel, one region per util::TaskPool slot):
-//      region g draws its Poisson/Zipf request stream from a private Rng
+//      region g pulls its Poisson/Zipf request stream from a private Rng
 //      seeded with the (g+1)-th output of util::SplitMix64(config.seed);
 //   B. routing (serial): the per-region streams are k-way merged in time
 //      order (ties break on the lower region index) and fed through
@@ -19,7 +19,13 @@
 //      Registry::merge_from / SpanTracer::merge_from and per-region
 //      distributions merge metro-wide, all in region index order.
 //
-// The result is bit-identical at any thread count, including none.
+// Phases A-C repeat over consecutive time windows of about 2^16 arrivals
+// (the width follows from the regions' total rate), carrying the request
+// generators, the router and the per-region reports and sinks from one
+// window to the next. Windows partition time, so the result equals one
+// pass over the whole horizon while the request and decision buffers hold
+// a single window. The result is bit-identical at any thread count,
+// including none.
 //
 // Observability (docs/OBSERVABILITY.md): the unlabeled counter
 // `metro.arrivals` plus {region}-labeled families `metro.region_arrivals`,

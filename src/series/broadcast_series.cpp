@@ -18,12 +18,13 @@ std::vector<std::uint64_t> BroadcastSeries::prefix(int k,
   // with many channels the raw elements would overflow 64 bits long before
   // the prefix ends.
   bool capped = false;
+  std::uint64_t value = 0;
   for (int n = 1; n <= k; ++n) {
     if (capped) {
       values.push_back(width);
       continue;
     }
-    const std::uint64_t value = element(n);
+    value = n == 1 ? element(1) : element_after(n, value);
     if (value >= width) {
       capped = true;
       values.push_back(width);
@@ -32,6 +33,11 @@ std::vector<std::uint64_t> BroadcastSeries::prefix(int k,
     }
   }
   return values;
+}
+
+std::uint64_t BroadcastSeries::element_after(
+    int n, std::uint64_t /*previous*/) const {
+  return element(n);
 }
 
 std::uint64_t BroadcastSeries::prefix_sum(int k, std::uint64_t width) const {
@@ -44,36 +50,27 @@ std::uint64_t BroadcastSeries::prefix_sum(int k, std::uint64_t width) const {
 
 std::uint64_t SkyscraperSeries::element(int n) const {
   VB_EXPECTS(n >= 1);
-  const auto idx = static_cast<std::size_t>(n);
-  while (memo_.size() <= idx) {
-    const int m = static_cast<int>(memo_.size());
-    std::uint64_t value = 0;
-    if (m == 1) {
-      value = 1;
-    } else if (m == 2 || m == 3) {
-      value = 2;
-    } else {
-      const std::uint64_t prev = memo_[static_cast<std::size_t>(m - 1)];
-      switch (m % 4) {
-        case 0:
-          value = util::add_or_die(util::mul_or_die(2, prev), 1);
-          break;
-        case 1:
-          value = prev;
-          break;
-        case 2:
-          value = util::add_or_die(util::mul_or_die(2, prev), 2);
-          break;
-        case 3:
-          value = prev;
-          break;
-        default:
-          VB_ASSERT(false);
-      }
-    }
-    memo_.push_back(value);
+  std::uint64_t value = 1;
+  for (int m = 2; m <= n; ++m) {
+    value = element_after(m, value);
   }
-  return memo_[idx];
+  return value;
+}
+
+std::uint64_t SkyscraperSeries::element_after(int n,
+                                              std::uint64_t previous) const {
+  VB_EXPECTS(n >= 2);
+  if (n == 2) {
+    return 2;
+  }
+  switch (n % 4) {
+    case 0:
+      return util::add_or_die(util::mul_or_die(2, previous), 1);
+    case 2:
+      return util::add_or_die(util::mul_or_die(2, previous), 2);
+    default:  // n mod 4 == 1 or 3
+      return previous;
+  }
 }
 
 std::uint64_t FastSeries::element(int n) const {

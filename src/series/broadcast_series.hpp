@@ -41,6 +41,11 @@ class BroadcastSeries {
   /// f(n) for n >= 1. Throws on overflow of the underlying recurrence.
   [[nodiscard]] virtual std::uint64_t element(int n) const = 0;
 
+  /// f(n) given f(n - 1), for n >= 2, so prefix() walks a recurrence once
+  /// instead of re-deriving every element. Defaults to element(n).
+  [[nodiscard]] virtual std::uint64_t element_after(
+      int n, std::uint64_t previous) const;
+
   /// First k elements with the width cap applied: min(f(n), width).
   [[nodiscard]] std::vector<std::uint64_t> prefix(
       int k, std::uint64_t width = kUncapped) const;
@@ -51,14 +56,15 @@ class BroadcastSeries {
                                          std::uint64_t width = kUncapped) const;
 };
 
-/// The paper's skyscraper series. Thread-compatible; memoizes elements.
+/// The paper's skyscraper series. Stateless: element() walks the
+/// recurrence from f(1) (it overflows 64 bits within about 130 steps), so
+/// concurrent calls on one instance are safe.
 class SkyscraperSeries final : public BroadcastSeries {
  public:
   [[nodiscard]] std::string name() const override { return "skyscraper"; }
   [[nodiscard]] std::uint64_t element(int n) const override;
-
- private:
-  mutable std::vector<std::uint64_t> memo_{0};  // memo_[n] = f(n); index 0 unused
+  [[nodiscard]] std::uint64_t element_after(
+      int n, std::uint64_t previous) const override;
 };
 
 /// Fast Broadcasting's doubling law [1, 2, 4, 8, ...]; implemented as the

@@ -18,11 +18,20 @@
 // the slot before invoking, so callbacks may freely schedule new events
 // (the pool may grow or be recycled under them).
 //
+// Client arrivals never enter the heap. run_until() takes a time-ordered
+// arrival feed and merges its next arrival against the heap head, so the
+// heap and slab hold only server-side events (batch completions, drains,
+// epochs, ...) and a run's memory is O(live events), not O(arrivals).
+//
 // Determinism contract: events at equal times fire in insertion order
-// (ties break on a monotonically increasing sequence number), which keeps
-// runs deterministic for a fixed seed.
+// (ties break on a monotonically increasing sequence number), and a fed
+// arrival fires before any heap event at its own time — exactly as if
+// every arrival had been scheduled before the first server event. Runs are
+// therefore deterministic for a fixed seed.
 #pragma once
 
+#include <algorithm>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -31,19 +40,26 @@
 #include <utility>
 #include <vector>
 
+#include "obs/timer.hpp"
 #include "util/contracts.hpp"
 
 namespace vodbcast::obs {
 struct Sink;
-class Counter;
-class Gauge;
-class Histogram;
 }  // namespace vodbcast::obs
 
 namespace vodbcast::sim {
 
 /// Simulation time in minutes (matching the paper's reporting unit).
 using SimTime = double;
+
+/// A time-ordered arrival source for EventQueue::run_until(): next_at() is
+/// the time of the next arrival (+infinity once the feed is exhausted) and
+/// never decreases; pop() removes that arrival and returns it.
+template <typename F>
+concept ArrivalFeed = requires(F& feed) {
+  { feed.next_at() } -> std::convertible_to<SimTime>;
+  feed.pop();
+};
 
 class EventQueue {
  public:
@@ -119,12 +135,46 @@ class EventQueue {
   /// fire on a later step()/run_until().
   void run_until(SimTime until);
 
+  /// run_until() merged with an arrival feed: fires, in time order, the
+  /// heap's events and the feed's arrivals at or before `until`, handing
+  /// each popped arrival to `on_arrival(arrival)` with now() at its time.
+  /// An arrival fires before any heap event at its own time, including
+  /// events scheduled before the run. Fed arrivals never touch the heap or
+  /// the slab, but a sink counts each one as scheduled and fired. Arrivals
+  /// after `until` stay in the feed for a later call. A throwing handler
+  /// propagates with its arrival already consumed; the queue stays usable.
+  template <ArrivalFeed Feed, typename Handler>
+  void run_until(SimTime until, Feed& feed, Handler&& on_arrival) {
+    for (;;) {
+      const SimTime at = feed.next_at();
+      if (at <= until && (heap_.empty() || at <= heap_.front().at)) {
+        VB_EXPECTS_MSG(at >= now_, "arrival feed is not time-ordered");
+        now_ = at;
+        auto arrival = feed.pop();
+        if (sink_ != nullptr) {
+          scheduled_->add();
+          fired_->add();
+          const obs::ScopedTimer timer(callback_ns_);
+          on_arrival(arrival);
+        } else {
+          on_arrival(arrival);
+        }
+      } else if (!heap_.empty() && heap_.front().at <= until) {
+        step();
+      } else {
+        break;
+      }
+    }
+    now_ = std::max(now_, until);
+  }
+
   [[nodiscard]] SimTime now() const noexcept { return now_; }
   [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
   [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
 
   /// Slots currently held by the slab pool (live + recycled); a high-water
-  /// mark of concurrently pending events. Exposed for tests and sizing.
+  /// mark of concurrently pending heap events (fed arrivals take none).
+  /// Exposed for tests and sizing.
   [[nodiscard]] std::size_t slab_slots() const noexcept {
     return pool_.size();
   }

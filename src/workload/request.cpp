@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/contracts.hpp"
 
@@ -44,5 +45,10 @@ std::vector<Request> RequestGenerator::generate_until(core::Minutes horizon) {
   }
   return requests;
 }
+
+RequestFeed::RequestFeed(RequestGenerator generator, core::Minutes horizon)
+    : generator_(std::move(generator)),
+      horizon_(horizon.v),
+      ahead_(generator_.next()) {}
 
 }  // namespace vodbcast::workload

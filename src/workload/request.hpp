@@ -2,6 +2,7 @@
 // selection.
 #pragma once
 
+#include <limits>
 #include <vector>
 
 #include "core/units.hpp"
@@ -34,6 +35,35 @@ class RequestGenerator {
   std::vector<double> cdf_;
   PoissonProcess arrivals_;
   util::Rng rng_;
+};
+
+/// The requests generate_until(horizon) would return, pulled one at a time
+/// through a one-request look-ahead, so a consumer holds O(1) requests
+/// instead of the whole stream. The generator draws exactly what
+/// generate_until draws. Models sim::ArrivalFeed.
+class RequestFeed {
+ public:
+  RequestFeed(RequestGenerator generator, core::Minutes horizon);
+
+  /// Arrival time of the next request; +infinity once the stream reached
+  /// the horizon.
+  [[nodiscard]] double next_at() const noexcept {
+    return ahead_.arrival.v < horizon_ ? ahead_.arrival.v : kExhausted;
+  }
+  /// Removes and returns the next request. Precondition: next_at() is
+  /// finite.
+  Request pop() {
+    const Request request = ahead_;
+    ahead_ = generator_.next();
+    return request;
+  }
+
+ private:
+  static constexpr double kExhausted = std::numeric_limits<double>::infinity();
+
+  RequestGenerator generator_;
+  double horizon_;
+  Request ahead_;
 };
 
 }  // namespace vodbcast::workload

@@ -403,5 +403,27 @@ TEST(AdaptiveSimTest, ReplicationsDifferButSeedsReproduce) {
   EXPECT_GT(a.wait_mean_ci95, 0.0);
 }
 
+// Memory canary: the event heap holds server events only (batch
+// completions, drains, epochs, the flip), whose number is bounded by the
+// channel budget, not by the arrivals — doubling the horizon doubles the
+// arrivals but not the slab.
+TEST(AdaptiveSimTest, EventSlabDoesNotGrowWithTheHorizon) {
+  const batching::MqlPolicy policy;
+  const auto slab_slots = [&policy](double horizon) {
+    auto config = adaptive_config();
+    config.horizon = core::Minutes{horizon};
+    obs::Sink sink;
+    config.sink = &sink;
+    const auto report = ctrl::simulate_adaptive(policy, config);
+    EXPECT_GT(report.served_hot + report.served_tail, 0U);
+    return sink.metrics.gauge("sim.event_queue.slab_slots").value();
+  };
+  const double single = slab_slots(600.0);
+  const double doubled = slab_slots(1200.0);
+  EXPECT_GT(single, 0.0);
+  // Pre-scheduled arrivals would make this ratio about 2.
+  EXPECT_LT(doubled, 1.5 * single) << single << " -> " << doubled;
+}
+
 }  // namespace
 }  // namespace vodbcast

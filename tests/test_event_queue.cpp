@@ -4,9 +4,11 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "obs/sink.hpp"
@@ -312,6 +314,124 @@ TEST(EventQueueTest, SinkCountsTrafficSpillsAndSlabHighWater) {
   EXPECT_EQ(counter("sim.event_queue.capture_spill"), 1U);
   EXPECT_DOUBLE_EQ(gauge("sim.event_queue.pending_peak"), 7.0);
   EXPECT_DOUBLE_EQ(gauge("sim.event_queue.slab_slots"), 7.0);
+}
+
+
+// ---------------------------------------------------------------------------
+// Arrival feeds merged by run_until(until, feed, handler).
+
+/// A time-ordered arrival feed over fixed times; pop() returns the time.
+struct TimesFeed {
+  std::vector<double> times;
+  std::size_t next = 0;
+
+  [[nodiscard]] double next_at() const {
+    return next < times.size() ? times[next]
+                               : std::numeric_limits<double>::infinity();
+  }
+  double pop() { return times[next++]; }
+};
+
+static_assert(ArrivalFeed<TimesFeed>);
+
+// Every arrival behaves as if scheduled before any server event: at equal
+// times it fires first, also ahead of events scheduled before the run.
+TEST(EventQueueFeedTest, ArrivalBeatsPendingEventAtItsTime) {
+  EventQueue q;
+  std::vector<std::string> fired;
+  q.schedule(2.0, [&] { fired.push_back("event@2"); });
+  q.schedule(1.0, [&] { fired.push_back("event@1"); });
+  TimesFeed feed{.times = {0.5, 1.0, 2.0, 2.0, 3.0}};
+  q.run_until(10.0, feed, [&](double at) {
+    EXPECT_DOUBLE_EQ(q.now(), at);
+    fired.push_back("arrival@" + std::to_string(static_cast<int>(at * 2)));
+  });
+  EXPECT_EQ(fired, (std::vector<std::string>{"arrival@1", "arrival@2",
+                                             "event@1", "arrival@4",
+                                             "arrival@4", "event@2",
+                                             "arrival@6"}));
+  EXPECT_DOUBLE_EQ(q.now(), 10.0);
+}
+
+// An event a handler schedules at the handler's own time fires after every
+// arrival at that time and before later ones.
+TEST(EventQueueFeedTest, HandlerMayScheduleAtItsOwnTime) {
+  EventQueue q;
+  std::vector<std::string> fired;
+  TimesFeed feed{.times = {1.0, 1.0, 2.0}};
+  q.run_until(5.0, feed, [&](double at) {
+    fired.push_back("arrival");
+    if (fired.size() == 1) {
+      q.schedule(at, [&] { fired.push_back("same-time event"); });
+    }
+  });
+  EXPECT_EQ(fired, (std::vector<std::string>{"arrival", "arrival",
+                                             "same-time event", "arrival"}));
+}
+
+TEST(EventQueueFeedTest, ArrivalsAfterUntilStayForTheNextRun) {
+  EventQueue q;
+  std::vector<double> fired;
+  q.schedule(4.0, [&] { fired.push_back(-4.0); });
+  TimesFeed feed{.times = {1.0, 3.0, 5.0, 7.0}};
+  const auto record = [&](double at) { fired.push_back(at); };
+  q.run_until(3.0, feed, record);
+  EXPECT_EQ(fired, (std::vector<double>{1.0, 3.0}));
+  EXPECT_DOUBLE_EQ(feed.next_at(), 5.0);  // not consumed
+  EXPECT_EQ(q.pending(), 1U);
+  q.run_until(6.0, feed, record);
+  EXPECT_EQ(fired, (std::vector<double>{1.0, 3.0, -4.0, 5.0}));
+  q.run_until(20.0, feed, record);
+  EXPECT_EQ(fired, (std::vector<double>{1.0, 3.0, -4.0, 5.0, 7.0}));
+  EXPECT_TRUE(q.empty());
+}
+
+// Fed arrivals count as scheduled and fired, but take no heap entry or
+// slab slot: the high-water marks describe server events only.
+TEST(EventQueueFeedTest, SinkCountsFedArrivalsAsScheduledAndFired) {
+  obs::Sink sink;
+  EventQueue q;
+  q.attach_sink(&sink);
+  TimesFeed feed{.times = {1.0, 2.0, 3.0, 4.0, 5.0}};
+  q.run_until(10.0, feed, [&](double at) { q.schedule(at + 0.5, [] {}); });
+  EXPECT_EQ(sink.metrics.counter("sim.event_queue.scheduled").value(), 10U);
+  EXPECT_EQ(sink.metrics.counter("sim.event_queue.fired").value(), 10U);
+  EXPECT_DOUBLE_EQ(sink.metrics.gauge("sim.event_queue.pending_peak").value(),
+                   1.0);
+  EXPECT_DOUBLE_EQ(sink.metrics.gauge("sim.event_queue.slab_slots").value(),
+                   1.0);
+  EXPECT_EQ(q.slab_slots(), 1U);
+}
+
+// A throwing handler propagates with its arrival consumed; the queue and
+// the feed both stay usable.
+TEST(EventQueueFeedTest, QueueStaysUsableAfterHandlerThrows) {
+  EventQueue q;
+  std::vector<double> fired;
+  bool event_fired = false;
+  q.schedule(2.5, [&event_fired] { event_fired = true; });
+  TimesFeed feed{.times = {1.0, 2.0, 3.0}};
+  const auto handler = [&](double at) {
+    if (at == 2.0) {
+      throw std::runtime_error("boom");
+    }
+    fired.push_back(at);
+  };
+  EXPECT_THROW(q.run_until(10.0, feed, handler), std::runtime_error);
+  EXPECT_DOUBLE_EQ(q.now(), 2.0);
+  EXPECT_DOUBLE_EQ(feed.next_at(), 3.0);
+  q.run_until(10.0, feed, handler);
+  EXPECT_EQ(fired, (std::vector<double>{1.0, 3.0}));
+  EXPECT_TRUE(event_fired);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueFeedTest, RejectsAFeedThatGoesBackInTime) {
+  EventQueue q;
+  q.run_until(5.0);
+  TimesFeed feed{.times = {4.0}};
+  EXPECT_THROW(q.run_until(10.0, feed, [](double) {}),
+               util::ContractViolation);
 }
 
 }  // namespace

@@ -2,11 +2,28 @@
 // executable documentation of the fixes.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <ios>
+#include <vector>
+
+#include "batching/queue_policies.hpp"
+#include "batching/scheduled_multicast.hpp"
 #include "client/client_session.hpp"
 #include "client/reception_plan.hpp"
+#include "ctrl/adaptive.hpp"
+#include "fault/injector.hpp"
+#include "metro/federation.hpp"
+#include "obs/sink.hpp"
 #include "schemes/permutation_pyramid.hpp"
 #include "schemes/skyscraper.hpp"
 #include "series/broadcast_series.hpp"
+#include "sim/simulator.hpp"
+#include "util/rng.hpp"
+#include "util/task_pool.hpp"
+#include "workload/request.hpp"
+#include "workload/zipf.hpp"
 
 namespace vodbcast {
 namespace {
@@ -104,6 +121,306 @@ TEST(RegressionTest, PlanReceptionMatchesSessionOnCapBoundary) {
     EXPECT_EQ(plan.jitter_free, session.jitter_free) << t0;
     EXPECT_EQ(plan.max_buffer_units, session.max_buffer_units) << t0;
   }
+}
+
+
+// ---------------------------------------------------------------------------
+// Report pins. Each case below hard-codes a report of a simulator built on
+// the event engine, as the engine produced it when every arrival was
+// scheduled into the heap up front, with doubles compared bit for bit. The
+// byte-diffs in scripts/verify_all.sh only compare two runs of one build;
+// these pins are what catch a changed equal-time tie rule or a reordered
+// floating-point accumulation between builds.
+
+/// FNV-1a accumulator over 64-bit words.
+class Fnv {
+ public:
+  Fnv& add(std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (word >> (8 * i)) & 0xffU;
+      hash_ *= 0x100000001b3ULL;
+    }
+    return *this;
+  }
+  Fnv& add(double value) { return add(std::bit_cast<std::uint64_t>(value)); }
+  Fnv& add(const sim::Distribution& d) {
+    add(static_cast<std::uint64_t>(d.count()));
+    if (d.empty()) {
+      return *this;
+    }
+    add(d.mean()).add(d.min()).add(d.max()).add(d.stddev());
+    add(d.quantile(0.5)).add(d.quantile(0.9)).add(d.samples_folded());
+    for (const double sample : d.samples()) {
+      add(sample);
+    }
+    return *this;
+  }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+#define EXPECT_DIGEST(actual, expected)                                \
+  EXPECT_EQ(static_cast<std::uint64_t>(actual),                        \
+            static_cast<std::uint64_t>(expected))                      \
+      << #actual " = 0x" << std::hex << static_cast<std::uint64_t>(actual)
+#define EXPECT_BITS(actual, expected)                                  \
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(static_cast<double>(actual)), \
+            std::bit_cast<std::uint64_t>(static_cast<double>(expected))) \
+      << #actual " = " << std::hexfloat << static_cast<double>(actual)
+
+std::uint64_t digest(const sim::SimulationReport& r) {
+  return Fnv()
+      .add(r.clients_served)
+      .add(r.jitter_events)
+      .add(static_cast<std::uint64_t>(r.max_concurrent_downloads))
+      .add(r.peak_server_rate.v)
+      .add(r.fault_hits)
+      .add(r.fault_repairs)
+      .add(r.fault_degraded)
+      .add(r.latency_minutes)
+      .add(r.buffer_peak_mbits)
+      .add(r.fault_penalty_minutes)
+      .value();
+}
+
+std::uint64_t digest(const ctrl::AdaptiveReport& r) {
+  Fnv f;
+  f.add(r.wait_minutes).add(r.hot_wait_minutes).add(r.tail_wait_minutes);
+  for (const std::uint64_t count :
+       {r.served_hot, r.served_tail, r.unserved, r.epochs, r.reallocs,
+        r.promotions, r.demotions, r.drains_completed, r.deferred_promotions,
+        r.degraded_epochs, r.fault_forced_demotions, r.fault_restarts}) {
+    f.add(count);
+  }
+  f.add(static_cast<std::uint64_t>(r.channels_per_video))
+      .add(r.broadcast_worst_latency.v)
+      .add(static_cast<std::uint64_t>(r.degraded))
+      .add(static_cast<std::uint64_t>(r.converged_epochs_after_flip));
+  for (const auto title : r.final_hot) {
+    f.add(static_cast<std::uint64_t>(title));
+  }
+  return f.value();
+}
+
+std::uint64_t digest(const batching::MulticastReport& r) {
+  return Fnv()
+      .add(r.wait_minutes)
+      .add(r.batch_size)
+      .add(r.served)
+      .add(r.reneged)
+      .add(r.streams_started)
+      .add(r.channel_utilization)
+      .value();
+}
+
+std::uint64_t digest(const metro::FederationReport& r) {
+  Fnv f;
+  f.add(r.arrivals)
+      .add(r.served_local)
+      .add(r.rerouted)
+      .add(r.rejected)
+      .add(r.link_mbits)
+      .add(r.wait_minutes)
+      .add(static_cast<std::uint64_t>(r.replicated_titles))
+      .add(static_cast<std::uint64_t>(r.tail_slots_total))
+      .add(r.broadcast_latency_min);
+  for (const auto& region : r.regions) {
+    f.add(region.arrivals)
+        .add(region.served_local)
+        .add(region.rerouted_out)
+        .add(region.rerouted_in)
+        .add(region.rejected)
+        .add(region.link_mbits)
+        .add(region.wait_minutes);
+  }
+  return f.value();
+}
+
+const core::VideoParams kTwoHourVideo{core::Minutes{120.0},
+                                      core::MbitPerSec{1.5}};
+
+sim::SimulationConfig pinned_sim_config(bool plan_cache) {
+  sim::SimulationConfig config;
+  config.horizon = core::Minutes{240.0};
+  config.arrivals_per_minute = 4.0;
+  config.seed = 42;
+  config.plan_clients = true;
+  config.plan_cache = plan_cache;
+  return config;
+}
+
+TEST(EngineReportPinTest, SimulateWithPlanCacheOnAndOff) {
+  const schemes::SkyscraperScheme sb(52);
+  const schemes::DesignInput input{
+      .server_bandwidth = core::MbitPerSec{300.0},
+      .num_videos = 10,
+      .video = kTwoHourVideo,
+  };
+  for (const bool cache : {true, false}) {
+    SCOPED_TRACE(cache ? "plan cache on" : "plan cache off");
+    const auto report = sim::simulate(sb, input, pinned_sim_config(cache));
+    EXPECT_EQ(report.clients_served, 983U);
+    EXPECT_BITS(report.latency_minutes.mean(), 0x1.6ff5fa1767772p-4);
+    EXPECT_BITS(report.buffer_peak_mbits.mean(), 0x1.c01d397e9a16dp+8);
+    EXPECT_DIGEST(digest(report), 0xf3789fd212d159c0);
+  }
+}
+
+TEST(EngineReportPinTest, SimulateWithFaultPlanAndStatsCap) {
+  const schemes::SkyscraperScheme sb(12);
+  const schemes::DesignInput input{
+      .server_bandwidth = core::MbitPerSec{300.0},
+      .num_videos = 10,
+      .video = kTwoHourVideo,
+  };
+  fault::PlanSpec spec;
+  spec.horizon_min = 240.0;
+  spec.channels = 10;
+  spec.outages = 2;
+  spec.bursts = 2;
+  spec.disk_stalls = 1;
+  spec.server_restart = true;
+  const fault::Injector injector{fault::Plan::generate(spec, 7),
+                                 fault::RecoveryPolicy{.retry_budget = 1}};
+  auto config = pinned_sim_config(true);
+  config.injector = &injector;
+  config.stats_sample_cap = 256;
+  const auto report = sim::simulate(sb, input, config);
+  EXPECT_EQ(report.clients_served, 983U);
+  EXPECT_EQ(report.fault_hits, 1268U);
+  EXPECT_EQ(report.fault_repairs, 964U);
+  EXPECT_BITS(report.fault_penalty_minutes.mean(), 0x1.f9ad28a3a58ebp+0);
+  EXPECT_DIGEST(digest(report), 0x170626761f0e5a8c);
+}
+
+// A flip, a restart episode and the first control epoch each land exactly
+// on an arrival's time, so the report depends on the equal-time tie rule:
+// an arrival fires before any server event at its own time.
+TEST(EngineReportPinTest, AdaptiveWithServerEventsAtArrivalTimes) {
+  ctrl::AdaptiveConfig config;
+  config.total_bandwidth = core::MbitPerSec{72.0};
+  config.catalog_size = 40;
+  config.hot_titles = 8;
+  config.broadcast_channels_per_video = 4;
+  config.video = core::VideoParams{core::Minutes{30.0}, core::MbitPerSec{1.5}};
+  config.arrivals_per_minute = 6.0;
+  config.horizon = core::Minutes{600.0};
+  config.half_life = core::Minutes{30.0};
+  config.min_tail_channels = 4;
+  config.seed = 11;
+  workload::RequestGenerator generator(
+      workload::zipf_probabilities(config.catalog_size, config.zipf_theta),
+      config.arrivals_per_minute, util::Rng(config.seed));
+  const auto stream = generator.generate_until(config.horizon);
+  ASSERT_GT(stream.size(), 1800U);
+  config.epoch = stream[180].arrival;    // ~30 min
+  config.flip_at = stream[1800].arrival;  // ~300 min
+  // The restart lands on an arrival of the hottest title, which is on a
+  // broadcast plan: whether that arrival tunes before or after the plan
+  // restarts changes its wait.
+  std::size_t restart_at = 1200;
+  while (stream[restart_at].video != 0) {
+    ++restart_at;
+  }
+  const fault::Injector injector{fault::Plan(
+      {fault::Episode{.kind = fault::EpisodeKind::kServerRestart,
+                      .start_min = stream[restart_at].arrival.v,
+                      .end_min = stream[restart_at].arrival.v,
+                      .channel = -1}},
+      1)};
+  config.injector = &injector;
+
+  const batching::MqlPolicy policy;
+  const auto report = ctrl::simulate_adaptive(policy, config);
+  EXPECT_EQ(report.served_hot, 2716U);
+  EXPECT_EQ(report.served_tail, 916U);
+  EXPECT_EQ(report.epochs, 19U);
+  EXPECT_EQ(report.fault_restarts, 1U);
+  EXPECT_BITS(report.wait_minutes.mean(), 0x1.8d25a26da643bp+2);
+  EXPECT_DIGEST(digest(report), 0xdf59e18fe0aa0e05);
+
+  // A sink changes nothing in the report, and the engine's traffic counters
+  // count every arrival once as scheduled and once as fired.
+  obs::Sink sink;
+  config.sink = &sink;
+  const auto observed = ctrl::simulate_adaptive(policy, config);
+  EXPECT_EQ(digest(observed), digest(report));
+  EXPECT_EQ(sink.metrics.counter("sim.event_queue.scheduled").value(), 3995U);
+  EXPECT_EQ(sink.metrics.counter("sim.event_queue.fired").value(), 3979U);
+}
+
+// Arrivals on whole minutes tie with each other and with batch completions
+// (30-minute streams), so dispatch order depends on the tie rule; patience
+// makes waiters renege.
+TEST(EngineReportPinTest, ScheduledMulticastFcfsAndMqlWithReneges) {
+  workload::RequestGenerator generator(workload::zipf_probabilities(20), 2.0,
+                                       util::Rng(5));
+  auto requests = generator.generate_until(core::Minutes{600.0});
+  for (auto& request : requests) {
+    request.arrival = core::Minutes{std::floor(request.arrival.v)};
+  }
+  batching::MulticastConfig config;
+  config.channels = 4;
+  config.video_length = core::Minutes{30.0};
+  config.horizon = core::Minutes{600.0};
+  config.mean_patience = core::Minutes{10.0};
+  config.seed = 9;
+
+  const auto fcfs = batching::simulate_scheduled_multicast(
+      batching::FcfsPolicy(), requests, 20, config);
+  EXPECT_EQ(fcfs.served, 286U);
+  EXPECT_EQ(fcfs.reneged, 923U);
+  EXPECT_EQ(fcfs.streams_started, 82U);
+  EXPECT_BITS(fcfs.wait_minutes.mean(), 0x1.3p+3);
+  EXPECT_DIGEST(digest(fcfs), 0x16296c2f9763dfa9);
+
+  const auto mql = batching::simulate_scheduled_multicast(
+      batching::MqlPolicy(), requests, 20, config);
+  EXPECT_EQ(mql.served, 308U);
+  EXPECT_EQ(mql.reneged, 902U);
+  EXPECT_EQ(mql.streams_started, 82U);
+  EXPECT_BITS(mql.wait_minutes.mean(), 0x1.009f959c427e5p+3);
+  EXPECT_DIGEST(digest(mql), 0xb6a8fc78ecd8560a);
+}
+
+// 1000 arrivals/min over 300 min: about 300k arrivals, several times the
+// federation's arrival window. Region 1 goes dark across two window
+// boundaries and the sample cap folds every distribution mid-run.
+TEST(EngineReportPinTest, FederationWithDarkRegionAndStatsCap) {
+  const metro::Topology topology({{400.0, 120},
+                                  {300.0, 120},
+                                  {200.0, 120},
+                                  {100.0, 120}},
+                                 8, core::Minutes{0.5});
+  metro::FederationConfig config;
+  config.catalog_size = 40;
+  config.replicate_top = 6;
+  config.horizon = core::Minutes{300.0};
+  config.seed = 11;
+  config.stats_sample_cap = 1024;
+  config.fault_plans.assign(4, {});
+  config.fault_plans[1] = fault::Plan(
+      {fault::Episode{fault::EpisodeKind::kChannelOutage, 50.0, 150.0, -1,
+                      {}}},
+      1);
+
+  const auto serial = metro::simulate_federation(topology, config);
+  EXPECT_EQ(serial.arrivals, 299506U);
+  EXPECT_EQ(serial.rerouted, 44U);
+  EXPECT_EQ(serial.rejected, 106565U);
+  EXPECT_BITS(serial.link_mbits, 0x1.790dp+21);
+  EXPECT_BITS(serial.wait_minutes.mean(), 0x1.847b2a3335efbp+3);
+  EXPECT_DIGEST(digest(serial), 0x4df167a7381eca9f);
+
+  util::TaskPool pool(2);
+  obs::Sink sink;
+  config.sink = &sink;
+  const auto pooled = metro::simulate_federation(topology, config, &pool);
+  EXPECT_EQ(digest(pooled), digest(serial));
+  EXPECT_EQ(sink.metrics.counter("metro.arrivals").value(), 299506U);
+  EXPECT_EQ(sink.spans.recorded(), 221327U);
 }
 
 }  // namespace

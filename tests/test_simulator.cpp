@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/sink.hpp"
 #include "schemes/pyramid.hpp"
 #include "schemes/skyscraper.hpp"
 #include "schemes/staggered.hpp"
@@ -106,6 +107,28 @@ TEST(SimulatorTest, DeterministicForFixedSeed) {
   const auto b = simulate(sb, input, config);
   EXPECT_EQ(a.clients_served, b.clients_served);
   EXPECT_DOUBLE_EQ(a.latency_minutes.mean(), b.latency_minutes.mean());
+}
+
+// Memory canary: arrivals are pulled through the engine, never scheduled
+// into its heap, so a run's slab stays empty however many clients arrive
+// — while the sink still counts every arrival as scheduled and fired.
+TEST(SimulatorTest, ArrivalsTakeNoEventSlabSlots) {
+  const schemes::SkyscraperScheme sb(52);
+  const auto input = paper_input(300.0);
+  obs::Sink sink;
+  SimulationConfig config;
+  config.horizon = core::Minutes{300.0};
+  config.arrivals_per_minute = 5.0;
+  config.plan_clients = true;
+  config.sink = &sink;
+  const auto report = simulate(sb, input, config);
+  ASSERT_GT(report.clients_served, 1000U);
+  EXPECT_EQ(sink.metrics.gauge("sim.event_queue.slab_slots").value(), 0.0);
+  EXPECT_EQ(sink.metrics.gauge("sim.event_queue.pending_peak").value(), 0.0);
+  EXPECT_EQ(sink.metrics.counter("sim.event_queue.scheduled").value(),
+            report.clients_served);
+  EXPECT_EQ(sink.metrics.counter("sim.event_queue.fired").value(),
+            report.clients_served);
 }
 
 }  // namespace
