@@ -10,8 +10,9 @@
 # degraded contract under tools/trace_check --faults), a metro federation
 # self-check (a seeded 4-region vodbcast metro run must conserve arrivals
 # across served-local/rerouted/rejected under tools/metrics_check and
-# reproduce its stdout and metrics byte for byte at --threads 4), a quick
-# pass of the bench suite to
+# reproduce its stdout and metrics byte for byte at --threads 4), a CLI
+# strictness self-check (a misspelled flag must exit 2 and name the flag,
+# not fall back to its default), a quick pass of the bench suite to
 # prove every binary still writes a valid BENCH_*.json that bench_diff can
 # read back, and (opt-in) the mechanical perf gate against the committed
 # trajectory.
@@ -136,6 +137,17 @@ build/tools/vodbcast metro "${fed_args[@]}" --dark 0 \
 build/tools/metrics_check "$om_dir/fed_dark.txt" \
   'sum(metro_served_local_total{region=*}) + sum(metro_rerouted_total{region=*}) + sum(metro_rejected_total{region=*}) == metro_arrivals_total' \
   --verbose
+
+echo "== CLI strictness self-check =="
+# A typo must fail loudly instead of running with the default horizon.
+cli_rc=0
+build/tools/vodbcast simulate --horizn 10 > /dev/null \
+  2> "$om_dir/cli_err.txt" || cli_rc=$?
+if [[ $cli_rc -ne 2 ]] || ! grep -q -- '--horizn' "$om_dir/cli_err.txt"; then
+  echo "cli strictness: expected exit 2 naming --horizn, got $cli_rc:" >&2
+  cat "$om_dir/cli_err.txt" >&2
+  exit 1
+fi
 
 echo "== bench suite (quick) + self-diff =="
 suite_dir=$(mktemp -d)

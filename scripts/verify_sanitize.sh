@@ -7,8 +7,9 @@
 #               the adaptive control plane and the metro federation;
 #   build-tsan  TSan over the TaskPool and its parallel adopters, including
 #               simulate_replicated, simulate_adaptive_replicated and
-#               simulate_federation runs (the data races serial ctest
-#               cannot see).
+#               simulate_federation runs, and over the Registry instruments
+#               (threads racing on one quantile sketch while its counter
+#               window grows) — the data races serial ctest cannot see.
 #
 #   scripts/verify_sanitize.sh [all|asan|thread]   (default: all)
 set -euo pipefail
@@ -58,13 +59,15 @@ if [[ $mode == all || $mode == thread ]]; then
   cmake -B build-tsan -S . -DVODBCAST_SANITIZE=thread
   cmake --build build-tsan -j "$(nproc)" \
     --target test_task_pool test_parallel test_simulator test_ctrl \
-    test_metro
+    test_metro test_obs_registry test_obs_sketch
 
   ./build-tsan/tests/test_task_pool
   ./build-tsan/tests/test_parallel
   ./build-tsan/tests/test_simulator
   ./build-tsan/tests/test_ctrl
   ./build-tsan/tests/test_metro
+  ./build-tsan/tests/test_obs_registry
+  ./build-tsan/tests/test_obs_sketch
 fi
 
 echo "sanitize verify ($mode): OK"

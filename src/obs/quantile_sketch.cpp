@@ -2,12 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
 #include "util/contracts.hpp"
 
 namespace vodbcast::obs {
+
+namespace {
+
+/// Spare counters on each side of a freshly grown window, at the least.
+constexpr std::int64_t kMinSpare = 32;
+
+}  // namespace
 
 QuantileSketch::QuantileSketch(Options options) : options_(options) {
   VB_EXPECTS(options_.relative_accuracy > 0.0 &&
@@ -16,6 +24,13 @@ QuantileSketch::QuantileSketch(Options options) : options_(options) {
   gamma_ = (1.0 + options_.relative_accuracy) /
            (1.0 - options_.relative_accuracy);
   log_gamma_ = std::log(gamma_);
+  // Every finite sample's bucket index must fit an int32_t.
+  VB_EXPECTS(std::log(std::numeric_limits<double>::max()) / log_gamma_ <
+             static_cast<double>(std::numeric_limits<std::int32_t>::max()));
+  // index_of is monotone, so these bound every index a finite sample above
+  // kMinTrackable can have.
+  min_index_ = index_of(kMinTrackable);
+  max_index_ = index_of(std::numeric_limits<double>::max());
 }
 
 std::int32_t QuantileSketch::index_of(double sample) const noexcept {
@@ -25,8 +40,24 @@ std::int32_t QuantileSketch::index_of(double sample) const noexcept {
   return static_cast<std::int32_t>(std::ceil(std::log(sample) / log_gamma_));
 }
 
-void QuantileSketch::observe(double sample) noexcept {
+void QuantileSketch::observe(double sample) {
+  VB_EXPECTS(std::isfinite(sample));
   const std::scoped_lock lock(mutex_);
+  // Bucket first: growing the window is the only step that can throw
+  // (bad_alloc), and it leaves the sketch untouched when it does.
+  if (sample <= kMinTrackable) {
+    ++zero_count_;
+  } else {
+    const std::int32_t index = index_of(sample);
+    // Hot path: the bucket is already tracked, so one increment. An index
+    // below the window wraps to a huge position and fails the bounds test.
+    const auto pos = static_cast<std::size_t>(std::int64_t{index} - base_);
+    if (pos < counts_.size() && counts_[pos] != 0) {
+      ++counts_[pos];
+    } else {
+      observe_new_bucket(index);
+    }
+  }
   if (count_ == 0) {
     min_ = sample;
     max_ = sample;
@@ -36,24 +67,76 @@ void QuantileSketch::observe(double sample) noexcept {
   }
   ++count_;
   sum_ += sample;
-  if (sample <= kMinTrackable) {
-    ++zero_count_;
+}
+
+void QuantileSketch::observe_new_bucket(std::int32_t index) {
+  if (nonzero_ >= options_.max_buckets &&
+      std::int64_t{index} < base_ + static_cast<std::int64_t>(lowest_)) {
+    // A new lowest bucket at budget would collapse straight into the
+    // current lowest one; count it there without growing the window.
+    ++counts_[lowest_];
+    ++collapsed_;
     return;
   }
-  ++buckets_[index_of(sample)];
-  if (buckets_.size() > options_.max_buckets) {
-    collapse_to_budget();
+  cover(index, index);
+  const auto pos = static_cast<std::size_t>(index - base_);
+  counts_[pos] = 1;
+  track(pos);
+  collapse_to_budget();
+}
+
+void QuantileSketch::cover(std::int32_t lo_index, std::int32_t hi_index) {
+  const auto size = static_cast<std::int64_t>(counts_.size());
+  if (size != 0 && lo_index >= base_ && hi_index < base_ + size) {
+    return;
   }
+  // Cover the old window and [lo_index, hi_index]. Each end that moves
+  // gets spare room of at least half the covered span, so growth is
+  // amortized O(1); clamped to the indices a finite sample can reach.
+  VB_ASSERT(lo_index >= min_index_ && hi_index <= max_index_);
+  std::int64_t lo = lo_index;
+  std::int64_t hi = hi_index;
+  if (size != 0) {
+    lo = std::min<std::int64_t>(lo, base_);
+    hi = std::max<std::int64_t>(hi, base_ + size - 1);
+  }
+  const std::int64_t spare = std::max(kMinSpare, (hi - lo + 1) / 2);
+  if (size == 0 || lo < base_) {
+    lo = std::max<std::int64_t>(lo - spare, min_index_);
+  }
+  if (size == 0 || hi >= base_ + size) {
+    hi = std::min<std::int64_t>(hi + spare, max_index_);
+  }
+  std::vector<std::uint64_t> grown(static_cast<std::size_t>(hi - lo + 1));
+  if (size != 0) {
+    const auto shift = static_cast<std::size_t>(base_ - lo);
+    std::copy(counts_.begin(), counts_.end(),
+              grown.begin() + static_cast<std::ptrdiff_t>(shift));
+    lowest_ += shift;
+  }
+  counts_ = std::move(grown);
+  base_ = static_cast<std::int32_t>(lo);
+}
+
+void QuantileSketch::track(std::size_t pos) noexcept {
+  if (nonzero_ == 0 || pos < lowest_) {
+    lowest_ = pos;
+  }
+  ++nonzero_;
 }
 
 void QuantileSketch::collapse_to_budget() {
   // Collapse the two lowest buckets until within budget: low-end resolution
   // degrades first, tail quantiles stay exact to the accuracy bound.
-  while (buckets_.size() > options_.max_buckets) {
-    auto lowest = buckets_.begin();
-    auto second = std::next(lowest);
-    second->second += lowest->second;
-    buckets_.erase(lowest);
+  while (nonzero_ > options_.max_buckets) {
+    std::size_t second = lowest_ + 1;
+    while (counts_[second] == 0) {
+      ++second;
+    }
+    counts_[second] += counts_[lowest_];
+    counts_[lowest_] = 0;
+    lowest_ = second;
+    --nonzero_;
     ++collapsed_;
   }
 }
@@ -81,12 +164,28 @@ void QuantileSketch::merge_from(const QuantileSketch& other) {
   sum_ += other.sum_;
   zero_count_ += other.zero_count_;
   collapsed_ += other.collapsed_;
-  for (const auto& [index, n] : other.buckets_) {
-    buckets_[index] += n;
+  if (other.nonzero_ == 0) {
+    return;
   }
-  if (buckets_.size() > options_.max_buckets) {
-    collapse_to_budget();
+  std::size_t last = other.counts_.size() - 1;
+  while (other.counts_[last] == 0) {
+    --last;
   }
+  cover(other.index_at(other.lowest_), other.index_at(last));
+  const std::int64_t shift = std::int64_t{other.base_} - base_;
+  for (std::size_t k = other.lowest_; k <= last; ++k) {
+    const std::uint64_t n = other.counts_[k];
+    if (n == 0) {
+      continue;
+    }
+    const auto pos =
+        static_cast<std::size_t>(static_cast<std::int64_t>(k) + shift);
+    if (counts_[pos] == 0) {
+      track(pos);
+    }
+    counts_[pos] += n;
+  }
+  collapse_to_budget();
 }
 
 double QuantileSketch::quantile(double q) const {
@@ -102,12 +201,12 @@ double QuantileSketch::quantile(double q) const {
     return 0.0;
   }
   std::uint64_t cum = zero_count_;
-  for (const auto& [index, n] : buckets_) {
-    cum += n;
+  for (std::size_t k = lowest_; k < counts_.size(); ++k) {
+    cum += counts_[k];
     if (cum > rank) {
       // Midpoint of (gamma^(i-1), gamma^i]: relative error <= a at either
       // edge.
-      return 2.0 * std::pow(gamma_, index) / (gamma_ + 1.0);
+      return 2.0 * std::pow(gamma_, index_at(k)) / (gamma_ + 1.0);
     }
   }
   return max_;  // unreachable unless counts desynced; clamp to the max
@@ -140,7 +239,7 @@ std::uint64_t QuantileSketch::zero_count() const {
 
 std::size_t QuantileSketch::bucket_count() const {
   const std::scoped_lock lock(mutex_);
-  return buckets_.size();
+  return nonzero_;
 }
 
 std::uint64_t QuantileSketch::collapsed() const {
@@ -152,16 +251,26 @@ std::vector<std::pair<std::int32_t, std::uint64_t>> QuantileSketch::buckets()
     const {
   const std::scoped_lock lock(mutex_);
   std::vector<std::pair<std::int32_t, std::uint64_t>> out;
-  out.reserve(buckets_.size());
-  for (const auto& [index, n] : buckets_) {
-    out.emplace_back(index, n);
+  out.reserve(nonzero_);
+  for (std::size_t k = lowest_; k < counts_.size(); ++k) {
+    if (counts_[k] != 0) {
+      out.emplace_back(index_at(k), counts_[k]);
+    }
   }
   return out;
 }
 
+std::size_t QuantileSketch::heap_bytes() const {
+  const std::scoped_lock lock(mutex_);
+  return counts_.capacity() * sizeof(std::uint64_t);
+}
+
 void QuantileSketch::clear() {
   const std::scoped_lock lock(mutex_);
-  buckets_.clear();
+  counts_ = std::vector<std::uint64_t>();  // releases the storage
+  base_ = 0;
+  lowest_ = 0;
+  nonzero_ = 0;
   zero_count_ = 0;
   count_ = 0;
   sum_ = 0.0;

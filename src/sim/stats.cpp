@@ -9,13 +9,6 @@
 
 namespace vodbcast::sim {
 
-namespace {
-
-/// One sketch bucket lives in a std::map node: key + count + tree overhead.
-constexpr std::size_t kSketchBucketBytes = 48;
-
-}  // namespace
-
 Distribution::Distribution(const Distribution& other)
     : samples_(other.samples_),
       cap_(other.cap_),
@@ -42,6 +35,7 @@ Distribution& Distribution::operator=(const Distribution& other) {
 }
 
 void Distribution::add(double sample) {
+  VB_EXPECTS(std::isfinite(sample));
   if (count_ == 0) {
     min_ = sample;
     max_ = sample;
@@ -181,7 +175,7 @@ double Distribution::stddev() const {
 std::size_t Distribution::retained_bytes() const noexcept {
   std::size_t bytes = samples_.capacity() * sizeof(double);
   if (sketch_ != nullptr) {
-    bytes += sketch_->bucket_count() * kSketchBucketBytes;
+    bytes += sketch_->heap_bytes();
   }
   return bytes;
 }

@@ -26,10 +26,12 @@ struct HistogramBins {
 ///     behavior;
 ///   * streaming (set_sample_cap(n)): samples are retained exactly up to
 ///     the cap; crossing it folds everything into an obs::QuantileSketch
-///     and frees the sample storage, so memory stays O(sketch buckets) no
-///     matter how many samples arrive. Count, sum, mean, min and max stay
-///     exact in both modes; folded quantiles carry the sketch's relative
-///     accuracy and stddev switches to the streaming (Welford) moments.
+///     and frees the sample storage, so memory stays bounded by the sketch's
+///     counter window (a few KB for typical waits, at most ~292 KB at the
+///     default accuracy) no matter how many samples arrive. Count, sum,
+///     mean, min and max stay exact in both modes; folded quantiles carry
+///     the sketch's relative accuracy and stddev switches to the streaming
+///     (Welford) moments.
 ///
 /// Merging two distributions in a fixed order yields identical state at
 /// any thread count, in either mode (sketch buckets are order-free and the
@@ -42,6 +44,7 @@ class Distribution {
   Distribution(Distribution&&) noexcept = default;
   Distribution& operator=(Distribution&&) noexcept = default;
 
+  /// Precondition: `sample` is finite.
   void add(double sample);
 
   /// Folds `other`'s samples into this distribution (shard merging: each
@@ -87,8 +90,9 @@ class Distribution {
   [[nodiscard]] double stddev() const;
 
   /// Heap bytes retained by this distribution right now (sample storage
-  /// plus sketch buckets). Quantile calls sort into a scratch copy that is
-  /// freed before returning, so this is also the post-query high water.
+  /// plus the sketch's counter array, QuantileSketch::heap_bytes). Quantile
+  /// calls sort into a scratch copy that is freed before returning, so this
+  /// is also the post-query high water.
   [[nodiscard]] std::size_t retained_bytes() const noexcept;
 
   /// Equal-width bins spanning [min(), max()]; the top edge is inclusive so

@@ -53,6 +53,16 @@ std::optional<std::string> ArgParser::get(const std::string& flag) const {
   return it->second;
 }
 
+std::optional<std::string> ArgParser::unknown_flag(
+    const std::vector<std::string>& allowed) const {
+  for (const auto& [flag, value] : flags_) {
+    if (std::find(allowed.begin(), allowed.end(), flag) == allowed.end()) {
+      return flag;
+    }
+  }
+  return std::nullopt;
+}
+
 std::string ArgParser::get_string(const std::string& flag,
                                   const std::string& fallback) const {
   return get(flag).value_or(fallback);

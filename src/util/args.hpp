@@ -51,11 +51,12 @@ class ArgParser {
       const std::string& flag,
       const std::vector<std::uint64_t>& fallback) const;
 
-  /// Flags that were parsed; lets a command reject unknown options.
-  [[nodiscard]] const std::map<std::string, std::string>& flags()
-      const noexcept {
-    return flags_;
-  }
+  /// The first parsed flag (in name order) that is not in `allowed`, or
+  /// nullopt when every flag is known. A command declares the flags it
+  /// reads and rejects the rest, so a typo cannot silently fall back to a
+  /// default.
+  [[nodiscard]] std::optional<std::string> unknown_flag(
+      const std::vector<std::string>& allowed) const;
 
  private:
   std::vector<std::string> positionals_;

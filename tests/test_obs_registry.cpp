@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -104,6 +105,56 @@ TEST(RegistryTest, ConcurrentIncrementsAreLossless) {
     t.join();
   }
   EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kThreads * kPerThread));
+}
+
+TEST(RegistryTest, ConcurrentSketchObservesAreLossless) {
+  // Four threads observe one Registry sketch over ~13 decades, so its
+  // counter window grows and the bucket budget collapses while they race.
+  // The final buckets depend only on the multiset of samples (the top
+  // max_buckets indices keep their own counts, the lowest absorbs the
+  // rest), so a serial sketch over the same samples must match exactly.
+  Registry registry;
+  QuantileSketch& sketch = registry.sketch("wait");
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 20000;
+  const auto sample = [](int t, int i) {
+    // Thread t sweeps its own slice of decades first, then all of them.
+    const double decades = i < kPerThread / 4 ? 3.0 : 13.0;
+    const double offset = i < kPerThread / 4 ? 3.0 * t - 6.0 : -6.0;
+    const double u = static_cast<double>((i * 7919 + t * 104729) % 10007) /
+                     10007.0;
+    return i % 97 == 0 ? 0.0 : std::pow(10.0, offset + decades * u);
+  };
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&sketch, &sample, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        sketch.observe(sample(t, i));
+      }
+    });
+  }
+  for (auto& t : threads) {
+    t.join();
+  }
+  QuantileSketch serial;
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kPerThread; ++i) {
+      serial.observe(sample(t, i));
+    }
+  }
+  EXPECT_EQ(sketch.count(), static_cast<std::uint64_t>(kThreads * kPerThread));
+  EXPECT_GT(sketch.collapsed(), 0U);
+  EXPECT_EQ(sketch.buckets(), serial.buckets());
+  EXPECT_EQ(sketch.zero_count(), serial.zero_count());
+  EXPECT_DOUBLE_EQ(sketch.min(), serial.min());
+  EXPECT_DOUBLE_EQ(sketch.max(), serial.max());
+  EXPECT_NEAR(sketch.sum(), serial.sum(), serial.sum() * 1e-12);
+  std::uint64_t mass = sketch.zero_count();
+  for (const auto& [index, n] : sketch.buckets()) {
+    mass += n;
+  }
+  EXPECT_EQ(mass, sketch.count());
 }
 
 TEST(RegistryTest, JsonExportIsStructurallySound) {

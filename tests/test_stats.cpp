@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "util/contracts.hpp"
 
 namespace vodbcast::sim {
@@ -53,6 +55,26 @@ TEST(DistributionTest, RejectsBadQuantile) {
   d.add(1.0);
   EXPECT_THROW((void)d.quantile(-0.1), util::ContractViolation);
   EXPECT_THROW((void)d.quantile(1.1), util::ContractViolation);
+}
+
+TEST(DistributionTest, RejectsNonFiniteSamples) {
+  // Exact and folded alike: NaN and +/-inf never enter the moments or the
+  // sketch.
+  for (const std::size_t cap : {std::size_t{0}, std::size_t{1}}) {
+    Distribution d;
+    d.set_sample_cap(cap);
+    d.add(1.0);
+    d.add(2.0);
+    EXPECT_EQ(d.folded(), cap != 0);
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+      EXPECT_THROW(d.add(bad), util::ContractViolation) << "cap=" << cap;
+    }
+    EXPECT_EQ(d.count(), 2U);
+    EXPECT_DOUBLE_EQ(d.max(), 2.0);
+    EXPECT_DOUBLE_EQ(d.mean(), 1.5);
+  }
 }
 
 TEST(DistributionTest, StddevSingleSampleIsExactlyZero) {
@@ -214,6 +236,18 @@ TEST(StreamingDistributionTest, RetainedBytesReflectOneCopy) {
   big.set_sample_cap(100);
   EXPECT_TRUE(big.folded());
   EXPECT_LT(big.retained_bytes(), unfolded / 4);
+  // Once folded, the retained bytes are exactly the sketch's counter array:
+  // the same samples in the same order grow a standalone sketch's window
+  // identically. Values 1..976 occupy bucket indices 0..345 at a = 0.01, so
+  // the window holds at least those 346 counters, and spare room at most
+  // doubles it (plus the minimum spare on each side).
+  obs::QuantileSketch same;
+  for (int i = 0; i < 50000; ++i) {
+    same.observe(static_cast<double>(i % 977));
+  }
+  EXPECT_EQ(big.retained_bytes(), same.heap_bytes());
+  EXPECT_GE(big.retained_bytes(), 346 * sizeof(std::uint64_t));
+  EXPECT_LE(big.retained_bytes(), (2 * 346 + 64) * sizeof(std::uint64_t));
 }
 
 TEST(StreamingDistributionTest, QuantileLawUnchangedByScratchSort) {

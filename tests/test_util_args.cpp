@@ -36,6 +36,23 @@ TEST(ArgParserTest, FlagFollowedByFlagIsBoolean) {
   EXPECT_EQ(args.get_uint("seed", 0), 7U);
 }
 
+TEST(ArgParserTest, UnknownFlagNamesTheFirstStranger) {
+  const ArgParser args({"simulate", "--horizn", "10", "--seed=7",
+                        "--arrivals", "4", "--verbose"});
+  // Every flag declared: nothing to report.
+  EXPECT_EQ(args.unknown_flag({"horizn", "seed", "arrivals", "verbose"}),
+            std::nullopt);
+  // The misspelling, whatever its syntax; positionals never count.
+  EXPECT_EQ(args.unknown_flag({"horizon", "seed", "arrivals", "verbose"}),
+            "horizn");
+  EXPECT_EQ(args.unknown_flag({"horizn", "arrivals", "verbose"}), "seed");
+  EXPECT_EQ(args.unknown_flag({"horizn", "seed", "arrivals"}), "verbose");
+  // Several strangers: the first in name order, so the report is stable.
+  EXPECT_EQ(args.unknown_flag({}), "arrivals");
+  // No flags at all is always fine.
+  EXPECT_EQ(ArgParser({"simulate"}).unknown_flag({}), std::nullopt);
+}
+
 TEST(ArgParserTest, Defaults) {
   const ArgParser args(std::vector<std::string>{});
   EXPECT_EQ(args.positional_count(), 0U);

@@ -83,11 +83,10 @@ int main(int argc, char** argv) {
   if (args.positional_count() != 2) {
     return usage();
   }
-  for (const auto& [flag, _] : args.flags()) {
-    if (flag != "threshold" && flag != "min-time-ns" && flag != "verbose") {
-      std::fprintf(stderr, "bench_diff: unknown flag --%s\n", flag.c_str());
-      return usage();
-    }
+  if (const auto flag =
+          args.unknown_flag({"threshold", "min-time-ns", "verbose"})) {
+    std::fprintf(stderr, "bench_diff: unknown flag --%s\n", flag->c_str());
+    return usage();
   }
   const auto& base_dir = args.positional(0);
   const auto& cand_dir = args.positional(1);

@@ -638,11 +638,9 @@ int main(int argc, char** argv) {
   if (args.positional_count() < 1) {
     return usage();
   }
-  for (const auto& [flag, _] : args.flags()) {
-    if (flag != "verbose") {
-      std::fprintf(stderr, "metrics_check: unknown flag --%s\n", flag.c_str());
-      return usage();
-    }
+  if (const auto flag = args.unknown_flag({"verbose"})) {
+    std::fprintf(stderr, "metrics_check: unknown flag --%s\n", flag->c_str());
+    return usage();
   }
   std::ifstream in(args.positional(0));
   if (!in) {

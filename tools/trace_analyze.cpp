@@ -153,13 +153,11 @@ int main(int argc, char** argv) {
   if (args.positional_count() != 1) {
     return usage();
   }
-  for (const auto& [flag, _] : args.flags()) {
-    if (flag != "top" && flag != "check" && flag != "metrics" &&
-        flag != "sessions-metric" && flag != "wait-family" &&
-        flag != "rel-tol" && flag != "attribution-tol") {
-      std::fprintf(stderr, "trace_analyze: unknown flag --%s\n", flag.c_str());
-      return usage();
-    }
+  if (const auto flag = args.unknown_flag(
+          {"top", "check", "metrics", "sessions-metric", "wait-family",
+           "rel-tol", "attribution-tol"})) {
+    std::fprintf(stderr, "trace_analyze: unknown flag --%s\n", flag->c_str());
+    return usage();
   }
   const auto top_k = static_cast<std::size_t>(args.get_uint("top", 10));
   const bool check = args.has("check");

@@ -80,12 +80,10 @@ int main(int argc, char** argv) {
   if (args.positional_count() != 1) {
     return usage();
   }
-  for (const auto& [flag, _] : args.flags()) {
-    if (flag != "max-loaders" && flag != "max-units" && flag != "verbose" &&
-        flag != "realloc" && flag != "faults") {
-      std::fprintf(stderr, "trace_check: unknown flag --%s\n", flag.c_str());
-      return usage();
-    }
+  if (const auto flag = args.unknown_flag(
+          {"max-loaders", "max-units", "verbose", "realloc", "faults"})) {
+    std::fprintf(stderr, "trace_check: unknown flag --%s\n", flag->c_str());
+    return usage();
   }
   const auto max_loaders = args.get_int("max-loaders", 2);
   const bool has_unit_cap = args.has("max-units");

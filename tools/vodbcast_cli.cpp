@@ -30,8 +30,13 @@
 //                     [--seed 1] [--reps R] [--threads T] [--stats-cap N]
 //                     [--metrics-out ...] [--spans-out ...]
 //   vodbcast help
+//
+// Each subcommand accepts only the flags it reads: anything else exits 2
+// with a message naming the flag.
 #include <cstdio>
+#include <initializer_list>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -774,6 +779,76 @@ int cmd_metro(const util::ArgParser& args) {
   return 0;
 }
 
+using FlagList = std::vector<std::string>;
+
+FlagList concat(std::initializer_list<FlagList> lists) {
+  FlagList out;
+  for (const auto& list : lists) {
+    out.insert(out.end(), list.begin(), list.end());
+  }
+  return out;
+}
+
+/// The flags each subcommand reads, shared lists first. Anything else on
+/// the command line is rejected (exit 2), so a misspelled flag cannot
+/// silently fall back to its default. nullopt for help and unknown
+/// commands.
+std::optional<FlagList> known_flags(const std::string& command,
+                                    bool adaptive) {
+  const FlagList input = {"bandwidth", "videos", "duration", "rate"};
+  const FlagList run = {"seed", "reps", "threads"};
+  const FlagList fault = {"fault-plan", "fault-seed", "fault-retries"};
+  const FlagList obs = {"metrics-out", "metrics-format", "trace-out",
+                        "trace-limit", "spans-out", "spans-limit",
+                        "spans-format"};
+  const FlagList series = {"series-out", "series-interval", "series-limit"};
+  const FlagList hybrid = {"adaptive", "bandwidth", "catalog", "hot",
+                           "channels", "width", "arrivals", "horizon",
+                           "policy"};
+  if (command == "design") {
+    return concat({{"scheme"}, input});
+  }
+  if (command == "table") {
+    return FlagList{"bandwidth"};
+  }
+  if (command == "figure") {
+    return FlagList{"csv", "threads"};
+  }
+  if (command == "plan") {
+    return concat({{"scheme", "phase"}, input});
+  }
+  if (command == "simulate") {
+    return concat({{"scheme", "horizon", "arrivals", "plan-cache",
+                    "stats-cap"},
+                   input, run, fault, obs, series});
+  }
+  if (command == "width") {
+    return concat({{"latency"}, input});
+  }
+  if (command == "guide") {
+    return concat({{"scheme", "from", "until"}, input});
+  }
+  if (command == "hybrid" && adaptive) {
+    return concat({hybrid,
+                   {"duration", "rate", "epoch-minutes", "half-life",
+                    "promote-ratio", "demote-ratio", "min-tail",
+                    "popularity-flip", "flip-at"},
+                   run, fault, obs, series});
+  }
+  if (command == "hybrid") {
+    return concat({hybrid, {"stats-cap"}, run, obs, series});
+  }
+  if (command == "metro") {
+    return concat({{"regions", "channels", "link-capacity", "link-latency",
+                    "catalog", "theta", "replicate-top", "sb-channels",
+                    "width", "duration", "rate", "horizon", "patience",
+                    "spill-wait", "reject-penalty", "stats-cap", "dark",
+                    "fault-plan", "fault-seed"},
+                   run, obs});
+  }
+  return std::nullopt;
+}
+
 int cmd_help() {
   std::puts(
       "vodbcast — Skyscraper Broadcasting toolkit\n"
@@ -818,6 +893,7 @@ int cmd_help() {
       "           domains, [--patience MIN] [--spill-wait MIN]\n"
       "           [--reject-penalty MIN] routing knobs; --reps/--threads/\n"
       "           --seed/--stats-cap/--metrics-out/--spans-out as simulate\n"
+      "unknown flags are rejected (exit 2), naming the flag\n"
       "scheme labels: SB:W=<n|inf>, SB(fast|flat):W=<n>, PB:a, PB:b, PPB:a,\n"
       "               PPB:b, FB, HB, staggered");
   return 0;
@@ -830,6 +906,15 @@ int main(int argc, char** argv) {
     const util::ArgParser args(argc, argv);
     const std::string command =
         args.positional_count() > 0 ? args.positional(0) : "help";
+    const auto known = known_flags(command, args.has("adaptive"));
+    if (known.has_value()) {
+      if (const auto flag = args.unknown_flag(*known)) {
+        std::fprintf(stderr,
+                     "vodbcast %s: unknown flag --%s; try 'vodbcast help'\n",
+                     command.c_str(), flag->c_str());
+        return 2;
+      }
+    }
     if (command == "design") {
       return cmd_design(args);
     }
@@ -857,7 +942,7 @@ int main(int argc, char** argv) {
     if (command == "metro") {
       return cmd_metro(args);
     }
-    if (command == "help" || command == "--help") {
+    if (command == "help") {
       return cmd_help();
     }
     std::fprintf(stderr, "unknown command '%s'; try 'vodbcast help'\n",
