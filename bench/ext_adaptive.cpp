@@ -143,7 +143,7 @@ int main(int argc, char** argv) {
   std::printf("replicated x%zu (threads=%d): mean wait %.3f +- %.3f min\n",
               replicated.replications, session.threads(),
               replicated.merged.mean_wait_minutes(),
-              replicated.wait_mean_ci95);
+              replicated.mean_ci95);
 
   const bool adapted_better =
       penalized_mean(adaptive, horizon) < penalized_mean(frozen, horizon);

@@ -181,13 +181,15 @@ void Session::write_result() {
   std::error_code ec;
   std::filesystem::create_directories(out_dir_, ec);
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (out) {
+    out << result.to_json();
+    out.close();  // flushes, so a full device fails here, not silently
+  }
   if (!out) {
     obs::logf(obs::LogLevel::kWarn,
               "bench harness: cannot write %s — result dropped",
               path.c_str());
-    return;
   }
-  out << result.to_json();
 }
 
 }  // namespace vodbcast::bench

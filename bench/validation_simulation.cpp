@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
               "(95%% CI, %llu clients)\n",
               replicated.replications,
               replicated.merged.latency_minutes.mean(),
-              replicated.latency_mean_ci95,
+              replicated.mean_ci95,
               static_cast<unsigned long long>(
                   replicated.merged.clients_served));
   return 0;

@@ -10,9 +10,12 @@
 # degraded contract under tools/trace_check --faults), a metro federation
 # self-check (a seeded 4-region vodbcast metro run must conserve arrivals
 # across served-local/rerouted/rejected under tools/metrics_check and
-# reproduce its stdout and metrics byte for byte at --threads 4), a CLI
-# strictness self-check (a misspelled flag must exit 2 and name the flag,
-# not fall back to its default), a quick pass of the bench suite to
+# reproduce its stdout and metrics byte for byte at --threads 4), a
+# replication self-check (simulate --reps 4 and hybrid --reps 3 must give
+# byte-identical stdout and span exports at --threads 1 and --threads 4), a
+# CLI strictness self-check (a misspelled flag must exit 2 and name the
+# flag, not fall back to its default; a failed output write must exit 1
+# naming the path), a quick pass of the bench suite to
 # prove every binary still writes a valid BENCH_*.json that bench_diff can
 # read back, and (opt-in) the mechanical perf gate against the committed
 # trajectory.
@@ -138,6 +141,26 @@ build/tools/metrics_check "$om_dir/fed_dark.txt" \
   'sum(metro_served_local_total{region=*}) + sum(metro_rerouted_total{region=*}) + sum(metro_rejected_total{region=*}) == metro_arrivals_total' \
   --verbose
 
+echo "== replication self-check =="
+# Replicated runs go through one driver (sim::replicate): seeds, folds and
+# span merges must not depend on the pool, so one worker and four give the
+# same report and the same span export, byte for byte.
+for reps_cmd in "simulate --horizon 60 --reps 4" \
+                "hybrid --horizon 600 --reps 3"; do
+  read -r -a reps_args <<< "$reps_cmd"
+  for threads in 1 4; do
+    build/tools/vodbcast "${reps_args[@]}" --threads "$threads" \
+      --spans-out "$om_dir/reps_t$threads.jsonl" --spans-limit 262144 \
+      > "$om_dir/reps_t$threads.txt" 2> /dev/null
+  done
+  diff "$om_dir/reps_t1.txt" "$om_dir/reps_t4.txt"
+  diff "$om_dir/reps_t1.jsonl" "$om_dir/reps_t4.jsonl"
+  grep -q 'replications *: [34]' "$om_dir/reps_t1.txt" || {
+    echo "replication self-check: '$reps_cmd' did not replicate" >&2
+    exit 1
+  }
+done
+
 echo "== CLI strictness self-check =="
 # A typo must fail loudly instead of running with the default horizon.
 cli_rc=0
@@ -145,6 +168,16 @@ build/tools/vodbcast simulate --horizn 10 > /dev/null \
   2> "$om_dir/cli_err.txt" || cli_rc=$?
 if [[ $cli_rc -ne 2 ]] || ! grep -q -- '--horizn' "$om_dir/cli_err.txt"; then
   echo "cli strictness: expected exit 2 naming --horizn, got $cli_rc:" >&2
+  cat "$om_dir/cli_err.txt" >&2
+  exit 1
+fi
+# A failed write must fail too, not report the file as written.
+cli_rc=0
+build/tools/vodbcast simulate --horizon 10 --metrics-out /dev/full \
+  > /dev/null 2> "$om_dir/cli_err.txt" || cli_rc=$?
+if [[ $cli_rc -ne 1 ]] || ! grep -q -- '/dev/full' "$om_dir/cli_err.txt" \
+    || grep -q 'written' "$om_dir/cli_err.txt"; then
+  echo "cli strictness: expected exit 1 naming /dev/full, got $cli_rc:" >&2
   cat "$om_dir/cli_err.txt" >&2
   exit 1
 fi

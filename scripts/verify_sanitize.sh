@@ -6,8 +6,10 @@
 #               reassembly/loss paths, the fault-injection/recovery layer,
 #               the adaptive control plane and the metro federation;
 #   build-tsan  TSan over the TaskPool and its parallel adopters, including
-#               simulate_replicated, simulate_adaptive_replicated and
-#               simulate_federation runs, and over the Registry instruments
+#               the replication driver behind simulate_replicated,
+#               simulate_adaptive_replicated and
+#               simulate_federation_replicated (test_regressions pins them
+#               on a pool), and over the Registry instruments
 #               (threads racing on one quantile sketch while its counter
 #               window grows) — the data races serial ctest cannot see.
 #
@@ -59,7 +61,7 @@ if [[ $mode == all || $mode == thread ]]; then
   cmake -B build-tsan -S . -DVODBCAST_SANITIZE=thread
   cmake --build build-tsan -j "$(nproc)" \
     --target test_task_pool test_parallel test_simulator test_ctrl \
-    test_metro test_obs_registry test_obs_sketch
+    test_metro test_obs_registry test_obs_sketch test_regressions
 
   ./build-tsan/tests/test_task_pool
   ./build-tsan/tests/test_parallel
@@ -68,6 +70,7 @@ if [[ $mode == all || $mode == thread ]]; then
   ./build-tsan/tests/test_metro
   ./build-tsan/tests/test_obs_registry
   ./build-tsan/tests/test_obs_sketch
+  ./build-tsan/tests/test_regressions
 fi
 
 echo "sanitize verify ($mode): OK"

@@ -23,35 +23,17 @@ std::uint64_t clean_expired(WaitQueues& queues, double now, obs::Sink* sink,
   for (std::size_t video = 0; video < queues.size(); ++video) {
     auto& queue = queues[video];
     if (sink != nullptr) {
-      // An abandoned session is all queue_wait: the span tree is the
-      // session with one queue_wait child covering arrival → renege.
+      // An abandoned session is all queue_wait, arrival → renege.
       for (const auto& r : queue) {
-        if (r.renege_at.v >= now) {
-          continue;
+        if (r.renege_at.v < now) {
+          obs::record_session(
+              sink->spans, {.video = video,
+                            .client = ++*span_client,
+                            .arrival_min = r.arrival.v,
+                            .served_min = r.renege_at.v,
+                            .wait_phase = obs::SpanPhase::kQueueWait,
+                            .reneged = true});
         }
-        const auto client = ++*span_client;
-        const double waited = r.renege_at.v - r.arrival.v;
-        const auto session = sink->spans.record(obs::Span{
-            .start_min = r.arrival.v,
-            .end_min = r.renege_at.v,
-            .phase = obs::SpanPhase::kSession,
-            .channel = 0,
-            .video = video,
-            .client = client,
-            .value = waited,
-            .label = {},
-        });
-        sink->spans.record(obs::Span{
-            .parent = session,
-            .start_min = r.arrival.v,
-            .end_min = r.renege_at.v,
-            .phase = obs::SpanPhase::kQueueWait,
-            .channel = 0,
-            .video = video,
-            .client = client,
-            .value = waited,
-            .label = {},
-        });
       }
     }
     const auto kept = std::remove_if(
@@ -170,43 +152,17 @@ struct MulticastSim {
         wait_sketch->observe(wait);
       }
       if (sink != nullptr) {
-        // Span tree per served request: session = queue_wait then playback
-        // on the assigned channel (the cross-channel edge the chrome export
-        // draws as a flow arrow).
-        const auto client = ++next_span_client;
-        const double end = now + config.video_length.v;
-        const auto session = sink->spans.record(obs::Span{
-            .start_min = r.arrival.v,
-            .end_min = end,
-            .phase = obs::SpanPhase::kSession,
-            .channel = 0,
-            .video = *video,
-            .client = client,
-            .value = wait,
-            .label = {},
-        });
-        sink->spans.record(obs::Span{
-            .parent = session,
-            .start_min = r.arrival.v,
-            .end_min = now,
-            .phase = obs::SpanPhase::kQueueWait,
-            .channel = 0,
-            .video = *video,
-            .client = client,
-            .value = wait,
-            .label = {},
-        });
-        sink->spans.record(obs::Span{
-            .parent = session,
-            .start_min = now,
-            .end_min = end,
-            .phase = obs::SpanPhase::kPlayback,
-            .channel = static_cast<std::int32_t>(channel),
-            .video = *video,
-            .client = client,
-            .value = config.video_length.v,
-            .label = {},
-        });
+        // Playback on the assigned channel: the cross-channel edge the
+        // chrome export draws as a flow arrow.
+        obs::record_session(
+            sink->spans,
+            {.video = *video,
+             .client = ++next_span_client,
+             .arrival_min = r.arrival.v,
+             .served_min = now,
+             .wait_phase = obs::SpanPhase::kQueueWait,
+             .duration_min = config.video_length.v,
+             .playback_channel = static_cast<std::int32_t>(channel)});
       }
     }
     const auto batch = queue.size();

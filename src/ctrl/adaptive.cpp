@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <memory>
 
 #include "obs/log.hpp"
 #include "schemes/skyscraper.hpp"
@@ -141,38 +140,13 @@ struct AdaptiveSim {
     trace(obs::EventKind::kSegmentDownloadStart, tune_at, video, client,
           config.video.duration.v);
     if (sink != nullptr) {
-      const auto session = sink->spans.record(obs::Span{
-          .start_min = now,
-          .end_min = finish,
-          .phase = obs::SpanPhase::kSession,
-          .channel = 0,
-          .video = video,
-          .client = client,
-          .value = wait,
-          .label = {},
-      });
-      sink->spans.record(obs::Span{
-          .parent = session,
-          .start_min = now,
-          .end_min = tune_at,
-          .phase = obs::SpanPhase::kTune,
-          .channel = 0,
-          .video = video,
-          .client = client,
-          .value = wait,
-          .label = {},
-      });
-      sink->spans.record(obs::Span{
-          .parent = session,
-          .start_min = tune_at,
-          .end_min = finish,
-          .phase = obs::SpanPhase::kPlayback,
-          .channel = hot[video].channels,
-          .video = video,
-          .client = client,
-          .value = config.video.duration.v,
-          .label = {},
-      });
+      obs::record_session(sink->spans,
+                          {.video = video,
+                           .client = client,
+                           .arrival_min = now,
+                           .served_min = tune_at,
+                           .duration_min = config.video.duration.v,
+                           .playback_channel = state.channels});
     }
   }
 
@@ -191,40 +165,14 @@ struct AdaptiveSim {
         report.wait_minutes.add(wait);
         report.tail_wait_minutes.add(wait);
         if (sink != nullptr) {
-          const auto client = ++next_client;
-          const double end = now + config.video.duration.v;
-          const auto session = sink->spans.record(obs::Span{
-              .start_min = r.arrival.v,
-              .end_min = end,
-              .phase = obs::SpanPhase::kSession,
-              .channel = 0,
-              .video = *video,
-              .client = client,
-              .value = wait,
-              .label = {},
-          });
-          sink->spans.record(obs::Span{
-              .parent = session,
-              .start_min = r.arrival.v,
-              .end_min = now,
-              .phase = obs::SpanPhase::kQueueWait,
-              .channel = 0,
-              .video = *video,
-              .client = client,
-              .value = wait,
-              .label = {},
-          });
-          sink->spans.record(obs::Span{
-              .parent = session,
-              .start_min = now,
-              .end_min = end,
-              .phase = obs::SpanPhase::kPlayback,
-              .channel = tail_busy + 1,
-              .video = *video,
-              .client = client,
-              .value = config.video.duration.v,
-              .label = {},
-          });
+          obs::record_session(sink->spans,
+                              {.video = *video,
+                               .client = ++next_client,
+                               .arrival_min = r.arrival.v,
+                               .served_min = now,
+                               .wait_phase = obs::SpanPhase::kQueueWait,
+                               .duration_min = config.video.duration.v,
+                               .playback_channel = tail_busy + 1});
         }
       }
       const auto batch = queue.size();
@@ -286,40 +234,15 @@ struct AdaptiveSim {
         if (sink != nullptr) {
           // The promotion itself ended these waits: parent the absorbed
           // sessions onto the epoch span that triggered it.
-          const double end = now + config.video.duration.v;
-          const auto session = sink->spans.record(obs::Span{
-              .parent = epoch_span,
-              .start_min = r.arrival.v,
-              .end_min = end,
-              .phase = obs::SpanPhase::kSession,
-              .channel = 0,
-              .video = video,
-              .client = client,
-              .value = wait,
-              .label = {},
-          });
-          sink->spans.record(obs::Span{
-              .parent = session,
-              .start_min = r.arrival.v,
-              .end_min = now,
-              .phase = obs::SpanPhase::kQueueWait,
-              .channel = 0,
-              .video = video,
-              .client = client,
-              .value = wait,
-              .label = {},
-          });
-          sink->spans.record(obs::Span{
-              .parent = session,
-              .start_min = now,
-              .end_min = end,
-              .phase = obs::SpanPhase::kPlayback,
-              .channel = channels_per_video,
-              .video = video,
-              .client = client,
-              .value = config.video.duration.v,
-              .label = {},
-          });
+          obs::record_session(sink->spans,
+                              {.parent = epoch_span,
+                               .video = video,
+                               .client = client,
+                               .arrival_min = r.arrival.v,
+                               .served_min = now,
+                               .wait_phase = obs::SpanPhase::kQueueWait,
+                               .duration_min = config.video.duration.v,
+                               .playback_channel = channels_per_video});
         }
       }
       hot[video].active_until = now + config.video.duration.v;
@@ -796,8 +719,14 @@ AdaptiveReport simulate_adaptive(const batching::BatchingPolicy& policy,
 
 namespace {
 
-/// Folds `other` into `into` in replication order (see header contract).
-void merge_reports(AdaptiveReport& into, const AdaptiveReport& other) {
+/// Folds replication r into `into` (see header contract): replication 0 is
+/// copied whole, later ones add in.
+void fold_replication(AdaptiveReport& into, const AdaptiveReport& other,
+                      std::size_t r) {
+  if (r == 0) {
+    into = other;
+    return;
+  }
   into.wait_minutes.merge(other.wait_minutes);
   into.hot_wait_minutes.merge(other.hot_wait_minutes);
   into.tail_wait_minutes.merge(other.tail_wait_minutes);
@@ -830,54 +759,20 @@ void merge_reports(AdaptiveReport& into, const AdaptiveReport& other) {
 
 }  // namespace
 
-ReplicatedAdaptiveReport simulate_adaptive_replicated(
+sim::Replicated<AdaptiveReport> simulate_adaptive_replicated(
     const batching::BatchingPolicy& policy, const AdaptiveConfig& config,
     std::size_t reps, util::TaskPool* pool) {
-  VB_EXPECTS(reps >= 1);
-
-  // Same seed rule as sim::simulate_replicated: replication r consumes the
-  // (r+1)-th output of SplitMix64(config.seed).
-  util::SplitMix64 seed_stream(config.seed);
-  std::vector<std::uint64_t> seeds(reps);
-  for (auto& seed : seeds) {
-    seed = seed_stream.next();
-  }
-
-  std::vector<AdaptiveReport> reports(reps);
-  std::vector<std::unique_ptr<obs::Sink>> sinks(reps);
-  util::parallel_for_each(pool, reps, [&](std::size_t r) {
-    AdaptiveConfig rep_config = config;
-    rep_config.seed = seeds[r];
-    rep_config.sampler = nullptr;  // R interleaved clocks are meaningless
-    rep_config.sink = nullptr;
-    if (config.sink != nullptr) {
-      sinks[r] = std::make_unique<obs::Sink>(config.sink->trace.capacity(),
-                                             config.sink->spans.capacity());
-      rep_config.sink = sinks[r].get();
-    }
-    reports[r] = simulate_adaptive(policy, rep_config);
-  });
-
-  ReplicatedAdaptiveReport out;
-  out.replications = reps;
-  out.merged = reports.front();
-  out.replication_mean_wait.add(reports.front().mean_wait_minutes());
-  for (std::size_t r = 1; r < reps; ++r) {
-    merge_reports(out.merged, reports[r]);
-    out.replication_mean_wait.add(reports[r].mean_wait_minutes());
-  }
-  if (config.sink != nullptr) {
-    for (std::size_t r = 0; r < reps; ++r) {
-      config.sink->metrics.merge_from(sinks[r]->metrics);
-      config.sink->trace.merge_from(sinks[r]->trace);
-      config.sink->spans.merge_from(sinks[r]->spans);
-    }
-  }
-  if (reps >= 2) {
-    out.wait_mean_ci95 = 1.96 * out.replication_mean_wait.stddev() /
-                         std::sqrt(static_cast<double>(reps));
-  }
-  return out;
+  return sim::replicate<AdaptiveReport>(
+      config.seed, reps, pool, config.sink,
+      sim::PoolUse::kAcrossReplications,
+      [&](std::uint64_t seed, obs::Sink* sink, util::TaskPool*) {
+        AdaptiveConfig rep_config = config;
+        rep_config.seed = seed;
+        rep_config.sampler = nullptr;  // R interleaved clocks are meaningless
+        rep_config.sink = sink;
+        return simulate_adaptive(policy, rep_config);
+      },
+      fold_replication, &AdaptiveReport::wait_minutes);
 }
 
 }  // namespace vodbcast::ctrl

@@ -38,6 +38,7 @@
 #include "fault/injector.hpp"
 #include "obs/sampler.hpp"
 #include "obs/sink.hpp"
+#include "sim/replicate.hpp"
 #include "sim/stats.hpp"
 #include "util/task_pool.hpp"
 #include "workload/zipf.hpp"
@@ -136,21 +137,13 @@ struct AdaptiveReport {
 [[nodiscard]] AdaptiveReport simulate_adaptive(const batching::BatchingPolicy& policy,
                                                const AdaptiveConfig& config);
 
-/// R replications with the simulate_replicated determinism contract:
-/// replication r's seed is the (r+1)-th SplitMix64 output of config.seed,
-/// per-replication sinks fold into config.sink after the join in replication
-/// order, and the result is bit-identical at any thread count (null pool =
-/// serial). config.sampler is not forwarded to replications.
-struct ReplicatedAdaptiveReport {
-  AdaptiveReport merged;
-  std::size_t replications = 0;
-  /// Per-replication overall mean wait, in replication order.
-  sim::Distribution replication_mean_wait;
-  /// 1.96 * s / sqrt(R) over the replication means; 0 when R < 2.
-  double wait_mean_ci95 = 0.0;
-};
-
-[[nodiscard]] ReplicatedAdaptiveReport simulate_adaptive_replicated(
+/// R replications of simulate_adaptive through sim::replicate (its header
+/// has the seed, fold and CI rules), side by side on `pool` (null = serial)
+/// into private shards of config.sink. The fold copies replication 0 and
+/// adds the rest (convergence merges pessimistically); the replication
+/// means are the per-replication overall mean waits. config.sampler is not
+/// forwarded.
+[[nodiscard]] sim::Replicated<AdaptiveReport> simulate_adaptive_replicated(
     const batching::BatchingPolicy& policy, const AdaptiveConfig& config,
     std::size_t reps, util::TaskPool* pool = nullptr);
 

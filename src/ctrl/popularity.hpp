@@ -5,7 +5,7 @@
 // releases churn the ranks), so the controller needs a live estimate of each
 // title's request rate. The estimator keeps one exponentially-decayed weight
 // per title with a *known-answer decay contract* so results are reproducible
-// under sim::simulate_replicated:
+// under replication (sim::replicate):
 //
 //   weight_v(t) = sum over observations of v at t_obs <= t of
 //                 2^(-(t - t_obs) / half_life)

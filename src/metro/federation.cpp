@@ -79,8 +79,7 @@ struct RegionLedger {
     if (config.sink == nullptr) {
       return;
     }
-    sink = std::make_unique<obs::Sink>(config.sink->trace.capacity(),
-                                       config.sink->spans.capacity());
+    sink = config.sink->make_shard();
     auto& reg = sink->metrics;
     const std::string label = std::to_string(g);
     arrivals_total = &reg.counter("metro.arrivals");
@@ -308,79 +307,61 @@ FederationReport simulate_federation(const Topology& topology,
     out.wait_minutes.merge(r.wait_minutes);
     if (config.sink != nullptr) {
       obs::publish_drop_metrics(*ledger.sink);
-      config.sink->metrics.merge_from(ledger.sink->metrics);
-      config.sink->trace.merge_from(ledger.sink->trace);
-      config.sink->spans.merge_from(ledger.sink->spans);
+      config.sink->merge_from(*ledger.sink);
     }
   }
   return out;
 }
 
-ReplicatedFederationReport simulate_federation_replicated(
+sim::Replicated<FederationReport> simulate_federation_replicated(
     const Topology& topology, const FederationConfig& config, std::size_t reps,
     util::TaskPool* pool) {
   if (reps < 1) {
     throw std::invalid_argument(
         "metro federation needs at least one replication");
   }
-  // Replication r's seed is the (r+1)-th SplitMix64 output. Replications
-  // run serially — the pool parallelizes regions *within* each — and every
-  // merge happens in replication order, so the result is bit-identical at
-  // any thread count.
-  util::SplitMix64 seed_stream(config.seed);
-  std::vector<std::uint64_t> seeds(reps);
-  for (auto& seed : seeds) {
-    seed = seed_stream.next();
-  }
-
-  ReplicatedFederationReport out;
-  out.replications = reps;
-  out.merged.wait_minutes.set_sample_cap(config.stats_sample_cap);
-  for (std::size_t r = 0; r < reps; ++r) {
-    FederationConfig rep_config = config;
-    rep_config.seed = seeds[r];
-    const FederationReport rep =
-        simulate_federation(topology, rep_config, pool);
-    if (out.merged.regions.empty()) {
-      out.merged.regions.resize(rep.regions.size());
-      for (auto& region : out.merged.regions) {
-        region.wait_minutes.set_sample_cap(config.stats_sample_cap);
-      }
-      out.merged.replicated_titles = rep.replicated_titles;
-      out.merged.tail_slots_total = rep.tail_slots_total;
-      out.merged.broadcast_latency_min = rep.broadcast_latency_min;
-    }
-    for (std::size_t g = 0; g < rep.regions.size(); ++g) {
-      auto& into = out.merged.regions[g];
-      const auto& from = rep.regions[g];
-      into.arrivals += from.arrivals;
-      into.served_local += from.served_local;
-      into.rerouted_out += from.rerouted_out;
-      into.rerouted_in += from.rerouted_in;
-      into.rejected += from.rejected;
-      into.link_mbits += from.link_mbits;
-      into.wait_minutes.merge(from.wait_minutes);
-    }
-    out.merged.arrivals += rep.arrivals;
-    out.merged.served_local += rep.served_local;
-    out.merged.rerouted += rep.rerouted;
-    out.merged.rejected += rep.rejected;
-    out.merged.link_mbits += rep.link_mbits;
-    out.merged.wait_minutes.merge(rep.wait_minutes);
-    if (!rep.wait_minutes.empty()) {
-      out.replication_mean_wait.add(rep.wait_minutes.mean());
-    }
-  }
-
-  const auto n = out.replication_mean_wait.count();
-  if (n >= 2) {
-    // Population -> sample stddev, then the normal-approximation interval.
-    const double pop = out.replication_mean_wait.stddev();
-    const double s = pop * std::sqrt(static_cast<double>(n) /
-                                     static_cast<double>(n - 1));
-    out.wait_mean_ci95 = 1.96 * s / std::sqrt(static_cast<double>(n));
-  }
-  return out;
+  // Each replication records straight into config.sink: a per-replication
+  // shard would re-record its spans in start order on the fold and so
+  // reorder the export.
+  return sim::replicate<FederationReport>(
+      config.seed, reps, pool, config.sink, sim::PoolUse::kWithinReplication,
+      [&](std::uint64_t seed, obs::Sink* sink, util::TaskPool* rep_pool) {
+        FederationConfig rep_config = config;
+        rep_config.seed = seed;
+        rep_config.sink = sink;
+        return simulate_federation(topology, rep_config, rep_pool);
+      },
+      [&config](FederationReport& into, const FederationReport& rep,
+                std::size_t r) {
+        if (r == 0) {
+          into.wait_minutes.set_sample_cap(config.stats_sample_cap);
+          into.regions.resize(rep.regions.size());
+          for (auto& region : into.regions) {
+            region.wait_minutes.set_sample_cap(config.stats_sample_cap);
+          }
+          into.replicated_titles = rep.replicated_titles;
+          into.tail_slots_total = rep.tail_slots_total;
+          into.broadcast_latency_min = rep.broadcast_latency_min;
+        }
+        for (std::size_t g = 0; g < rep.regions.size(); ++g) {
+          auto& region = into.regions[g];
+          const auto& from = rep.regions[g];
+          region.arrivals += from.arrivals;
+          region.served_local += from.served_local;
+          region.rerouted_out += from.rerouted_out;
+          region.rerouted_in += from.rerouted_in;
+          region.rejected += from.rejected;
+          region.link_mbits += from.link_mbits;
+          region.wait_minutes.merge(from.wait_minutes);
+        }
+        into.arrivals += rep.arrivals;
+        into.served_local += rep.served_local;
+        into.rerouted += rep.rerouted;
+        into.rejected += rep.rejected;
+        into.link_mbits += rep.link_mbits;
+        into.wait_minutes.merge(rep.wait_minutes);
+      },
+      &FederationReport::wait_minutes);
 }
 
 }  // namespace vodbcast::metro

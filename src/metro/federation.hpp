@@ -16,8 +16,8 @@
 //      metrics, spans and wait samples into a private obs::Sink and
 //      sim::Distribution;
 //   D. fold (serial): per-region sinks merge into config.sink via
-//      Registry::merge_from / SpanTracer::merge_from and per-region
-//      distributions merge metro-wide, all in region index order.
+//      obs::Sink::merge_from and per-region distributions merge metro-wide,
+//      all in region index order.
 //
 // Phases A-C repeat over consecutive time windows of about 2^16 arrivals
 // (the width follows from the regions' total rate), carrying the request
@@ -49,6 +49,7 @@
 #include "metro/router.hpp"
 #include "metro/topology.hpp"
 #include "obs/sink.hpp"
+#include "sim/replicate.hpp"
 #include "sim/stats.hpp"
 #include "util/task_pool.hpp"
 #include "workload/zipf.hpp"
@@ -128,21 +129,13 @@ struct FederationReport {
     const Topology& topology, const FederationConfig& config,
     util::TaskPool* pool = nullptr);
 
-/// R independent federation replications, run serially with the pool
-/// applied inside each (regions stay the parallel unit). Replication r's
-/// seed is the (r+1)-th output of util::SplitMix64(config.seed); reports,
-/// distributions and sinks merge in replication order, so the result is
-/// bit-identical at any thread count.
-struct ReplicatedFederationReport {
-  FederationReport merged;  ///< all replications folded in rep order
-  std::size_t replications = 0;
-  /// Per-replication mean penalized wait, in replication order.
-  sim::Distribution replication_mean_wait;
-  /// 1.96 * s / sqrt(R) on the mean penalized wait; 0 when R < 2.
-  double wait_mean_ci95 = 0.0;
-};
-
-[[nodiscard]] ReplicatedFederationReport simulate_federation_replicated(
+/// R federation replications through sim::replicate (its header has the
+/// seed, fold and CI rules), run one after another with the pool applied
+/// inside each (regions stay the parallel unit) and recording straight into
+/// config.sink. The fold starts from a report capped at
+/// config.stats_sample_cap; the replication means are the per-replication
+/// mean penalized waits. Throws std::invalid_argument when reps == 0.
+[[nodiscard]] sim::Replicated<FederationReport> simulate_federation_replicated(
     const Topology& topology, const FederationConfig& config,
     std::size_t reps, util::TaskPool* pool = nullptr);
 

@@ -12,6 +12,8 @@
 //   write(spans_path, sink.spans.to_jsonl());
 #pragma once
 
+#include <memory>
+
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
@@ -23,6 +25,20 @@ struct Sink {
   explicit Sink(std::size_t trace_capacity) : trace(trace_capacity) {}
   Sink(std::size_t trace_capacity, std::size_t span_capacity)
       : trace(trace_capacity), spans(span_capacity) {}
+
+  /// An empty sink with this sink's ring capacities: the private shard one
+  /// worker records into before merge_from folds it back.
+  [[nodiscard]] std::unique_ptr<Sink> make_shard() const {
+    return std::make_unique<Sink>(trace.capacity(), spans.capacity());
+  }
+
+  /// Folds a shard in (Registry, Tracer and SpanTracer merge_from). Shards
+  /// folded in a fixed order give the same sink at any thread count.
+  void merge_from(const Sink& shard) {
+    metrics.merge_from(shard.metrics);
+    trace.merge_from(shard.trace);
+    spans.merge_from(shard.spans);
+  }
 
   Registry metrics;
   Tracer trace;

@@ -261,4 +261,33 @@ void SpanTracer::clear() noexcept {
   next_id_ = 0;
 }
 
+std::uint64_t record_session(SpanTracer& spans, const SessionRecord& session) {
+  const double end = session.reneged
+                         ? session.served_min
+                         : session.served_min + session.duration_min;
+  Span span{.parent = session.parent,
+            .start_min = session.arrival_min,
+            .end_min = end,
+            .phase = SpanPhase::kSession,
+            .video = session.video,
+            .client = session.client,
+            .value = session.served_min - session.arrival_min,
+            .label = {}};
+  const auto id = spans.record(span);
+  // The wait child shares the session's start, value and channel 0.
+  span.parent = id;
+  span.end_min = session.served_min;
+  span.phase = session.wait_phase;
+  spans.record(span);
+  if (!session.reneged) {
+    span.start_min = session.served_min;
+    span.end_min = end;
+    span.phase = SpanPhase::kPlayback;
+    span.channel = session.playback_channel;
+    span.value = session.duration_min;
+    spans.record(span);
+  }
+  return id;
+}
+
 }  // namespace vodbcast::obs

@@ -120,4 +120,28 @@ class SpanTracer {
   std::uint64_t next_id_ = 0;
 };
 
+/// One client's session as every broadcast and batching simulator records
+/// it: a `session` root spanning arrival → end, a wait child (`tune` for a
+/// broadcast, `queue_wait` for a batch) spanning arrival → served, and a
+/// `playback` child spanning served → served + duration on the serving
+/// channel. A reneged session has no playback and ends when it gave up.
+struct SessionRecord {
+  std::uint64_t parent = 0;  ///< 0 = root (ctrl parents absorbed queues)
+  std::uint64_t video = 0;
+  std::uint64_t client = 0;
+  double arrival_min = 0.0;
+  double served_min = 0.0;  ///< tune-in, batch start, or renege time
+  SpanPhase wait_phase = SpanPhase::kTune;  ///< kTune or kQueueWait
+  bool reneged = false;
+  double duration_min = 0.0;  ///< playback length; unused when reneged
+  std::int32_t playback_channel = 0;
+};
+
+/// Records the session tree into `spans` and returns the session span's id,
+/// which download and repair spans parent onto. The session and its wait
+/// child carry value = served − arrival, the playback child the duration.
+/// (metro's region_session/reroute pair and net's packet session have
+/// shapes of their own and do not come through here.)
+std::uint64_t record_session(SpanTracer& spans, const SessionRecord& session);
+
 }  // namespace vodbcast::obs

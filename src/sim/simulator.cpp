@@ -246,43 +246,15 @@ SimulationReport simulate(const schemes::BroadcastScheme& scheme,
           .client = report.clients_served,
           .value = wait,
       });
-      // Causal span tree: session covers arrival → playback end, with a
-      // tune child for the wait (its duration *is* the reported wait — the
-      // invariant trace_analyze --check leans on) and a playback child for
-      // the consumption window. Download children follow per planned client.
-      const double session_end = start->v + input.video.duration.v;
-      session_span = sink->spans.record(obs::Span{
-          .start_min = request.arrival.v,
-          .end_min = session_end,
-          .phase = obs::SpanPhase::kSession,
-          .channel = 0,
-          .video = request.video,
-          .client = report.clients_served,
-          .value = wait,
-          .label = {},
-      });
-      sink->spans.record(obs::Span{
-          .parent = session_span,
-          .start_min = request.arrival.v,
-          .end_min = start->v,
-          .phase = obs::SpanPhase::kTune,
-          .channel = 0,
-          .video = request.video,
-          .client = report.clients_served,
-          .value = wait,
-          .label = {},
-      });
-      sink->spans.record(obs::Span{
-          .parent = session_span,
-          .start_min = start->v,
-          .end_min = session_end,
-          .phase = obs::SpanPhase::kPlayback,
-          .channel = 0,
-          .video = request.video,
-          .client = report.clients_served,
-          .value = input.video.duration.v,
-          .label = {},
-      });
+      // The tune child's duration *is* the reported wait — the invariant
+      // trace_analyze --check leans on. Download children follow per
+      // planned client.
+      session_span = obs::record_session(
+          sink->spans, {.video = request.video,
+                        .client = report.clients_served,
+                        .arrival_min = request.arrival.v,
+                        .served_min = start->v,
+                        .duration_min = input.video.duration.v});
     }
 
     if (layout.has_value()) {
@@ -461,88 +433,37 @@ SimulationReport simulate(const schemes::BroadcastScheme& scheme,
   return report;
 }
 
-ReplicatedReport simulate_replicated(const schemes::BroadcastScheme& scheme,
-                                     const schemes::DesignInput& input,
-                                     const SimulationConfig& config,
-                                     std::size_t reps,
-                                     util::TaskPool* pool) {
-  VB_EXPECTS(reps >= 1);
-
-  // Seed rule (see header): replication r <- (r+1)-th SplitMix64 output.
-  // Derived up front so the schedule is independent of execution order.
-  util::SplitMix64 seed_stream(config.seed);
-  std::vector<std::uint64_t> seeds(reps);
-  for (auto& seed : seeds) {
-    seed = seed_stream.next();
-  }
-
-  // Each replication runs against private state; nothing below is shared
-  // between workers until the post-join merge.
-  std::vector<SimulationReport> reports(reps);
-  std::vector<std::unique_ptr<obs::Sink>> sinks(reps);
-  util::parallel_for_each(pool, reps, [&](std::size_t r) {
-    SimulationConfig rep_config = config;
-    rep_config.seed = seeds[r];
-    rep_config.sampler = nullptr;
-    rep_config.sink = nullptr;
-    if (config.sink != nullptr) {
-      sinks[r] = std::make_unique<obs::Sink>(config.sink->trace.capacity(),
-                                             config.sink->spans.capacity());
-      rep_config.sink = sinks[r].get();
-    }
-    reports[r] = simulate(scheme, input, rep_config);
-  });
-
-  // All merges below run on this thread, in replication order — the floats
-  // accumulate in the same order at any thread count.
-  ReplicatedReport result;
-  result.replications = reps;
-  result.merged.scheme = reports.front().scheme;
-  result.merged.peak_server_rate = reports.front().peak_server_rate;
-  for (std::size_t r = 0; r < reps; ++r) {
-    const auto& rep = reports[r];
-    result.merged.latency_minutes.merge(rep.latency_minutes);
-    result.merged.buffer_peak_mbits.merge(rep.buffer_peak_mbits);
-    result.merged.max_concurrent_downloads =
-        std::max(result.merged.max_concurrent_downloads,
-                 rep.max_concurrent_downloads);
-    result.merged.clients_served += rep.clients_served;
-    result.merged.jitter_events += rep.jitter_events;
-    result.merged.fault_hits += rep.fault_hits;
-    result.merged.fault_repairs += rep.fault_repairs;
-    result.merged.fault_degraded += rep.fault_degraded;
-    result.merged.fault_penalty_minutes.merge(rep.fault_penalty_minutes);
-    if (!rep.latency_minutes.empty()) {
-      result.replication_mean_latency.add(rep.latency_minutes.mean());
-    }
-    if (config.sink != nullptr) {
-      config.sink->metrics.merge_from(sinks[r]->metrics);
-      config.sink->trace.merge_from(sinks[r]->trace);
-      config.sink->spans.merge_from(sinks[r]->spans);
-    }
-  }
-
-  const auto n = result.replication_mean_latency.count();
-  if (n >= 2) {
-    // Population -> sample stddev, then the normal-approximation interval.
-    const double pop = result.replication_mean_latency.stddev();
-    const double s = pop * std::sqrt(static_cast<double>(n) /
-                                     static_cast<double>(n - 1));
-    result.latency_mean_ci95 = 1.96 * s / std::sqrt(static_cast<double>(n));
-  }
-  return result;
-}
-
-ReplicatedReport simulate_replicated(const schemes::BroadcastScheme& scheme,
-                                     const schemes::DesignInput& input,
-                                     const SimulationConfig& config,
-                                     std::size_t reps, unsigned threads) {
-  if (threads <= 1) {
-    return simulate_replicated(scheme, input, config, reps,
-                               static_cast<util::TaskPool*>(nullptr));
-  }
-  util::TaskPool pool(threads);
-  return simulate_replicated(scheme, input, config, reps, &pool);
+Replicated<SimulationReport> simulate_replicated(
+    const schemes::BroadcastScheme& scheme, const schemes::DesignInput& input,
+    const SimulationConfig& config, std::size_t reps, util::TaskPool* pool) {
+  return replicate<SimulationReport>(
+      config.seed, reps, pool, config.sink, PoolUse::kAcrossReplications,
+      [&](std::uint64_t seed, obs::Sink* sink, util::TaskPool*) {
+        SimulationConfig rep_config = config;
+        rep_config.seed = seed;
+        rep_config.sampler = nullptr;
+        rep_config.sink = sink;
+        return simulate(scheme, input, rep_config);
+      },
+      [](SimulationReport& into, const SimulationReport& rep,
+         std::size_t r) {
+        if (r == 0) {
+          into.scheme = rep.scheme;
+          into.peak_server_rate = rep.peak_server_rate;
+        }
+        into.latency_minutes.merge(rep.latency_minutes);
+        into.buffer_peak_mbits.merge(rep.buffer_peak_mbits);
+        into.max_concurrent_downloads =
+            std::max(into.max_concurrent_downloads,
+                     rep.max_concurrent_downloads);
+        into.clients_served += rep.clients_served;
+        into.jitter_events += rep.jitter_events;
+        into.fault_hits += rep.fault_hits;
+        into.fault_repairs += rep.fault_repairs;
+        into.fault_degraded += rep.fault_degraded;
+        into.fault_penalty_minutes.merge(rep.fault_penalty_minutes);
+      },
+      &SimulationReport::latency_minutes);
 }
 
 }  // namespace vodbcast::sim

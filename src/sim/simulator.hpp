@@ -13,6 +13,7 @@
 #include "obs/sink.hpp"
 #include "schemes/scheme.hpp"
 #include "sim/broadcast_server.hpp"
+#include "sim/replicate.hpp"
 #include "sim/stats.hpp"
 #include "util/rng.hpp"
 #include "util/task_pool.hpp"
@@ -84,44 +85,15 @@ struct SimulationReport {
                                         const schemes::DesignInput& input,
                                         const SimulationConfig& config);
 
-/// R independent replications merged into one report, plus the
-/// between-replication spread the single run cannot give.
-struct ReplicatedReport {
-  /// All replications folded together in replication order
-  /// (Distribution::merge); counters summed, peaks maxed.
-  SimulationReport merged;
-  std::size_t replications = 0;
-  /// One entry per replication, in replication order: that run's mean
-  /// tune-in wait (minutes).
-  Distribution replication_mean_latency;
-  /// 95% confidence half-width on the mean tune-in wait, from the
-  /// between-replication sample stddev (normal approximation,
-  /// 1.96 * s / sqrt(R)); 0 when replications < 2.
-  double latency_mean_ci95 = 0.0;
-};
-
-/// Runs `reps` independent replications of the simulation, each with a
-/// private seed, report and (when config.sink is set) a private obs::Sink.
-///
-/// Determinism contract: replication r's seed is the (r+1)-th output of
-/// util::SplitMix64 seeded with config.seed — a pure function of
-/// (config.seed, r) — and every merge (sample distributions, metrics
-/// registry, trace ring) happens after the join, in replication order. The
-/// result is therefore bit-identical for any `pool`, including none.
-///
-/// Replication sinks fold into config.sink via Registry::merge_from /
-/// Tracer::merge_from after the join. config.sampler is not forwarded to
-/// replications (a time-series of R interleaved clocks is meaningless);
-/// it stays null for each replication run.
-[[nodiscard]] ReplicatedReport simulate_replicated(
+/// R independent replications of simulate() through sim::replicate (its
+/// header has the seed, fold and CI rules), side by side on `pool` (null =
+/// serial), each into a private shard of config.sink. The fold merges
+/// sample distributions, sums counters and maxes peaks; the replication
+/// means are the per-replication mean tune-in waits. config.sampler is not
+/// forwarded (a time-series of R interleaved clocks is meaningless).
+[[nodiscard]] Replicated<SimulationReport> simulate_replicated(
     const schemes::BroadcastScheme& scheme, const schemes::DesignInput& input,
     const SimulationConfig& config, std::size_t reps,
     util::TaskPool* pool = nullptr);
-
-/// Convenience overload: a positive `threads` > 1 runs the replications on
-/// a temporary pool of that many workers; 0 or 1 runs them serially.
-[[nodiscard]] ReplicatedReport simulate_replicated(
-    const schemes::BroadcastScheme& scheme, const schemes::DesignInput& input,
-    const SimulationConfig& config, std::size_t reps, unsigned threads);
 
 }  // namespace vodbcast::sim

@@ -11,7 +11,7 @@ namespace vodbcast::util {
 
 /// SplitMix64 (Steele, Lea & Flood): one 64-bit word of state, avalanching
 /// output mixing. It both seeds `Rng` and derives per-replication seeds in
-/// `sim::simulate_replicated` — replication r consumes the (r+1)-th output
+/// `sim::replicate` — replication r consumes the (r+1)-th output
 /// of the stream seeded with the run seed, so replication results are
 /// reproducible across machines and thread counts.
 class SplitMix64 {

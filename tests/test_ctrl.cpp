@@ -375,9 +375,9 @@ TEST(AdaptiveSimTest, ReplicatedBitIdenticalSerialVsParallel) {
   EXPECT_EQ(serial.merged.final_hot, pooled.merged.final_hot);
   EXPECT_EQ(serial.merged.converged_epochs_after_flip,
             pooled.merged.converged_epochs_after_flip);
-  EXPECT_EQ(serial.wait_mean_ci95, pooled.wait_mean_ci95);
-  EXPECT_EQ(serial.replication_mean_wait.samples(),
-            pooled.replication_mean_wait.samples());
+  EXPECT_EQ(serial.mean_ci95, pooled.mean_ci95);
+  EXPECT_EQ(serial.replication_means.samples(),
+            pooled.replication_means.samples());
 
   // Folded observability is part of the contract too; the *_ns timing
   // histograms are excluded — they measure host wall time, which no
@@ -397,10 +397,44 @@ TEST(AdaptiveSimTest, ReplicationsDifferButSeedsReproduce) {
   const auto a = ctrl::simulate_adaptive_replicated(policy, config, 3);
   const auto b = ctrl::simulate_adaptive_replicated(policy, config, 3);
   EXPECT_EQ(a.merged.wait_minutes.samples(), b.merged.wait_minutes.samples());
-  ASSERT_EQ(a.replication_mean_wait.count(), 3u);
+  ASSERT_EQ(a.replication_means.count(), 3u);
   // Different replication seeds genuinely vary the stream.
-  EXPECT_GT(a.replication_mean_wait.stddev(), 0.0);
-  EXPECT_GT(a.wait_mean_ci95, 0.0);
+  EXPECT_GT(a.replication_means.stddev(), 0.0);
+  EXPECT_GT(a.mean_ci95, 0.0);
+}
+
+// The replication interval is 1.96 * s / sqrt(R) with s the *sample*
+// standard deviation of the replication means (R - 1 in the denominator),
+// the rule every replicated run shares.
+TEST(AdaptiveSimTest, ReplicationCiUsesTheSampleStddev) {
+  const batching::MqlPolicy policy;
+  auto config = adaptive_config();
+  config.horizon = core::Minutes{200.0};
+  config.flip_at = core::Minutes{-1.0};
+  const auto replicated = ctrl::simulate_adaptive_replicated(policy, config, 3);
+  const auto& means = replicated.replication_means.samples();
+  ASSERT_EQ(means.size(), 3U);
+  const double m = (means[0] + means[1] + means[2]) / 3.0;
+  double squares = 0.0;
+  for (const double x : means) {
+    squares += (x - m) * (x - m);
+  }
+  const double s = std::sqrt(squares / 2.0);
+  ASSERT_GT(s, 0.0);
+  EXPECT_DOUBLE_EQ(replicated.mean_ci95, 1.96 * s / std::sqrt(3.0));
+}
+
+// A replication that served nobody has no mean wait, so it adds no sample
+// to the replication means (it used to add a 0-minute mean).
+TEST(AdaptiveSimTest, ReplicationsThatServeNobodyAddNoMean) {
+  const batching::MqlPolicy policy;
+  auto config = adaptive_config();
+  config.horizon = core::Minutes{1e-6};
+  config.flip_at = core::Minutes{-1.0};
+  const auto replicated = ctrl::simulate_adaptive_replicated(policy, config, 3);
+  ASSERT_TRUE(replicated.merged.wait_minutes.empty());
+  EXPECT_TRUE(replicated.replication_means.empty());
+  EXPECT_EQ(replicated.mean_ci95, 0.0);
 }
 
 // Memory canary: the event heap holds server events only (batch

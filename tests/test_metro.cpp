@@ -368,8 +368,8 @@ TEST(FederationTest, ReplicatedRunsMergeInRepOrder) {
   EXPECT_EQ(thrice.merged.served_local + thrice.merged.rerouted +
                 thrice.merged.rejected,
             thrice.merged.arrivals);
-  EXPECT_EQ(thrice.replication_mean_wait.count(), 3U);
-  EXPECT_GE(thrice.wait_mean_ci95, 0.0);
+  EXPECT_EQ(thrice.replication_means.count(), 3U);
+  EXPECT_GE(thrice.mean_ci95, 0.0);
   EXPECT_THROW((void)simulate_federation_replicated(topo, config, 0),
                std::invalid_argument);
 }

@@ -128,6 +128,77 @@ TEST(SpanTracerTest, MergeTurnsLostParentsIntoRoots) {
   EXPECT_EQ(spans[0].phase, SpanPhase::kTune);
 }
 
+// The one session emitter: a session root, its wait child and (unless the
+// session reneged) its playback child, with sequential ids and parent links.
+TEST(RecordSessionTest, BuildsTheSessionTree) {
+  SpanTracer tracer;
+  const auto epoch = tracer.record(at(0.0, 60.0, SpanPhase::kEpoch));
+  const auto tuned = record_session(tracer, {.video = 2,
+                                             .client = 1,
+                                             .arrival_min = 1.0,
+                                             .served_min = 1.75,
+                                             .duration_min = 30.0});
+  const auto absorbed =
+      record_session(tracer, {.parent = epoch,
+                              .video = 3,
+                              .client = 2,
+                              .arrival_min = 4.0,
+                              .served_min = 10.5,
+                              .wait_phase = SpanPhase::kQueueWait,
+                              .duration_min = 30.0,
+                              .playback_channel = 5});
+  EXPECT_EQ(tuned, 2U);
+  EXPECT_EQ(absorbed, 5U);
+  ASSERT_EQ(tracer.recorded(), 7U);
+
+  std::map<std::uint64_t, Span> by_id;
+  for (const auto& s : tracer.spans()) {
+    by_id[s.id] = s;
+  }
+  const auto expect = [&](std::uint64_t id, std::uint64_t parent,
+                          SpanPhase phase, double start, double end,
+                          double value, std::int32_t channel) {
+    SCOPED_TRACE(id);
+    const auto& s = by_id.at(id);
+    EXPECT_EQ(s.parent, parent);
+    EXPECT_EQ(s.phase, phase);
+    EXPECT_EQ(s.start_min, start);
+    EXPECT_EQ(s.end_min, end);
+    EXPECT_EQ(s.value, value);
+    EXPECT_EQ(s.channel, channel);
+  };
+  expect(2, 0, SpanPhase::kSession, 1.0, 31.75, 0.75, 0);
+  expect(3, 2, SpanPhase::kTune, 1.0, 1.75, 0.75, 0);
+  expect(4, 2, SpanPhase::kPlayback, 1.75, 31.75, 30.0, 0);
+  expect(5, epoch, SpanPhase::kSession, 4.0, 40.5, 6.5, 0);
+  expect(6, 5, SpanPhase::kQueueWait, 4.0, 10.5, 6.5, 0);
+  expect(7, 5, SpanPhase::kPlayback, 10.5, 40.5, 30.0, 5);
+  EXPECT_EQ(by_id.at(6).video, 3U);
+  EXPECT_EQ(by_id.at(7).client, 2U);
+}
+
+TEST(RecordSessionTest, RenegeRecordsSessionAndQueueWaitOnly) {
+  SpanTracer tracer;
+  const auto id = record_session(tracer, {.video = 4,
+                                          .client = 9,
+                                          .arrival_min = 10.0,
+                                          .served_min = 12.25,
+                                          .wait_phase = SpanPhase::kQueueWait,
+                                          .reneged = true,
+                                          .duration_min = 30.0});
+  EXPECT_EQ(id, 1U);
+  const auto spans = tracer.spans();
+  ASSERT_EQ(spans.size(), 2U);
+  EXPECT_EQ(spans[0].phase, SpanPhase::kSession);
+  EXPECT_EQ(spans[0].parent, 0U);
+  EXPECT_EQ(spans[0].end_min, 12.25);  // ends when the client gave up
+  EXPECT_EQ(spans[0].value, 2.25);
+  EXPECT_EQ(spans[1].phase, SpanPhase::kQueueWait);
+  EXPECT_EQ(spans[1].parent, id);
+  EXPECT_EQ(spans[1].end_min, 12.25);
+  EXPECT_EQ(spans[1].value, 2.25);
+}
+
 TEST(SpanTracerTest, EveryPhaseHasAName) {
   for (const auto phase :
        {SpanPhase::kSession, SpanPhase::kQueueWait, SpanPhase::kTune,

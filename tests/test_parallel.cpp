@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "metro/topology.hpp"
 #include "obs/sink.hpp"
 #include "schemes/registry.hpp"
+#include "sim/replicate.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 #include "util/task_pool.hpp"
@@ -103,9 +105,9 @@ TEST(ReplicatedSimTest, MergedReportBitIdenticalAtAnyThreadCount) {
   EXPECT_EQ(serial.merged.jitter_events, pooled.merged.jitter_events);
   EXPECT_EQ(serial.merged.max_concurrent_downloads,
             pooled.merged.max_concurrent_downloads);
-  EXPECT_EQ(serial.replication_mean_latency.samples(),
-            pooled.replication_mean_latency.samples());
-  EXPECT_EQ(serial.latency_mean_ci95, pooled.latency_mean_ci95);
+  EXPECT_EQ(serial.replication_means.samples(),
+            pooled.replication_means.samples());
+  EXPECT_EQ(serial.mean_ci95, pooled.mean_ci95);
 
   // Domain metrics and the trace merge identically; the *_ns timing
   // histograms are excluded — they measure host wall time, which no
@@ -220,7 +222,7 @@ TEST(ReplicatedSimTest, SeedRuleIsTheSplitMixStream) {
             direct.latency_minutes.samples());
   EXPECT_EQ(replicated.merged.clients_served, direct.clients_served);
   EXPECT_EQ(replicated.replications, 1U);
-  EXPECT_EQ(replicated.latency_mean_ci95, 0.0);  // undefined below 2 reps
+  EXPECT_EQ(replicated.mean_ci95, 0.0);  // undefined below 2 reps
 }
 
 TEST(ReplicatedSimTest, ReplicationsAreIndependentAndAggregated) {
@@ -231,10 +233,10 @@ TEST(ReplicatedSimTest, ReplicationsAreIndependentAndAggregated) {
   const auto replicated =
       sim::simulate_replicated(*scheme, input, config, 4, nullptr);
   EXPECT_EQ(replicated.replications, 4U);
-  EXPECT_EQ(replicated.replication_mean_latency.count(), 4U);
-  EXPECT_GT(replicated.latency_mean_ci95, 0.0);
+  EXPECT_EQ(replicated.replication_means.count(), 4U);
+  EXPECT_GT(replicated.mean_ci95, 0.0);
   // Different seeds: the per-replication means are not all equal.
-  const auto& means = replicated.replication_mean_latency.samples();
+  const auto& means = replicated.replication_means.samples();
   bool all_equal = true;
   for (const double m : means) {
     all_equal = all_equal && (m == means.front());
@@ -242,6 +244,62 @@ TEST(ReplicatedSimTest, ReplicationsAreIndependentAndAggregated) {
   EXPECT_FALSE(all_equal);
   EXPECT_EQ(replicated.merged.latency_minutes.count(),
             replicated.merged.clients_served);
+}
+
+// The driver itself, on a toy report: seeds follow the SplitMix64 stream,
+// folds run in replication order, replications that served nobody add no
+// mean, and all three schedules give the same result.
+TEST(ReplicateDriverTest, SeedsFoldOrderAndMeansAtAnyPoolUse) {
+  struct Report {
+    std::vector<std::uint64_t> seeds;
+    sim::Distribution waits;
+  };
+  constexpr std::size_t kReps = 6;
+  // Odd seeds serve one client, even seeds serve nobody.
+  const auto serves = [](std::uint64_t seed) { return seed % 2 == 1; };
+  const auto run_with = [&](util::TaskPool* pool, sim::PoolUse use) {
+    return sim::replicate<Report>(
+        7, kReps, pool, nullptr, use,
+        [&](std::uint64_t seed, obs::Sink*, util::TaskPool*) {
+          Report report;
+          report.seeds.push_back(seed);
+          if (serves(seed)) {
+            report.waits.add(static_cast<double>(seed % 1000));
+          }
+          return report;
+        },
+        [](Report& into, const Report& rep, std::size_t r) {
+          EXPECT_EQ(into.seeds.size(), r);
+          into.seeds.push_back(rep.seeds.front());
+          into.waits.merge(rep.waits);
+        },
+        &Report::waits);
+  };
+
+  util::SplitMix64 stream(7);
+  std::vector<std::uint64_t> seeds(kReps);
+  std::vector<double> means;
+  for (auto& seed : seeds) {
+    seed = stream.next();
+    if (serves(seed)) {
+      means.push_back(static_cast<double>(seed % 1000));
+    }
+  }
+  ASSERT_GE(means.size(), 2U);
+  ASSERT_LT(means.size(), kReps);  // the skip rule is exercised
+
+  util::TaskPool pool(4);
+  for (const auto& replicated :
+       {run_with(nullptr, sim::PoolUse::kAcrossReplications),
+        run_with(&pool, sim::PoolUse::kAcrossReplications),
+        run_with(&pool, sim::PoolUse::kWithinReplication)}) {
+    EXPECT_EQ(replicated.replications, kReps);
+    EXPECT_EQ(replicated.merged.seeds, seeds);
+    EXPECT_EQ(replicated.replication_means.samples(), means);
+    EXPECT_EQ(replicated.mean_ci95,
+              sim::replication_ci95(replicated.replication_means));
+    EXPECT_GT(replicated.mean_ci95, 0.0);
+  }
 }
 
 // The shard-merge tie-break contract: when events/spans from different
@@ -398,7 +456,7 @@ TEST(ReplicatedAdaptiveTest, FaultRunsBitIdenticalAtAnyThreadCount) {
   EXPECT_EQ(serial.merged.fault_restarts, pooled.merged.fault_restarts);
   EXPECT_EQ(serial.merged.served_hot, pooled.merged.served_hot);
   EXPECT_EQ(serial.merged.served_tail, pooled.merged.served_tail);
-  EXPECT_EQ(serial.wait_mean_ci95, pooled.wait_mean_ci95);
+  EXPECT_EQ(serial.mean_ci95, pooled.mean_ci95);
 }
 
 metro::FederationConfig federation_config(obs::Sink* sink) {
@@ -442,7 +500,7 @@ TEST(MetroFederationTest, FederationBitIdenticalAtAnyThreadCount) {
   EXPECT_EQ(serial.merged.link_mbits, pooled.merged.link_mbits);
   EXPECT_EQ(serial.merged.wait_minutes.samples(),
             pooled.merged.wait_minutes.samples());
-  EXPECT_EQ(serial.wait_mean_ci95, pooled.wait_mean_ci95);
+  EXPECT_EQ(serial.mean_ci95, pooled.mean_ci95);
   ASSERT_EQ(serial.merged.regions.size(), pooled.merged.regions.size());
   for (std::size_t r = 0; r < serial.merged.regions.size(); ++r) {
     const auto& a = serial.merged.regions[r];

@@ -13,6 +13,7 @@
 #include "schemes/skyscraper.hpp"
 #include "series/broadcast_series.hpp"
 #include "sim/simulator.hpp"
+#include "util/task_pool.hpp"
 
 namespace vodbcast::client {
 namespace {
@@ -187,19 +188,21 @@ TEST(SimulatorPlanCacheTest, CacheOnOffOutputsAreBitIdentical) {
 TEST(SimulatorPlanCacheTest, CacheIdentityHoldsAtAnyThreadCount) {
   const schemes::SkyscraperScheme sb(52);
   const auto input = sim_input();
+  util::TaskPool four(4);
+  util::TaskPool three(3);
   const auto serial =
-      sim::simulate_replicated(sb, input, sim_config(true), 4, 1U);
+      sim::simulate_replicated(sb, input, sim_config(true), 4, nullptr);
   const auto parallel =
-      sim::simulate_replicated(sb, input, sim_config(true), 4, 4U);
+      sim::simulate_replicated(sb, input, sim_config(true), 4, &four);
   const auto baseline =
-      sim::simulate_replicated(sb, input, sim_config(false), 4, 3U);
+      sim::simulate_replicated(sb, input, sim_config(false), 4, &three);
   EXPECT_EQ(serial.merged.clients_served, parallel.merged.clients_served);
   EXPECT_EQ(serial.merged.latency_minutes.samples(),
             parallel.merged.latency_minutes.samples());
   EXPECT_EQ(serial.merged.latency_minutes.samples(),
             baseline.merged.latency_minutes.samples());
-  EXPECT_EQ(serial.latency_mean_ci95, parallel.latency_mean_ci95);
-  EXPECT_EQ(serial.latency_mean_ci95, baseline.latency_mean_ci95);
+  EXPECT_EQ(serial.mean_ci95, parallel.mean_ci95);
+  EXPECT_EQ(serial.mean_ci95, baseline.mean_ci95);
 }
 
 TEST(SimulatorPlanCacheTest, StreamingCapKeepsExactCountAndMoments) {

@@ -6,8 +6,11 @@
 #include <cmath>
 #include <cstdint>
 #include <ios>
+#include <string>
+#include <string_view>
 #include <vector>
 
+#include "batching/hybrid.hpp"
 #include "batching/queue_policies.hpp"
 #include "batching/scheduled_multicast.hpp"
 #include "client/client_session.hpp"
@@ -143,6 +146,13 @@ class Fnv {
     return *this;
   }
   Fnv& add(double value) { return add(std::bit_cast<std::uint64_t>(value)); }
+  Fnv& add(std::string_view text) {
+    for (const char c : text) {
+      hash_ ^= static_cast<unsigned char>(c);
+      hash_ *= 0x100000001b3ULL;
+    }
+    return *this;
+  }
   Fnv& add(const sim::Distribution& d) {
     add(static_cast<std::uint64_t>(d.count()));
     if (d.empty()) {
@@ -421,6 +431,181 @@ TEST(EngineReportPinTest, FederationWithDarkRegionAndStatsCap) {
   EXPECT_EQ(digest(pooled), digest(serial));
   EXPECT_EQ(sink.metrics.counter("metro.arrivals").value(), 299506U);
   EXPECT_EQ(sink.spans.recorded(), 221327U);
+}
+
+
+// ---------------------------------------------------------------------------
+// Replication and session-span pins. Every replicated run and every span
+// export below was captured before the replicated runs moved onto one
+// driver (sim::replicate) and the session span trees onto one emitter
+// (obs::record_session); both moves had to leave each value unchanged.
+// ctrl's confidence interval is the one exception — it switched from the
+// population to the sample standard deviation — so it is not pinned here;
+// test_ctrl checks it against the formula.
+
+std::uint64_t text_digest(const std::string& text) {
+  return Fnv().add(std::string_view(text)).value();
+}
+
+const schemes::DesignInput kPinnedSbInput{
+    .server_bandwidth = core::MbitPerSec{300.0},
+    .num_videos = 10,
+    .video = kTwoHourVideo,
+};
+
+ctrl::AdaptiveConfig pinned_flip_config() {
+  ctrl::AdaptiveConfig config;
+  config.total_bandwidth = core::MbitPerSec{72.0};
+  config.catalog_size = 40;
+  config.hot_titles = 8;
+  config.broadcast_channels_per_video = 4;
+  config.video = core::VideoParams{core::Minutes{30.0}, core::MbitPerSec{1.5}};
+  config.arrivals_per_minute = 6.0;
+  config.horizon = core::Minutes{300.0};
+  config.epoch = core::Minutes{30.0};
+  config.half_life = core::Minutes{30.0};
+  config.min_tail_channels = 4;
+  config.flip_at = core::Minutes{150.0};
+  config.seed = 11;
+  return config;
+}
+
+TEST(ReplicationPinTest, SimulateReplicatedWithSink) {
+  const schemes::SkyscraperScheme sb(52);
+  auto config = pinned_sim_config(true);
+  config.horizon = core::Minutes{40.0};
+  obs::Sink sink(1U << 17, 1U << 17);
+  config.sink = &sink;
+  util::TaskPool pool(4);
+  const auto replicated =
+      sim::simulate_replicated(sb, kPinnedSbInput, config, 3, &pool);
+  EXPECT_EQ(replicated.replications, 3U);
+  EXPECT_DIGEST(digest(replicated.merged), 0xfe7d720c0a1e7024);
+  EXPECT_DIGEST(Fnv().add(replicated.replication_means).value(),
+                0x49b343dca65a58d5);
+  EXPECT_BITS(replicated.mean_ci95, 0x1.ecb9b9a2233dep-8);
+  EXPECT_DIGEST(text_digest(sink.spans.to_jsonl()), 0x04fd1590af68dcab);
+  EXPECT_DIGEST(text_digest(sink.trace.to_jsonl()), 0x2b87aa36e52d60cd);
+}
+
+TEST(ReplicationPinTest, AdaptiveReplicatedWithSink) {
+  auto config = pinned_flip_config();
+  obs::Sink sink(1U << 17, 1U << 17);
+  config.sink = &sink;
+  util::TaskPool pool(4);
+  const auto replicated = ctrl::simulate_adaptive_replicated(
+      batching::MqlPolicy(), config, 3, &pool);
+  EXPECT_EQ(replicated.replications, 3U);
+  EXPECT_DIGEST(digest(replicated.merged), 0x407b69663e4ab8dd);
+  EXPECT_DIGEST(Fnv().add(replicated.replication_means).value(),
+                0xcdead6d141e54e96);
+  EXPECT_DIGEST(text_digest(sink.spans.to_jsonl()), 0xc371a9c5e2ad400b);
+  EXPECT_DIGEST(text_digest(sink.trace.to_jsonl()), 0x681376578d6d4f71);
+}
+
+TEST(ReplicationPinTest, FederationReplicatedWithSink) {
+  const metro::Topology topology({{60.0, 80}, {40.0, 80}, {20.0, 80}}, 4,
+                                 core::Minutes{0.5});
+  metro::FederationConfig config;
+  config.catalog_size = 40;
+  config.replicate_top = 6;
+  config.horizon = core::Minutes{120.0};
+  config.seed = 11;
+  config.fault_plans.assign(3, {});
+  config.fault_plans[1] = fault::Plan(
+      {fault::Episode{fault::EpisodeKind::kChannelOutage, 30.0, 90.0, -1,
+                      {}}},
+      1);
+  obs::Sink sink(1U << 17, 1U << 17);
+  config.sink = &sink;
+  util::TaskPool pool(2);
+  const auto replicated =
+      metro::simulate_federation_replicated(topology, config, 3, &pool);
+  EXPECT_EQ(replicated.replications, 3U);
+  EXPECT_DIGEST(digest(replicated.merged), 0xd2f180a7e352ba0d);
+  EXPECT_DIGEST(Fnv().add(replicated.replication_means).value(),
+                0x77c046bbdddcb919);
+  EXPECT_BITS(replicated.mean_ci95, 0x1.e12e533bcc5d5p-5);
+  EXPECT_DIGEST(text_digest(sink.spans.to_jsonl()), 0x5106c764c0cb08a3);
+  EXPECT_EQ(sink.trace.recorded(), 0U);  // the federation records spans only
+}
+
+/// Session spans that hang off another span (ctrl's epoch-absorbed ones).
+std::size_t parented_sessions(const obs::SpanTracer& spans) {
+  std::size_t n = 0;
+  for (const auto& span : spans.spans()) {
+    n += span.phase == obs::SpanPhase::kSession && span.parent != 0 ? 1 : 0;
+  }
+  return n;
+}
+
+TEST(SessionSpanPinTest, Simulate) {
+  const schemes::SkyscraperScheme sb(52);
+  auto config = pinned_sim_config(true);
+  config.horizon = core::Minutes{60.0};
+  obs::Sink sink(1U << 17, 1U << 17);
+  config.sink = &sink;
+  (void)sim::simulate(sb, kPinnedSbInput, config);
+  EXPECT_EQ(sink.spans.dropped(), 0U);
+  EXPECT_DIGEST(text_digest(sink.spans.to_jsonl()), 0x04c4f40d2908a2d4);
+}
+
+TEST(SessionSpanPinTest, ScheduledMulticastFcfsWithReneges) {
+  workload::RequestGenerator generator(workload::zipf_probabilities(20), 2.0,
+                                       util::Rng(5));
+  auto requests = generator.generate_until(core::Minutes{600.0});
+  for (auto& request : requests) {
+    request.arrival = core::Minutes{std::floor(request.arrival.v)};
+  }
+  batching::MulticastConfig config;
+  config.channels = 4;
+  config.video_length = core::Minutes{30.0};
+  config.horizon = core::Minutes{600.0};
+  config.mean_patience = core::Minutes{10.0};
+  config.seed = 9;
+  obs::Sink sink(1U << 17, 1U << 17);
+  config.sink = &sink;
+  const auto report = batching::simulate_scheduled_multicast(
+      batching::FcfsPolicy(), requests, 20, config);
+  EXPECT_GT(report.reneged, 0U);
+  EXPECT_EQ(sink.spans.dropped(), 0U);
+  EXPECT_DIGEST(text_digest(sink.spans.to_jsonl()), 0x45826c79f1b5ddfc);
+}
+
+TEST(SessionSpanPinTest, EvaluateHybrid) {
+  batching::HybridConfig config;
+  config.catalog_size = 60;
+  config.hot_titles = 8;
+  config.arrivals_per_minute = 3.0;
+  config.horizon = core::Minutes{600.0};
+  config.mean_patience = core::Minutes{20.0};
+  config.seed = 11;
+  obs::Sink sink(1U << 17, 1U << 17);
+  config.sink = &sink;
+  const auto report = batching::evaluate_hybrid(batching::MqlPolicy(), config);
+  EXPECT_GT(report.multicast.served, 0U);
+  EXPECT_EQ(sink.spans.dropped(), 0U);
+  EXPECT_DIGEST(text_digest(sink.spans.to_jsonl()), 0x656cb1cade82593a);
+}
+
+TEST(SessionSpanPinTest, AdaptiveWithFlipRestartAndAbsorbedQueues) {
+  auto config = pinned_flip_config();
+  const fault::Injector injector{fault::Plan(
+      {fault::Episode{.kind = fault::EpisodeKind::kServerRestart,
+                      .start_min = 100.0,
+                      .end_min = 100.0,
+                      .channel = -1}},
+      1)};
+  config.injector = &injector;
+  obs::Sink sink(1U << 17, 1U << 17);
+  config.sink = &sink;
+  const auto report =
+      ctrl::simulate_adaptive(batching::MqlPolicy(), config);
+  EXPECT_EQ(report.fault_restarts, 1U);
+  EXPECT_GT(report.promotions, 0U);
+  EXPECT_GT(parented_sessions(sink.spans), 0U);
+  EXPECT_EQ(sink.spans.dropped(), 0U);
+  EXPECT_DIGEST(text_digest(sink.spans.to_jsonl()), 0x6e52bb7ff83492df);
 }
 
 }  // namespace

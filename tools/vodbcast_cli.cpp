@@ -52,6 +52,7 @@
 #include "obs/sink.hpp"
 #include "schemes/registry.hpp"
 #include "schemes/skyscraper.hpp"
+#include "sim/replicate.hpp"
 #include "sim/simulator.hpp"
 #include "util/args.hpp"
 #include "util/contracts.hpp"
@@ -65,8 +66,12 @@ using namespace vodbcast;
 void write_file(const std::string& path, const std::string& content) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   VB_EXPECTS_MSG(f != nullptr, "cannot open output file: " + path);
-  std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
+  const bool written =
+      std::fwrite(content.data(), 1, content.size(), f) == content.size();
+  // fclose flushes the stdio buffer, so a full device often fails only here.
+  if (std::fclose(f) != 0 || !written) {
+    throw std::runtime_error("cannot write output file: " + path);
+  }
 }
 
 bool ends_with(const std::string& s, const std::string& suffix) {
@@ -346,7 +351,7 @@ int cmd_simulate(const util::ArgParser& args) {
     report = replicated.merged;
     std::printf("replications  : %zu\n", replicated.replications);
     std::printf("mean wait     : %.4f +/- %.4f min (95%% CI)\n",
-                report.latency_minutes.mean(), replicated.latency_mean_ci95);
+                report.latency_minutes.mean(), replicated.mean_ci95);
   } else {
     report = sim::simulate(*scheme, input, config);
   }
@@ -479,7 +484,7 @@ int cmd_hybrid_adaptive(const util::ArgParser& args) {
     const auto replicated =
         ctrl::simulate_adaptive_replicated(policy, config, reps, pool.get());
     report = replicated.merged;
-    ci95 = replicated.wait_mean_ci95;
+    ci95 = replicated.mean_ci95;
     std::printf("replications      : %zu\n", reps);
   } else {
     report = ctrl::simulate_adaptive(policy, config);
@@ -579,47 +584,34 @@ int cmd_hybrid(const util::ArgParser& args) {
       std::fprintf(stderr,
                    "note: --series-out is ignored when --reps > 1\n");
     }
-    // Same seed rule as sim::simulate_replicated: replication r runs with
-    // the (r+1)-th SplitMix64 output of --seed, merged in replication order.
-    util::SplitMix64 seed_stream(config.seed);
-    std::vector<std::uint64_t> seeds(reps);
-    for (auto& seed : seeds) {
-      seed = seed_stream.next();
-    }
-    std::vector<std::unique_ptr<obs::Sink>> rep_sinks(reps);
+    // The tail's reports fold; the combined mean is the replications' mean.
     const auto pool = make_pool(args);
-    const auto reports = util::parallel_map<batching::HybridReport>(
-        pool.get(), reps, [&](std::size_t r) {
+    const auto replicated = sim::replicate<batching::HybridReport>(
+        config.seed, reps, pool.get(), config.sink,
+        sim::PoolUse::kAcrossReplications,
+        [&](std::uint64_t seed, obs::Sink* rep_sink, util::TaskPool*) {
           batching::HybridConfig rep_config = config;
-          rep_config.seed = seeds[r];
+          rep_config.seed = seed;
           rep_config.sampler = nullptr;
-          rep_config.sink = nullptr;
-          if (config.sink != nullptr) {
-            rep_sinks[r] = std::make_unique<obs::Sink>(
-                sink.trace.capacity(), sink.spans.capacity());
-            rep_config.sink = rep_sinks[r].get();
-          }
+          rep_config.sink = rep_sink;
           return batching::evaluate_hybrid(policy, rep_config);
-        });
-    report = reports.front();
-    sim::Distribution combined_means;
-    combined_means.add(report.combined_mean_wait_minutes);
-    for (std::size_t r = 1; r < reps; ++r) {
-      report.multicast.wait_minutes.merge(reports[r].multicast.wait_minutes);
-      report.multicast.batch_size.merge(reports[r].multicast.batch_size);
-      report.multicast.served += reports[r].multicast.served;
-      report.multicast.reneged += reports[r].multicast.reneged;
-      report.multicast.streams_started += reports[r].multicast.streams_started;
-      combined_means.add(reports[r].combined_mean_wait_minutes);
-    }
-    report.combined_mean_wait_minutes = combined_means.mean();
-    if (config.sink != nullptr) {
-      for (std::size_t r = 0; r < reps; ++r) {
-        sink.metrics.merge_from(rep_sinks[r]->metrics);
-        sink.trace.merge_from(rep_sinks[r]->trace);
-        sink.spans.merge_from(rep_sinks[r]->spans);
-      }
-    }
+        },
+        [](batching::HybridReport& into, const batching::HybridReport& rep,
+           std::size_t r) {
+          if (r == 0) {
+            into = rep;
+            return;
+          }
+          auto& tail = into.multicast;
+          tail.wait_minutes.merge(rep.multicast.wait_minutes);
+          tail.batch_size.merge(rep.multicast.batch_size);
+          tail.served += rep.multicast.served;
+          tail.reneged += rep.multicast.reneged;
+          tail.streams_started += rep.multicast.streams_started;
+        },
+        &batching::HybridReport::combined_mean_wait_minutes);
+    report = replicated.merged;
+    report.combined_mean_wait_minutes = replicated.replication_means.mean();
     std::printf("replications      : %zu\n", reps);
   } else {
     report = batching::evaluate_hybrid(policy, config);
@@ -726,7 +718,7 @@ int cmd_metro(const util::ArgParser& args) {
     report = std::move(replicated.merged);
     std::printf("replications  : %zu\n", replicated.replications);
     std::printf("mean pen. wait: %.4f +/- %.4f min (95%% CI)\n",
-                report.mean_penalized_wait_min(), replicated.wait_mean_ci95);
+                report.mean_penalized_wait_min(), replicated.mean_ci95);
   } else {
     report = metro::simulate_federation(topology, config, pool.get());
   }
