@@ -9,9 +9,11 @@
 #               the replication driver behind simulate_replicated,
 #               simulate_adaptive_replicated and
 #               simulate_federation_replicated (test_regressions pins them
-#               on a pool), and over the Registry instruments
+#               on a pool), and over the Registry and its families
 #               (threads racing on one quantile sketch while its counter
-#               window grows) — the data races serial ctest cannot see.
+#               window grows, and unlabeled, labeled and snapshot lookups
+#               racing through the family locks) — the data races serial
+#               ctest cannot see.
 #
 #   scripts/verify_sanitize.sh [all|asan|thread]   (default: all)
 set -euo pipefail
@@ -61,7 +63,8 @@ if [[ $mode == all || $mode == thread ]]; then
   cmake -B build-tsan -S . -DVODBCAST_SANITIZE=thread
   cmake --build build-tsan -j "$(nproc)" \
     --target test_task_pool test_parallel test_simulator test_ctrl \
-    test_metro test_obs_registry test_obs_sketch test_regressions
+    test_metro test_obs_registry test_obs_family test_obs_openmetrics \
+    test_obs_sketch test_regressions
 
   ./build-tsan/tests/test_task_pool
   ./build-tsan/tests/test_parallel
@@ -69,6 +72,8 @@ if [[ $mode == all || $mode == thread ]]; then
   ./build-tsan/tests/test_ctrl
   ./build-tsan/tests/test_metro
   ./build-tsan/tests/test_obs_registry
+  ./build-tsan/tests/test_obs_family
+  ./build-tsan/tests/test_obs_openmetrics
   ./build-tsan/tests/test_obs_sketch
   ./build-tsan/tests/test_regressions
 fi

@@ -1,22 +1,6 @@
 #include "client/plan_cache.hpp"
 
-#include "util/math.hpp"
-
 namespace vodbcast::client {
-
-std::optional<std::uint64_t> phase_period(const series::SegmentLayout& layout,
-                                          std::uint64_t max_period) {
-  std::uint64_t period = 1;
-  for (const std::uint64_t s : layout.all_units()) {
-    const auto next =
-        util::checked_mul(period / util::gcd_u64(period, s), s);
-    if (!next.has_value() || *next > max_period) {
-      return std::nullopt;
-    }
-    period = *next;
-  }
-  return period;
-}
 
 ReceptionPlan PlanView::materialize() const {
   ReceptionPlan plan = *base_;

@@ -32,13 +32,6 @@
 
 namespace vodbcast::client {
 
-/// Phase period of a layout: lcm of the per-channel slot periods (= the
-/// relative segment sizes). nullopt when the lcm overflows 64 bits or
-/// exceeds `max_period` — then the layout has more distinct phases than the
-/// caller is willing to enumerate.
-[[nodiscard]] std::optional<std::uint64_t> phase_period(
-    const series::SegmentLayout& layout, std::uint64_t max_period);
-
 /// A reception plan seen through a phase shift: all times offset by
 /// `shift()`, everything else (jitter flag, tuner peak, buffer peak) read
 /// straight from the canonical plan. Cheap to copy; does not own the plan.

@@ -117,18 +117,8 @@ template <typename Planner>
 WorstCase sweep_phases(const series::SegmentLayout& layout,
                        std::uint64_t max_phases, Planner&& planner) {
   VB_EXPECTS(max_phases >= 1);
-
-  std::uint64_t period = 1;
-  bool overflowed = false;
-  for (const std::uint64_t s : layout.all_units()) {
-    const auto next = util::checked_mul(period / util::gcd_u64(period, s), s);
-    if (!next.has_value() || *next > max_phases) {
-      overflowed = true;
-      break;
-    }
-    period = *next;
-  }
-  const std::uint64_t phases = overflowed ? max_phases : period;
+  const std::uint64_t phases =
+      phase_period(layout, max_phases).value_or(max_phases);
 
   WorstCase result;
   result.phases_examined = phases;
@@ -149,6 +139,20 @@ WorstCase sweep_phases(const series::SegmentLayout& layout,
 }
 
 }  // namespace
+
+std::optional<std::uint64_t> phase_period(const series::SegmentLayout& layout,
+                                          std::uint64_t max_period) {
+  std::uint64_t period = 1;
+  for (const std::uint64_t s : layout.all_units()) {
+    const auto next =
+        util::checked_mul(period / util::gcd_u64(period, s), s);
+    if (!next.has_value() || *next > max_period) {
+      return std::nullopt;
+    }
+    period = *next;
+  }
+  return period;
+}
 
 ReceptionPlan plan_reception(const series::SegmentLayout& layout,
                              std::uint64_t t0) {

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "client/buffer_trace.hpp"
@@ -71,6 +72,13 @@ struct ReceptionPlan {
 /// extra group in the buffer and void the 60*b*D1*(W-1) storage bound.
 [[nodiscard]] ReceptionPlan plan_reception(const series::SegmentLayout& layout,
                                            std::uint64_t t0);
+
+/// Phase period of a layout: lcm of the per-channel slot periods (= the
+/// relative segment sizes). nullopt when the lcm overflows 64 bits or
+/// exceeds `max_period` — then the layout has more distinct phases than the
+/// caller is willing to enumerate.
+[[nodiscard]] std::optional<std::uint64_t> phase_period(
+    const series::SegmentLayout& layout, std::uint64_t max_period);
 
 /// Worst case over all distinct arrival phases. The schedule of channel i is
 /// periodic with period s_i, so every behaviour repeats with period

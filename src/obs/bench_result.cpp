@@ -12,25 +12,16 @@
 
 namespace vodbcast::obs {
 
-namespace {
+using util::json::number;
 
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.10g", v);
-  const std::string s = buf;
-  if (s.find("inf") != std::string::npos ||
-      s.find("nan") != std::string::npos) {
-    return "null";
-  }
-  return s;
-}
+namespace {
 
 void emit_stats(std::ostringstream& os, const char* key,
                 const TimingStats& stats) {
   os << '"' << key << "\":{\"samples\":" << stats.samples
-     << ",\"min\":" << fmt(stats.min) << ",\"max\":" << fmt(stats.max)
-     << ",\"mean\":" << fmt(stats.mean) << ",\"p50\":" << fmt(stats.p50)
-     << ",\"p95\":" << fmt(stats.p95) << ",\"p99\":" << fmt(stats.p99)
+     << ",\"min\":" << number(stats.min) << ",\"max\":" << number(stats.max)
+     << ",\"mean\":" << number(stats.mean) << ",\"p50\":" << number(stats.p50)
+     << ",\"p95\":" << number(stats.p95) << ",\"p99\":" << number(stats.p99)
      << '}';
 }
 
@@ -80,7 +71,7 @@ std::string BenchRunResult::to_json() const {
      << ",\"sanitize\":" << (sanitize ? "true" : "false") << '}'
      << ",\"threads\":" << threads
      << ",\"host_threads\":" << host_threads
-     << ",\"wall_ms\":" << fmt(wall_ms) << ",\"cases\":[";
+     << ",\"wall_ms\":" << number(wall_ms) << ",\"cases\":[";
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const auto& c = cases[i];
     os << (i ? "," : "") << "{\"name\":" << util::json::quote(c.name)
@@ -169,8 +160,8 @@ void note_counter_drift(const std::string& bench,
     if (value.is_number() && other->is_number() &&
         value.as_number() != other->as_number()) {
       notes.push_back(bench + ": counter '" + name + "' changed " +
-                      fmt(value.as_number()) + " -> " +
-                      fmt(other->as_number()));
+                      number(value.as_number()) + " -> " +
+                      number(other->as_number()));
     }
   }
   for (const auto& [name, value] : cand_counters->as_object()) {

@@ -6,7 +6,9 @@
 // Design rules:
 //   * fixed schema — a family is created with an ordered list of label keys
 //     and every series supplies exactly that many values, so exposition
-//     never has to reconcile ragged label sets;
+//     never has to reconcile ragged label sets. An empty key list makes a
+//     label-free family: the registry's unlabeled instruments, each the
+//     one series `with({})` returns, which never overflows;
 //   * hard cardinality cap — at most `max_series` distinct label tuples.
 //     Once the cap is hit, new tuples fold into a single reserved
 //     `__overflow__` series and a drop counter (obs.labels_dropped)
@@ -51,7 +53,7 @@ class Family {
   using Factory = std::function<std::unique_ptr<T>()>;
   using LabelValues = std::vector<std::string>;
 
-  /// Preconditions: at least one label key, max_series >= 1.
+  /// Precondition: max_series >= 1.
   /// `dropped` (may be null) increments each time a lookup is diverted to
   /// the overflow series. (Tracking *which* tuples were diverted would need
   /// unbounded memory — the very thing the cap bans.)
@@ -61,7 +63,6 @@ class Family {
         max_series_(max_series),
         factory_(std::move(factory)),
         dropped_(dropped) {
-    VB_EXPECTS(!label_keys_.empty());
     VB_EXPECTS(max_series_ >= 1);
   }
 

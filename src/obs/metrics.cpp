@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "util/contracts.hpp"
-#include "util/csv.hpp"
+#include "util/json.hpp"
 
 namespace vodbcast::obs {
 
@@ -26,34 +26,6 @@ void update_double(std::atomic<double>& target, Fn&& combine) noexcept {
   }
 }
 
-std::string json_number(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.10g", v);
-  // JSON has no inf/nan literals; clamp to null.
-  const std::string s = buf;
-  if (s.find("inf") != std::string::npos ||
-      s.find("nan") != std::string::npos) {
-    return "null";
-  }
-  return s;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 Snapshot::Labels make_labels(const std::vector<std::string>& keys,
                              const std::vector<std::string>& values) {
   Snapshot::Labels labels;
@@ -64,7 +36,7 @@ Snapshot::Labels make_labels(const std::vector<std::string>& keys,
   return labels;
 }
 
-/// `name{k=v,...}` — the flattened series key used by to_json / to_csv.
+/// `name{k=v,...}` — the flattened series key used by to_json.
 std::string series_key(const std::string& name,
                        const Snapshot::Labels& labels) {
   if (labels.empty()) {
@@ -81,9 +53,18 @@ std::string series_key(const std::string& name,
   return key;
 }
 
-Snapshot::HistogramView make_histogram_view(const std::string& name,
-                                            const Histogram& h,
-                                            Snapshot::Labels labels) {
+Snapshot::CounterView make_view(const std::string& name, const Counter& c,
+                                Snapshot::Labels labels) {
+  return {name, std::move(labels), c.value()};
+}
+
+Snapshot::GaugeView make_view(const std::string& name, const Gauge& g,
+                              Snapshot::Labels labels) {
+  return {name, std::move(labels), g.value()};
+}
+
+Snapshot::HistogramView make_view(const std::string& name, const Histogram& h,
+                                  Snapshot::Labels labels) {
   Snapshot::HistogramView view;
   view.name = name;
   view.labels = std::move(labels);
@@ -100,9 +81,9 @@ Snapshot::HistogramView make_histogram_view(const std::string& name,
   return view;
 }
 
-Snapshot::SketchView make_sketch_view(const std::string& name,
-                                      const QuantileSketch& s,
-                                      Snapshot::Labels labels) {
+Snapshot::SketchView make_view(const std::string& name,
+                               const QuantileSketch& s,
+                               Snapshot::Labels labels) {
   Snapshot::SketchView view;
   view.name = name;
   view.labels = std::move(labels);
@@ -120,6 +101,41 @@ Snapshot::SketchView make_sketch_view(const std::string& name,
   view.p99 = view.quantile(0.99);
   view.p999 = view.quantile(0.999);
   return view;
+}
+
+/// Appends one view per series of `store`: label-free families first, then
+/// labeled ones, each pass in name order.
+template <typename Store, typename View>
+void append_views(const Store& store, std::vector<View>& out) {
+  for (const bool labeled : {false, true}) {
+    for (const auto& [name, family] : store) {
+      const bool family_labeled = !family->label_keys().empty();
+      if (family_labeled != labeled) {
+        continue;
+      }
+      family->for_each([&](const std::vector<std::string>& values,
+                           const auto& series) {
+        out.push_back(
+            make_view(name, series, make_labels(family->label_keys(), values)));
+      });
+    }
+  }
+}
+
+/// Folds one series into another by its kind's merge rule.
+void fold_series(Counter& dst, const Counter& src) { dst.add(src.value()); }
+void fold_series(Gauge& dst, const Gauge& src) { dst.max_of(src.value()); }
+void fold_series(Histogram& dst, const Histogram& src) { dst.merge_from(src); }
+void fold_series(QuantileSketch& dst, const QuantileSketch& src) {
+  dst.merge_from(src);
+}
+
+std::unique_ptr<Counter> make_counter() { return std::make_unique<Counter>(); }
+
+[[noreturn]] void throw_kind_clash(const std::string& name) {
+  throw std::invalid_argument(
+      "metric '" + name +
+      "' is already registered as a different instrument kind");
 }
 
 [[noreturn]] void rethrow_with_metric(const std::string& name,
@@ -240,383 +256,197 @@ double Snapshot::SketchView::quantile(double q) const {
   return max;
 }
 
-void Registry::claim(const std::string& name, Kind kind) {
-  const auto [it, inserted] = kinds_.emplace(name, kind);
-  if (!inserted && it->second != kind) {
-    throw std::invalid_argument(
-        "metric '" + name +
-        "' is already registered as a different instrument kind");
+template <typename T>
+Family<T>& Registry::family_locked(const std::string& name,
+                                   std::vector<std::string> label_keys,
+                                   std::size_t max_series,
+                                   typename Family<T>::Factory factory) {
+  auto& store = std::get<Store<T>>(stores_);
+  if (const auto it = store.find(name); it != store.end()) {
+    if (it->second->label_keys() != label_keys) {
+      throw std::invalid_argument(
+          "metric '" + name +
+          "' is already registered with different label keys");
+    }
+    return *it->second;
+  }
+  if (kinds_.contains(name)) {
+    throw_kind_clash(name);
+  }
+  // A label-free family has one series and never overflows, so only a
+  // labeled family needs the drop counter.
+  Counter* dropped =
+      label_keys.empty()
+          ? nullptr
+          : &family_locked<Counter>(kLabelsDroppedName, {}, 1, make_counter)
+                 .with({});
+  constexpr Kind kind = std::is_same_v<T, Counter>     ? Kind::kCounter
+                        : std::is_same_v<T, Gauge>     ? Kind::kGauge
+                        : std::is_same_v<T, Histogram> ? Kind::kHistogram
+                                                       : Kind::kSketch;
+  kinds_.emplace(name, kind);
+  auto& slot = store[name];
+  slot = std::make_unique<Family<T>>(std::move(label_keys), max_series,
+                                     std::move(factory), dropped);
+  return *slot;
+}
+
+template <typename T>
+void Registry::check_merge_locked(const Registry& other) const {
+  const auto& ours = std::get<Store<T>>(stores_);
+  for (const auto& [name, theirs] : std::get<Store<T>>(other.stores_)) {
+    const auto it = ours.find(name);
+    if (it == ours.end()) {
+      if (kinds_.contains(name)) {
+        throw_kind_clash(name);
+      }
+      continue;
+    }
+    VB_EXPECTS_MSG(it->second->label_keys() == theirs->label_keys(),
+                   "family merge requires an identical label key schema");
+    // Folding an empty series of each side's shape throws on a bounds or
+    // accuracy mismatch without touching either registry.
+    try {
+      fold_series(*it->second->factory()(), *theirs->factory()());
+    } catch (const std::invalid_argument& e) {
+      rethrow_with_metric(name, e);
+    }
   }
 }
 
-Counter& Registry::counter_locked(const std::string& name) {
-  claim(name, Kind::kCounter);
-  auto& slot = counters_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<Counter>();
+template <typename T>
+void Registry::merge_locked(const Registry& other) {
+  for (const auto& [name, theirs] : std::get<Store<T>>(other.stores_)) {
+    family_locked<T>(name, theirs->label_keys(), theirs->max_series(),
+                     theirs->factory())
+        .merge_from(*theirs,
+                    [](T& dst, const T& src) { fold_series(dst, src); });
   }
-  return *slot;
 }
 
 Counter& Registry::counter(const std::string& name) {
-  const std::scoped_lock lock(mutex_);
-  return counter_locked(name);
+  return counter_family(name, {}).with({});
 }
 
 Gauge& Registry::gauge(const std::string& name) {
-  const std::scoped_lock lock(mutex_);
-  claim(name, Kind::kGauge);
-  auto& slot = gauges_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<Gauge>();
-  }
-  return *slot;
+  return gauge_family(name, {}).with({});
 }
 
 Histogram& Registry::histogram(const std::string& name,
                                std::vector<double> bounds) {
-  const std::scoped_lock lock(mutex_);
-  claim(name, Kind::kHistogram);
-  auto& slot = histograms_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<Histogram>(std::move(bounds));
-  }
-  return *slot;
+  return histogram_family(name, {}, std::move(bounds)).with({});
 }
 
 QuantileSketch& Registry::sketch(const std::string& name,
                                  QuantileSketch::Options options) {
-  const std::scoped_lock lock(mutex_);
-  claim(name, Kind::kSketch);
-  auto& slot = sketches_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<QuantileSketch>(options);
-  }
-  return *slot;
+  return sketch_family(name, {}, options).with({});
 }
 
 Family<Counter>& Registry::counter_family(const std::string& name,
                                           std::vector<std::string> label_keys,
                                           std::size_t max_series) {
   const std::scoped_lock lock(mutex_);
-  claim(name, Kind::kCounterFamily);
-  auto& slot = counter_families_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<Family<Counter>>(
-        std::move(label_keys), max_series,
-        [] { return std::make_unique<Counter>(); },
-        &counter_locked(kLabelsDroppedName));
-  }
-  return *slot;
+  return family_locked<Counter>(name, std::move(label_keys), max_series,
+                                make_counter);
 }
 
 Family<Gauge>& Registry::gauge_family(const std::string& name,
                                       std::vector<std::string> label_keys,
                                       std::size_t max_series) {
   const std::scoped_lock lock(mutex_);
-  claim(name, Kind::kGaugeFamily);
-  auto& slot = gauge_families_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<Family<Gauge>>(
-        std::move(label_keys), max_series,
-        [] { return std::make_unique<Gauge>(); },
-        &counter_locked(kLabelsDroppedName));
-  }
-  return *slot;
+  return family_locked<Gauge>(name, std::move(label_keys), max_series,
+                              [] { return std::make_unique<Gauge>(); });
 }
 
 Family<Histogram>& Registry::histogram_family(
     const std::string& name, std::vector<std::string> label_keys,
     std::vector<double> bounds, std::size_t max_series) {
   const std::scoped_lock lock(mutex_);
-  claim(name, Kind::kHistogramFamily);
-  auto& slot = histogram_families_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<Family<Histogram>>(
-        std::move(label_keys), max_series,
-        [bounds = std::move(bounds)] {
-          return std::make_unique<Histogram>(bounds);
-        },
-        &counter_locked(kLabelsDroppedName));
-  }
-  return *slot;
+  return family_locked<Histogram>(
+      name, std::move(label_keys), max_series,
+      [bounds = std::move(bounds)] {
+        return std::make_unique<Histogram>(bounds);
+      });
 }
 
 Family<QuantileSketch>& Registry::sketch_family(
     const std::string& name, std::vector<std::string> label_keys,
     QuantileSketch::Options options, std::size_t max_series) {
   const std::scoped_lock lock(mutex_);
-  claim(name, Kind::kSketchFamily);
-  auto& slot = sketch_families_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<Family<QuantileSketch>>(
-        std::move(label_keys), max_series,
-        [options] { return std::make_unique<QuantileSketch>(options); },
-        &counter_locked(kLabelsDroppedName));
-  }
-  return *slot;
+  return family_locked<QuantileSketch>(
+      name, std::move(label_keys), max_series,
+      [options] { return std::make_unique<QuantileSketch>(options); });
 }
 
 void Registry::merge_from(const Registry& other) {
   VB_EXPECTS(&other != this);
   const std::scoped_lock lock(mutex_, other.mutex_);
-  // Kind clashes surface before any state changes.
-  for (const auto& [name, kind] : other.kinds_) {
-    claim(name, kind);
-  }
-  for (const auto& [name, c] : other.counters_) {
-    auto& slot = counters_[name];
-    if (slot == nullptr) {
-      slot = std::make_unique<Counter>();
-    }
-    slot->add(c->value());
-  }
-  for (const auto& [name, g] : other.gauges_) {
-    auto& slot = gauges_[name];
-    if (slot == nullptr) {
-      slot = std::make_unique<Gauge>();
-    }
-    slot->max_of(g->value());
-  }
-  for (const auto& [name, h] : other.histograms_) {
-    auto& slot = histograms_[name];
-    if (slot == nullptr) {
-      slot = std::make_unique<Histogram>(h->bounds());
-    }
-    try {
-      slot->merge_from(*h);
-    } catch (const std::invalid_argument& e) {
-      rethrow_with_metric(name, e);
-    }
-  }
-  for (const auto& [name, s] : other.sketches_) {
-    auto& slot = sketches_[name];
-    if (slot == nullptr) {
-      slot = std::make_unique<QuantileSketch>(s->options());
-    }
-    try {
-      slot->merge_from(*s);
-    } catch (const std::invalid_argument& e) {
-      rethrow_with_metric(name, e);
-    }
-  }
-  for (const auto& [name, f] : other.counter_families_) {
-    auto& slot = counter_families_[name];
-    if (slot == nullptr) {
-      slot = std::make_unique<Family<Counter>>(
-          f->label_keys(), f->max_series(), f->factory(),
-          &counter_locked(kLabelsDroppedName));
-    }
-    slot->merge_from(*f, [](Counter& dst, const Counter& src) {
-      dst.add(src.value());
-    });
-  }
-  for (const auto& [name, f] : other.gauge_families_) {
-    auto& slot = gauge_families_[name];
-    if (slot == nullptr) {
-      slot = std::make_unique<Family<Gauge>>(
-          f->label_keys(), f->max_series(), f->factory(),
-          &counter_locked(kLabelsDroppedName));
-    }
-    slot->merge_from(*f, [](Gauge& dst, const Gauge& src) {
-      dst.max_of(src.value());
-    });
-  }
-  for (const auto& [name, f] : other.histogram_families_) {
-    auto& slot = histogram_families_[name];
-    if (slot == nullptr) {
-      slot = std::make_unique<Family<Histogram>>(
-          f->label_keys(), f->max_series(), f->factory(),
-          &counter_locked(kLabelsDroppedName));
-    }
-    try {
-      slot->merge_from(*f, [](Histogram& dst, const Histogram& src) {
-        dst.merge_from(src);
-      });
-    } catch (const std::invalid_argument& e) {
-      rethrow_with_metric(name, e);
-    }
-  }
-  for (const auto& [name, f] : other.sketch_families_) {
-    auto& slot = sketch_families_[name];
-    if (slot == nullptr) {
-      slot = std::make_unique<Family<QuantileSketch>>(
-          f->label_keys(), f->max_series(), f->factory(),
-          &counter_locked(kLabelsDroppedName));
-    }
-    try {
-      slot->merge_from(*f,
-                       [](QuantileSketch& dst, const QuantileSketch& src) {
-                         dst.merge_from(src);
-                       });
-    } catch (const std::invalid_argument& e) {
-      rethrow_with_metric(name, e);
-    }
-  }
+  check_merge_locked<Counter>(other);
+  check_merge_locked<Gauge>(other);
+  check_merge_locked<Histogram>(other);
+  check_merge_locked<QuantileSketch>(other);
+  merge_locked<Counter>(other);
+  merge_locked<Gauge>(other);
+  merge_locked<Histogram>(other);
+  merge_locked<QuantileSketch>(other);
 }
 
 Snapshot Registry::snapshot() const {
   const std::scoped_lock lock(mutex_);
   Snapshot snap;
-  snap.counters.reserve(counters_.size());
-  for (const auto& [name, c] : counters_) {
-    snap.counters.emplace_back(name, c->value());
-  }
-  snap.gauges.reserve(gauges_.size());
-  for (const auto& [name, g] : gauges_) {
-    snap.gauges.emplace_back(name, g->value());
-  }
-  snap.histograms.reserve(histograms_.size());
-  for (const auto& [name, h] : histograms_) {
-    snap.histograms.push_back(make_histogram_view(name, *h, {}));
-  }
-  for (const auto& [name, s] : sketches_) {
-    snap.sketches.push_back(make_sketch_view(name, *s, {}));
-  }
-  for (const auto& [name, f] : counter_families_) {
-    f->for_each([&](const std::vector<std::string>& values,
-                    const Counter& c) {
-      Snapshot::CounterView view;
-      view.name = name;
-      view.labels = make_labels(f->label_keys(), values);
-      view.value = c.value();
-      snap.family_counters.push_back(std::move(view));
-    });
-  }
-  for (const auto& [name, f] : gauge_families_) {
-    f->for_each([&](const std::vector<std::string>& values, const Gauge& g) {
-      Snapshot::GaugeView view;
-      view.name = name;
-      view.labels = make_labels(f->label_keys(), values);
-      view.value = g.value();
-      snap.family_gauges.push_back(std::move(view));
-    });
-  }
-  for (const auto& [name, f] : histogram_families_) {
-    f->for_each([&](const std::vector<std::string>& values,
-                    const Histogram& h) {
-      snap.histograms.push_back(make_histogram_view(
-          name, h, make_labels(f->label_keys(), values)));
-    });
-  }
-  for (const auto& [name, f] : sketch_families_) {
-    f->for_each([&](const std::vector<std::string>& values,
-                    const QuantileSketch& s) {
-      snap.sketches.push_back(make_sketch_view(
-          name, s, make_labels(f->label_keys(), values)));
-    });
-  }
+  append_views(std::get<Store<Counter>>(stores_), snap.counters);
+  append_views(std::get<Store<Gauge>>(stores_), snap.gauges);
+  append_views(std::get<Store<Histogram>>(stores_), snap.histograms);
+  append_views(std::get<Store<QuantileSketch>>(stores_), snap.sketches);
   return snap;
 }
 
 std::string Registry::to_json() const {
+  using util::json::number;
   const Snapshot snap = snapshot();
+  const auto key = [](const auto& view) {
+    return util::json::quote(series_key(view.name, view.labels));
+  };
   std::ostringstream os;
   os << "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, value] : snap.counters) {
-    os << (first ? "" : ",") << '"' << json_escape(name) << "\":" << value;
-    first = false;
-  }
-  for (const auto& c : snap.family_counters) {
-    os << (first ? "" : ",") << '"'
-       << json_escape(series_key(c.name, c.labels)) << "\":" << c.value;
-    first = false;
+  for (std::size_t i = 0; i < snap.counters.size(); ++i) {
+    const auto& c = snap.counters[i];
+    os << (i ? "," : "") << key(c) << ':' << c.value;
   }
   os << "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, value] : snap.gauges) {
-    os << (first ? "" : ",") << '"' << json_escape(name)
-       << "\":" << json_number(value);
-    first = false;
-  }
-  for (const auto& g : snap.family_gauges) {
-    os << (first ? "" : ",") << '"'
-       << json_escape(series_key(g.name, g.labels))
-       << "\":" << json_number(g.value);
-    first = false;
+  for (std::size_t i = 0; i < snap.gauges.size(); ++i) {
+    const auto& g = snap.gauges[i];
+    os << (i ? "," : "") << key(g) << ':' << number(g.value);
   }
   os << "},\"histograms\":{";
   for (std::size_t i = 0; i < snap.histograms.size(); ++i) {
     const auto& h = snap.histograms[i];
-    os << (i ? "," : "") << '"' << json_escape(series_key(h.name, h.labels))
-       << "\":{\"bounds\":[";
+    os << (i ? "," : "") << key(h) << ":{\"bounds\":[";
     for (std::size_t j = 0; j < h.bounds.size(); ++j) {
-      os << (j ? "," : "") << json_number(h.bounds[j]);
+      os << (j ? "," : "") << number(h.bounds[j]);
     }
     os << "],\"buckets\":[";
     for (std::size_t j = 0; j < h.buckets.size(); ++j) {
       os << (j ? "," : "") << h.buckets[j];
     }
-    os << "],\"count\":" << h.count << ",\"sum\":" << json_number(h.sum)
-       << ",\"p50\":" << json_number(h.p50) << ",\"p95\":"
-       << json_number(h.p95) << ",\"p99\":" << json_number(h.p99) << '}';
+    os << "],\"count\":" << h.count << ",\"sum\":" << number(h.sum)
+       << ",\"p50\":" << number(h.p50) << ",\"p95\":" << number(h.p95)
+       << ",\"p99\":" << number(h.p99) << '}';
   }
   os << "},\"sketches\":{";
   for (std::size_t i = 0; i < snap.sketches.size(); ++i) {
     const auto& s = snap.sketches[i];
-    os << (i ? "," : "") << '"' << json_escape(series_key(s.name, s.labels))
-       << "\":{\"relative_accuracy\":" << json_number(s.relative_accuracy)
-       << ",\"count\":" << s.count << ",\"sum\":" << json_number(s.sum)
-       << ",\"min\":" << json_number(s.min) << ",\"max\":"
-       << json_number(s.max) << ",\"zero_count\":" << s.zero_count
+    os << (i ? "," : "") << key(s)
+       << ":{\"relative_accuracy\":" << number(s.relative_accuracy)
+       << ",\"count\":" << s.count << ",\"sum\":" << number(s.sum)
+       << ",\"min\":" << number(s.min) << ",\"max\":" << number(s.max)
+       << ",\"zero_count\":" << s.zero_count
        << ",\"tracked_buckets\":" << s.buckets.size() << ",\"collapsed\":"
-       << s.collapsed << ",\"p50\":" << json_number(s.p50) << ",\"p95\":"
-       << json_number(s.p95) << ",\"p99\":" << json_number(s.p99)
-       << ",\"p999\":" << json_number(s.p999) << '}';
+       << s.collapsed << ",\"p50\":" << number(s.p50) << ",\"p95\":"
+       << number(s.p95) << ",\"p99\":" << number(s.p99)
+       << ",\"p999\":" << number(s.p999) << '}';
   }
   os << "}}";
-  return os.str();
-}
-
-std::string Registry::to_csv() const {
-  const Snapshot snap = snapshot();
-  std::ostringstream os;
-  util::CsvWriter csv(os, {"kind", "name", "field", "value"});
-  for (const auto& [name, v] : snap.counters) {
-    csv.row({"counter", name, "value", util::CsvWriter::cell(
-        static_cast<unsigned long long>(v))});
-  }
-  for (const auto& c : snap.family_counters) {
-    csv.row({"counter", series_key(c.name, c.labels), "value",
-             util::CsvWriter::cell(static_cast<unsigned long long>(c.value))});
-  }
-  for (const auto& [name, v] : snap.gauges) {
-    csv.row({"gauge", name, "value", util::CsvWriter::cell(v)});
-  }
-  for (const auto& g : snap.family_gauges) {
-    csv.row({"gauge", series_key(g.name, g.labels), "value",
-             util::CsvWriter::cell(g.value)});
-  }
-  for (const auto& h : snap.histograms) {
-    const std::string key = series_key(h.name, h.labels);
-    csv.row({"histogram", key, "count", util::CsvWriter::cell(
-        static_cast<unsigned long long>(h.count))});
-    csv.row({"histogram", key, "sum", util::CsvWriter::cell(h.sum)});
-    csv.row({"histogram", key, "p50", util::CsvWriter::cell(h.p50)});
-    csv.row({"histogram", key, "p95", util::CsvWriter::cell(h.p95)});
-    csv.row({"histogram", key, "p99", util::CsvWriter::cell(h.p99)});
-    for (std::size_t j = 0; j < h.buckets.size(); ++j) {
-      const std::string field =
-          j < h.bounds.size()
-              ? "le=" + util::CsvWriter::cell(h.bounds[j])
-              : std::string("le=+inf");
-      csv.row({"histogram", key, field, util::CsvWriter::cell(
-          static_cast<unsigned long long>(h.buckets[j]))});
-    }
-  }
-  for (const auto& s : snap.sketches) {
-    const std::string key = series_key(s.name, s.labels);
-    csv.row({"sketch", key, "count", util::CsvWriter::cell(
-        static_cast<unsigned long long>(s.count))});
-    csv.row({"sketch", key, "sum", util::CsvWriter::cell(s.sum)});
-    csv.row({"sketch", key, "min", util::CsvWriter::cell(s.min)});
-    csv.row({"sketch", key, "max", util::CsvWriter::cell(s.max)});
-    csv.row({"sketch", key, "p50", util::CsvWriter::cell(s.p50)});
-    csv.row({"sketch", key, "p95", util::CsvWriter::cell(s.p95)});
-    csv.row({"sketch", key, "p99", util::CsvWriter::cell(s.p99)});
-    csv.row({"sketch", key, "p999", util::CsvWriter::cell(s.p999)});
-  }
   return os.str();
 }
 

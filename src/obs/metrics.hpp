@@ -1,13 +1,17 @@
-// Metrics registry: named counters, gauges and fixed-bin histograms cheap
-// enough for simulation hot paths.
+// Metrics registry: named counters, gauges, fixed-bin histograms and
+// quantile sketches cheap enough for simulation hot paths.
 //
 // Design constraints (mirroring production VoD servers, e.g. the
 // performance-counter blocks of nginx-vod-module):
 //   * increments are lock-free (relaxed atomics) — safe from any thread;
 //   * instrument handles are stable for the registry's lifetime, so hot
 //     loops resolve a name once and then touch only the atomic;
+//   * one store: every instrument is a series of a family (obs/family.hpp),
+//     and an unlabeled instrument is the one series of a family with no
+//     label keys — the OpenMetrics model, where an unlabeled metric is a
+//     family whose label set is empty;
 //   * snapshots are lazily materialized on demand: nothing is aggregated
-//     until snapshot()/to_json()/to_csv() is called;
+//     until snapshot()/to_json()/to_openmetrics() is called;
 //   * when no registry is wired up (the null-sink default) instrumented code
 //     pays one pointer test and nothing else.
 #pragma once
@@ -18,6 +22,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "obs/family.hpp"
@@ -101,7 +106,10 @@ class Histogram {
 /// Bucket bounds for tune-in waits in minutes: 0.01 .. ~30 min.
 [[nodiscard]] std::vector<double> default_latency_bounds_min();
 
-/// Point-in-time copy of every instrument, detached from the registry.
+/// Point-in-time copy of every series, detached from the registry. Each
+/// kind has one view vector: unlabeled series first, in name order, then
+/// labeled series in (name, label-tuple) order with a family's overflow
+/// series last — the order every export prints.
 struct Snapshot {
   /// (key, value) pairs in the family's key order; empty for unlabeled
   /// instruments.
@@ -152,24 +160,21 @@ struct Snapshot {
     std::string name;
     Labels labels;
     std::uint64_t value = 0;
+
+    bool operator==(const CounterView&) const = default;
   };
   struct GaugeView {
     std::string name;
     Labels labels;
     double value = 0.0;
+
+    bool operator==(const GaugeView&) const = default;
   };
 
-  std::vector<std::pair<std::string, std::uint64_t>> counters;
-  std::vector<std::pair<std::string, double>> gauges;
-  /// Unlabeled histograms first, then family series in (name, label-tuple)
-  /// order.
+  std::vector<CounterView> counters;
+  std::vector<GaugeView> gauges;
   std::vector<HistogramView> histograms;
-  /// Unlabeled sketches first, then family series in (name, label-tuple)
-  /// order.
   std::vector<SketchView> sketches;
-  /// Family counter/gauge series in (name, label-tuple) order.
-  std::vector<CounterView> family_counters;
-  std::vector<GaugeView> family_gauges;
 };
 
 /// Owns the instruments. Lookup/creation takes a mutex (cold path);
@@ -180,11 +185,13 @@ class Registry {
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  /// Finds or creates. Names are conventionally dotted lowercase paths,
-  /// e.g. "sim.clients_served" (see docs/OBSERVABILITY.md). A name is bound
-  /// to one instrument kind for the registry's lifetime; re-registering it
-  /// as another kind throws std::invalid_argument (two kinds under one name
-  /// would emit duplicate series in exposition).
+  /// Finds or creates the one series of the label-free family `name`.
+  /// Names are conventionally dotted lowercase paths, e.g.
+  /// "sim.clients_served" (see docs/OBSERVABILITY.md). A name is bound to
+  /// one instrument kind and one label-key list for the registry's
+  /// lifetime; asking for it as another kind, or with other label keys,
+  /// throws std::invalid_argument (two shapes under one name would emit
+  /// clashing series in exposition).
   [[nodiscard]] Counter& counter(const std::string& name);
   [[nodiscard]] Gauge& gauge(const std::string& name);
   /// `bounds` is used only on first creation; later calls with the same
@@ -195,9 +202,10 @@ class Registry {
   [[nodiscard]] QuantileSketch& sketch(const std::string& name,
                                        QuantileSketch::Options options = {});
 
-  /// Labeled families. `label_keys` / `max_series` (and bounds / options)
-  /// are used only on first creation; the cardinality-cap overflow of every
-  /// family increments the registry's "obs.labels_dropped" counter.
+  /// Labeled families. `max_series` (and bounds / options) are used only on
+  /// first creation; the cardinality-cap overflow of every labeled family
+  /// increments the registry's "obs.labels_dropped" counter. An empty
+  /// `label_keys` names the label-free family the accessors above use.
   [[nodiscard]] Family<Counter>& counter_family(
       const std::string& name, std::vector<std::string> label_keys,
       std::size_t max_series = kDefaultMaxSeries);
@@ -217,22 +225,23 @@ class Registry {
 
   /// Folds another registry into this one — the shard-merge for parallel
   /// runs where each worker records into a private sink and the results are
-  /// combined after the join. Semantics per kind: counters add; gauges take
-  /// the maximum (every current gauge is a peak: peak rate, deepest queue);
-  /// histograms add bucket-wise; sketches add log-bucket-wise; families
-  /// fold label-wise (per-series, by the same kind rules, subject to this
-  /// registry's cardinality cap). Instruments new here are adopted with
-  /// `other`'s shape. A histogram-bounds or sketch-accuracy mismatch throws
-  /// std::invalid_argument naming the instrument. Merging in a fixed shard
-  /// order yields identical registries at any thread count.
+  /// combined after the join. Families fold label-wise (subject to this
+  /// registry's cardinality cap), each series by its kind's rule: counters
+  /// add; gauges take the maximum (every current gauge is a peak: peak
+  /// rate, deepest queue); histograms add bucket-wise; sketches add
+  /// log-bucket-wise. Families new here are adopted with `other`'s shape.
+  /// Every name of `other` is checked before anything is bound or folded,
+  /// so a failed merge leaves this registry unchanged: a kind clash or a
+  /// histogram-bounds / sketch-accuracy mismatch throws
+  /// std::invalid_argument naming the instrument, and a label-key clash
+  /// violates the precondition that shards share one schema. Merging in a
+  /// fixed shard order yields identical registries at any thread count.
   void merge_from(const Registry& other);
 
   /// One JSON object: {"counters":{...},"gauges":{...},"histograms":{...},
-  /// "sketches":{...}}. Family series flatten into their section under
+  /// "sketches":{...}}. Labeled series flatten into their section under
   /// 'name{key=value,...}' keys.
   [[nodiscard]] std::string to_json() const;
-  /// Flat CSV: kind,name,field,value — one row per scalar / bucket.
-  [[nodiscard]] std::string to_csv() const;
   /// OpenMetrics text exposition (# TYPE/# HELP/# EOF, escaped labels,
   /// _bucket/_sum/_count histogram series, summary quantiles for sketches).
   /// Dotted names are sanitized to underscore form; # HELP preserves the
@@ -240,34 +249,32 @@ class Registry {
   [[nodiscard]] std::string to_openmetrics() const;
 
  private:
-  enum class Kind : std::uint8_t {
-    kCounter,
-    kGauge,
-    kHistogram,
-    kSketch,
-    kCounterFamily,
-    kGaugeFamily,
-    kHistogramFamily,
-    kSketchFamily,
-  };
-  /// Binds `name` to `kind`; throws std::invalid_argument on a kind clash.
-  /// Requires mutex_ held.
-  void claim(const std::string& name, Kind kind);
-  /// Requires mutex_ held.
-  [[nodiscard]] Counter& counter_locked(const std::string& name);
+  enum class Kind : std::uint8_t { kCounter, kGauge, kHistogram, kSketch };
+  template <typename T>
+  using Store = std::map<std::string, std::unique_ptr<Family<T>>>;
+
+  /// Finds or creates the family `name`; `label_keys`, `max_series` and
+  /// `factory` shape a new family. Throws std::invalid_argument when `name`
+  /// is bound to another kind or another label-key list. Requires mutex_
+  /// held.
+  template <typename T>
+  [[nodiscard]] Family<T>& family_locked(const std::string& name,
+                                         std::vector<std::string> label_keys,
+                                         std::size_t max_series,
+                                         typename Family<T>::Factory factory);
+  /// Throws, changing nothing, when a kind-T family of `other` cannot fold
+  /// into this registry. Requires both mutexes held.
+  template <typename T>
+  void check_merge_locked(const Registry& other) const;
+  /// Folds `other`'s kind-T families in. Requires both mutexes held.
+  template <typename T>
+  void merge_locked(const Registry& other);
 
   mutable std::mutex mutex_;
   std::map<std::string, Kind> kinds_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-  std::map<std::string, std::unique_ptr<QuantileSketch>> sketches_;
-  std::map<std::string, std::unique_ptr<Family<Counter>>> counter_families_;
-  std::map<std::string, std::unique_ptr<Family<Gauge>>> gauge_families_;
-  std::map<std::string, std::unique_ptr<Family<Histogram>>>
-      histogram_families_;
-  std::map<std::string, std::unique_ptr<Family<QuantileSketch>>>
-      sketch_families_;
+  std::tuple<Store<Counter>, Store<Gauge>, Store<Histogram>,
+             Store<QuantileSketch>>
+      stores_;
 };
 
 }  // namespace vodbcast::obs

@@ -117,25 +117,18 @@ std::string Registry::to_openmetrics() const {
   std::ostringstream os;
   std::string last_name;
 
-  for (const auto& [name, value] : snap.counters) {
-    const std::string om = sanitize_name(name);
-    header(os, last_name, om, name, "counter", "monotonic event count");
-    os << om << "_total " << value << '\n';
-  }
-  for (const auto& c : snap.family_counters) {
+  for (const auto& c : snap.counters) {
     const std::string om = sanitize_name(c.name);
     header(os, last_name, om, c.name, "counter",
-           "monotonic event count, labeled");
+           c.labels.empty() ? "monotonic event count"
+                            : "monotonic event count, labeled");
     os << om << "_total" << label_block(c.labels) << ' ' << c.value << '\n';
   }
-  for (const auto& [name, value] : snap.gauges) {
-    const std::string om = sanitize_name(name);
-    header(os, last_name, om, name, "gauge", "last-written scalar");
-    os << om << ' ' << format_value(value) << '\n';
-  }
-  for (const auto& g : snap.family_gauges) {
+  for (const auto& g : snap.gauges) {
     const std::string om = sanitize_name(g.name);
-    header(os, last_name, om, g.name, "gauge", "last-written scalar, labeled");
+    header(os, last_name, om, g.name, "gauge",
+           g.labels.empty() ? "last-written scalar"
+                            : "last-written scalar, labeled");
     os << om << label_block(g.labels) << ' ' << format_value(g.value) << '\n';
   }
   for (const auto& h : snap.histograms) {

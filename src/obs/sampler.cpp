@@ -1,23 +1,15 @@
 #include "obs/sampler.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
 #include "obs/sink.hpp"
 #include "util/contracts.hpp"
+#include "util/json.hpp"
 
 namespace vodbcast::obs {
 
-namespace {
-
-std::string fmt(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%.10g", v);
-  return buf;
-}
-
-}  // namespace
+using util::json::number;
 
 Sampler::Sampler(Options options) : options_(options) {
   VB_EXPECTS(options_.interval_min > 0.0);
@@ -99,10 +91,10 @@ std::vector<Sampler::Sample> Sampler::samples() const {
 std::string Sampler::to_jsonl() const {
   std::ostringstream os;
   for (const auto& row : samples()) {
-    os << "{\"t\":" << fmt(row.t) << ",\"series\":{";
+    os << "{\"t\":" << number(row.t) << ",\"series\":{";
     for (std::size_t i = 0; i < row.series.size(); ++i) {
-      os << (i ? "," : "") << '"' << row.series[i].first
-         << "\":" << fmt(row.series[i].second);
+      os << (i ? "," : "") << util::json::quote(row.series[i].first) << ':'
+         << number(row.series[i].second);
     }
     os << "}}\n";
   }

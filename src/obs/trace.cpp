@@ -1,10 +1,10 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
 #include "util/contracts.hpp"
+#include "util/json.hpp"
 
 namespace vodbcast::obs {
 
@@ -14,13 +14,9 @@ namespace {
 // keeping chrome://tracing timelines legible for hour-scale horizons.
 constexpr double kMicrosPerSimMinute = 1e6;
 
-std::string fmt(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%.10g", v);
-  return buf;
-}
-
 }  // namespace
+
+using util::json::number;
 
 const char* to_string(EventKind kind) noexcept {
   switch (kind) {
@@ -111,10 +107,10 @@ std::vector<TraceEvent> Tracer::events() const {
 std::string Tracer::to_jsonl() const {
   std::ostringstream os;
   for (const auto& e : events()) {
-    os << "{\"t\":" << fmt(e.sim_time_min) << ",\"event\":\""
+    os << "{\"t\":" << number(e.sim_time_min) << ",\"event\":\""
        << to_string(e.kind) << "\",\"channel\":" << e.channel
        << ",\"video\":" << e.video << ",\"client\":" << e.client
-       << ",\"value\":" << fmt(e.value) << "}\n";
+       << ",\"value\":" << number(e.value) << "}\n";
   }
   return os.str();
 }
@@ -127,16 +123,17 @@ std::string Tracer::to_chrome_trace() const {
     const double ts = e.sim_time_min * kMicrosPerSimMinute;
     os << (first ? "" : ",") << "\n{\"name\":\"" << to_string(e.kind)
        << "\",\"cat\":\"vodbcast\",\"pid\":1,\"tid\":" << e.channel
-       << ",\"ts\":" << fmt(ts);
+       << ",\"ts\":" << number(ts);
     if (e.kind == EventKind::kSegmentDownloadStart && e.value > 0.0) {
       // Downloads carry their duration: emit a complete ("X") span so the
       // viewer draws a bar instead of a tick.
-      os << ",\"ph\":\"X\",\"dur\":" << fmt(e.value * kMicrosPerSimMinute);
+      os << ",\"ph\":\"X\",\"dur\":"
+         << number(e.value * kMicrosPerSimMinute);
     } else {
       os << ",\"ph\":\"i\",\"s\":\"t\"";
     }
     os << ",\"args\":{\"video\":" << e.video << ",\"client\":" << e.client
-       << ",\"value\":" << fmt(e.value) << "}}";
+       << ",\"value\":" << number(e.value) << "}}";
     first = false;
   }
   os << "\n]}\n";

@@ -1,6 +1,7 @@
 #include "util/json.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -333,6 +334,15 @@ std::string quote(std::string_view text) {
   return out;
 }
 
+std::string number(double value) {
+  if (!std::isfinite(value)) {
+    return "null";
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.10g", value);
+  return buf;
+}
+
 namespace {
 
 void dump_into(const Value& value, std::string& out) {
@@ -343,18 +353,9 @@ void dump_into(const Value& value, std::string& out) {
     case Value::Kind::kBool:
       out += value.as_bool() ? "true" : "false";
       return;
-    case Value::Kind::kNumber: {
-      char buf[64];
-      std::snprintf(buf, sizeof buf, "%.10g", value.as_number());
-      const std::string_view s = buf;
-      if (s.find("inf") != std::string_view::npos ||
-          s.find("nan") != std::string_view::npos) {
-        out += "null";
-      } else {
-        out += s;
-      }
+    case Value::Kind::kNumber:
+      out += number(value.as_number());
       return;
-    }
     case Value::Kind::kString:
       out += quote(value.as_string());
       return;

@@ -4,9 +4,10 @@
 //
 // Scope is deliberately small — parse a complete document into an immutable
 // Value tree (null/bool/number/string/array/object). Writers in this repo
-// emit JSON by hand (see obs::Registry::to_json); this is the matching read
-// side, not a serialization framework. Numbers are doubles, which is exact
-// for every integer the harness emits (< 2^53).
+// emit JSON by hand (see obs::Registry::to_json) with the quote() and
+// number() helpers below; this is the matching read side, not a
+// serialization framework. Numbers are doubles, which is exact for every
+// integer the harness emits (< 2^53).
 #pragma once
 
 #include <cstdint>
@@ -97,11 +98,15 @@ class Value {
 /// Parses JSON-Lines: one document per non-empty line.
 [[nodiscard]] std::vector<Value> parse_jsonl(std::string_view text);
 
-/// Serializes a Value back to compact JSON (keys in map order; numbers via
-/// %.10g with inf/nan clamped to null, matching the hand-written emitters).
+/// Serializes a Value back to compact JSON (keys in map order; numbers as
+/// number() writes them).
 [[nodiscard]] std::string dump(const Value& value);
 
 /// Escapes and quotes one string for embedding in hand-written JSON.
 [[nodiscard]] std::string quote(std::string_view text);
+
+/// Formats one number for hand-written JSON: %.10g, and null for inf and
+/// NaN, which JSON cannot represent.
+[[nodiscard]] std::string number(double value);
 
 }  // namespace vodbcast::util::json

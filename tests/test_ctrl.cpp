@@ -310,9 +310,9 @@ TEST(AdaptiveSimTest, DrainsCompleteBeforeBandwidthMoves) {
   // The ctrl.* instruments recorded the same story.
   const auto snapshot = sink.metrics.snapshot();
   const auto counter = [&](const std::string& name) -> std::uint64_t {
-    for (const auto& [n, v] : snapshot.counters) {
-      if (n == name) {
-        return v;
+    for (const auto& c : snapshot.counters) {
+      if (c.name == name) {
+        return c.value;
       }
     }
     return 0;

@@ -294,17 +294,17 @@ TEST(EventQueueTest, SinkCountsTrafficSpillsAndSlabHighWater) {
   }
   const auto snap = sink.metrics.snapshot();
   const auto counter = [&](const std::string& name) -> std::uint64_t {
-    for (const auto& [key, value] : snap.counters) {
-      if (key == name) {
-        return value;
+    for (const auto& c : snap.counters) {
+      if (c.name == name) {
+        return c.value;
       }
     }
     return 0;
   };
   const auto gauge = [&](const std::string& name) -> double {
-    for (const auto& [key, value] : snap.gauges) {
-      if (key == name) {
-        return value;
+    for (const auto& g : snap.gauges) {
+      if (g.name == name) {
+        return g.value;
       }
     }
     return -1.0;

@@ -279,14 +279,12 @@ TEST(FederationTest, MetricsFamiliesConserveArrivals) {
   const auto snapshot = sink.metrics.snapshot();
   std::uint64_t total = 0;
   std::uint64_t family_sum = 0;
-  for (const auto& [name, value] : snapshot.counters) {
-    if (name == "metro.arrivals") {
-      total = value;
-    }
-  }
-  for (const auto& series : snapshot.family_counters) {
-    if (series.name == "metro.served_local" ||
-        series.name == "metro.rerouted" || series.name == "metro.rejected") {
+  for (const auto& series : snapshot.counters) {
+    if (series.name == "metro.arrivals") {
+      total = series.value;
+    } else if (series.name == "metro.served_local" ||
+               series.name == "metro.rerouted" ||
+               series.name == "metro.rejected") {
       family_sum += series.value;
     }
   }

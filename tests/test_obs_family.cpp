@@ -3,12 +3,14 @@
 #include <gmock/gmock.h>
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "util/contracts.hpp"
+#include "util/json.hpp"
 
 namespace vodbcast::obs {
 namespace {
@@ -136,22 +138,48 @@ TEST(RegistryKindTest, NameIsBoundToOneKind) {
   EXPECT_EQ(reg.counter("m").value(), 1U);
 }
 
+TEST(RegistryKindTest, NameIsBoundToOneLabelKeyList) {
+  Registry reg;
+  (void)reg.counter_family("f", {"title"});
+  EXPECT_THROW((void)reg.counter_family("f", {"region"}),
+               std::invalid_argument);
+  EXPECT_THROW((void)reg.counter("f"), std::invalid_argument);
+  EXPECT_NO_THROW((void)reg.counter_family("f", {"title"}));
+}
+
+TEST(RegistryKindTest, UnlabeledInstrumentIsALabelFreeFamily) {
+  Registry reg;
+  Counter& c = reg.counter("x");
+  auto& family = reg.counter_family("x", {});
+  EXPECT_EQ(&family.with({}), &c);
+  c.add(3);
+  EXPECT_EQ(family.series_count(), 1U);
+  // No labeled family exists, so nothing creates obs.labels_dropped.
+  const auto snap = reg.snapshot();
+  ASSERT_EQ(snap.counters.size(), 1U);
+  EXPECT_EQ(snap.counters[0].name, "x");
+  EXPECT_TRUE(snap.counters[0].labels.empty());
+  EXPECT_EQ(snap.counters[0].value, 3U);
+}
+
 TEST(RegistrySnapshotTest, FamiliesFlattenIntoViewsWithLabels) {
   Registry reg;
   reg.counter_family("c", {"title", "scheme"}).with({"1", "sb"}).add(4);
   reg.gauge_family("g", {"channel"}).with({"0"}).set(0.75);
   reg.sketch_family("s", {"title"}).with({"1"}).observe(2.0);
   const auto snap = reg.snapshot();
-  ASSERT_EQ(snap.family_counters.size(), 1U);
-  EXPECT_EQ(snap.family_counters[0].name, "c");
-  EXPECT_THAT(snap.family_counters[0].labels,
+  // Unlabeled series come first: obs.labels_dropped, then the family's.
+  ASSERT_EQ(snap.counters.size(), 2U);
+  EXPECT_EQ(snap.counters[0].name, "obs.labels_dropped");
+  EXPECT_EQ(snap.counters[1].name, "c");
+  EXPECT_THAT(snap.counters[1].labels,
               testing::ElementsAre(std::pair<std::string, std::string>{
                                        "title", "1"},
                                    std::pair<std::string, std::string>{
                                        "scheme", "sb"}));
-  EXPECT_EQ(snap.family_counters[0].value, 4U);
-  ASSERT_EQ(snap.family_gauges.size(), 1U);
-  EXPECT_DOUBLE_EQ(snap.family_gauges[0].value, 0.75);
+  EXPECT_EQ(snap.counters[1].value, 4U);
+  ASSERT_EQ(snap.gauges.size(), 1U);
+  EXPECT_DOUBLE_EQ(snap.gauges[0].value, 0.75);
   ASSERT_EQ(snap.sketches.size(), 1U);
   EXPECT_EQ(snap.sketches[0].name, "s");
   EXPECT_EQ(snap.sketches[0].count, 1U);
@@ -163,6 +191,17 @@ TEST(RegistrySnapshotTest, JsonFlattensSeriesKeys) {
   const std::string json = reg.to_json();
   EXPECT_THAT(json, testing::HasSubstr("\"c{title=3}\":7"));
   EXPECT_THAT(json, testing::HasSubstr("\"sketches\":{"));
+}
+
+TEST(RegistrySnapshotTest, JsonQuotesControlBytesInSeriesKeys) {
+  Registry reg;
+  reg.counter_family("c", {"k"}).with({"x\ty"}).add(2);
+  const std::string json = reg.to_json();
+  EXPECT_TRUE(std::none_of(json.begin(), json.end(), [](char ch) {
+    return static_cast<unsigned char>(ch) < 0x20;
+  }));
+  const auto doc = util::json::parse(json);
+  EXPECT_DOUBLE_EQ(doc.at("counters").at("c{k=x\ty}").as_number(), 2.0);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <stdexcept>
 #include <thread>
@@ -81,10 +82,10 @@ TEST(RegistryTest, SnapshotIsIsolatedFromLaterUpdates) {
   const Snapshot before = registry.snapshot();
   c.add(100);
   ASSERT_EQ(before.counters.size(), 1U);
-  EXPECT_EQ(before.counters[0].first, "events");
-  EXPECT_EQ(before.counters[0].second, 5U);  // unchanged by the later add
+  EXPECT_EQ(before.counters[0].name, "events");
+  EXPECT_EQ(before.counters[0].value, 5U);  // unchanged by the later add
   const Snapshot after = registry.snapshot();
-  EXPECT_EQ(after.counters[0].second, 105U);
+  EXPECT_EQ(after.counters[0].value, 105U);
 }
 
 TEST(RegistryTest, ConcurrentIncrementsAreLossless) {
@@ -105,6 +106,64 @@ TEST(RegistryTest, ConcurrentIncrementsAreLossless) {
     t.join();
   }
   EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kThreads * kPerThread));
+}
+
+TEST(RegistryTest, ConcurrentLookupsShareOneInstrument) {
+  // Unlabeled lookups go through their label-free family's lock; threads
+  // racing them against labeled lookups and snapshots must all resolve the
+  // same instruments and lose no add.
+  Registry registry;
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 400;
+  struct Seen {
+    Counter* counter = nullptr;
+    QuantileSketch* sketch = nullptr;
+    Counter* series = nullptr;
+  };
+  std::vector<Seen> seen(kThreads);
+  std::atomic<int> moved{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&registry, &seen, &moved, t] {
+      const auto label = static_cast<std::uint64_t>(t % 3);
+      for (int i = 0; i < kRounds; ++i) {
+        const Seen now{&registry.counter("x"), &registry.sketch("s"),
+                       &registry.counter_family("f", {"k"}).with_ids({label})};
+        now.counter->add();
+        now.sketch->observe(1.0 + t);
+        now.series->add();
+        if (i == 0) {
+          seen[t] = now;
+        } else if (now.counter != seen[t].counter ||
+                   now.sketch != seen[t].sketch ||
+                   now.series != seen[t].series) {
+          moved.fetch_add(1);
+        }
+        if (i % 50 == 0) {
+          (void)registry.snapshot();
+        }
+      }
+    });
+  }
+  for (auto& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(moved.load(), 0);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(seen[t].counter, seen[0].counter) << t;
+    EXPECT_EQ(seen[t].sketch, seen[0].sketch) << t;
+    EXPECT_EQ(seen[t].series, seen[t % 3].series) << t;
+  }
+  EXPECT_NE(seen[0].series, seen[1].series);
+  constexpr auto kAdds = static_cast<std::uint64_t>(kThreads * kRounds);
+  EXPECT_EQ(registry.counter("x").value(), kAdds);
+  EXPECT_EQ(registry.sketch("s").count(), kAdds);
+  std::uint64_t family_total = 0;
+  for (const auto& c : registry.snapshot().counters) {
+    family_total += c.name == "f" ? c.value : 0;
+  }
+  EXPECT_EQ(family_total, kAdds);
 }
 
 TEST(RegistryTest, ConcurrentSketchObservesAreLossless) {
@@ -175,23 +234,10 @@ TEST(RegistryTest, JsonExportIsStructurallySound) {
             std::count(json.begin(), json.end(), ']'));
 }
 
-TEST(RegistryTest, CsvExportListsEveryInstrument) {
-  Registry registry;
-  registry.counter("a").add(1);
-  registry.gauge("b").set(2.0);
-  registry.histogram("c", {5.0}).observe(1.0);
-  const std::string csv = registry.to_csv();
-  EXPECT_NE(csv.find("kind,name,field,value"), std::string::npos);
-  EXPECT_NE(csv.find("counter,a,value,1"), std::string::npos);
-  EXPECT_NE(csv.find("gauge,b,value,2"), std::string::npos);
-  EXPECT_NE(csv.find("histogram,c,count,1"), std::string::npos);
-  EXPECT_NE(csv.find("le=+inf"), std::string::npos);
-}
-
 std::uint64_t counter_value(const Snapshot& snap, const std::string& name) {
-  for (const auto& [n, v] : snap.counters) {
-    if (n == name) {
-      return v;
+  for (const auto& c : snap.counters) {
+    if (c.name == name) {
+      return c.value;
     }
   }
   ADD_FAILURE() << "no counter named " << name;
@@ -199,9 +245,9 @@ std::uint64_t counter_value(const Snapshot& snap, const std::string& name) {
 }
 
 double gauge_value(const Snapshot& snap, const std::string& name) {
-  for (const auto& [n, v] : snap.gauges) {
-    if (n == name) {
-      return v;
+  for (const auto& g : snap.gauges) {
+    if (g.name == name) {
+      return g.value;
     }
   }
   ADD_FAILURE() << "no gauge named " << name;
@@ -298,6 +344,28 @@ TEST(RegistryMergeTest, RejectsKindClashAcrossRegistries) {
   EXPECT_THROW(a.merge_from(b), std::invalid_argument);
 }
 
+TEST(RegistryMergeTest, FailedMergeBindsNothing) {
+  // `b` holds a new name ("a") that sorts before its clashing one ("m").
+  Registry a;
+  (void)a.gauge("m");
+  Registry b;
+  b.counter("a").add(1);
+  b.counter("m").add(1);
+  EXPECT_THROW(a.merge_from(b), std::invalid_argument);
+  // "a" stayed unbound: it can still become a gauge here.
+  EXPECT_NO_THROW(a.gauge("a").set(1.0));
+
+  // A shape clash is found before anything folds, too.
+  Registry c;
+  c.histogram("h", {1.0, 2.0}).observe(0.5);
+  Registry d;
+  d.counter("a").add(5);
+  d.histogram("h", {1.0, 3.0}).observe(0.5);
+  const std::string before = c.to_json();
+  EXPECT_THROW(c.merge_from(d), std::invalid_argument);
+  EXPECT_EQ(c.to_json(), before);
+}
+
 TEST(RegistryMergeTest, ShardOrderFoldIsDeterministic) {
   // Folding per-worker registries in a fixed shard order must give the same
   // snapshot regardless of how work was distributed across the shards.
@@ -384,9 +452,9 @@ TEST(NullSinkTest, SimulationReportUnchangedBySink) {
   // And the sink actually saw the run.
   const auto snap = sink.metrics.snapshot();
   bool found_clients = false;
-  for (const auto& [name, value] : snap.counters) {
-    if (name == "sim.clients_served") {
-      EXPECT_EQ(value, observed.clients_served);
+  for (const auto& c : snap.counters) {
+    if (c.name == "sim.clients_served") {
+      EXPECT_EQ(c.value, observed.clients_served);
       found_clients = true;
     }
   }

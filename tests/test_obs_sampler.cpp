@@ -92,6 +92,16 @@ TEST(SamplerTest, ToJsonlParsesBack) {
       rows[1].at("series").at("batching.queue_depth").as_number(), 4.0);
 }
 
+TEST(SamplerTest, ToJsonlQuotesProbeNames) {
+  Sampler sampler(opts(1.0, 4));
+  (void)sampler.register_probe("odd \"name\"\t", [] { return 1.5; });
+  sampler.advance(0.5);
+  const auto rows = util::json::parse_jsonl(sampler.to_jsonl());
+  ASSERT_EQ(rows.size(), 1U);
+  EXPECT_DOUBLE_EQ(rows[0].at("series").at("odd \"name\"\t").as_number(),
+                   1.5);
+}
+
 TEST(SamplerTest, SampleNowIgnoresGrid) {
   Sampler sampler(opts(10.0, 16));
   (void)sampler.register_probe("x", [] { return 3.0; });

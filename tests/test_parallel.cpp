@@ -165,21 +165,29 @@ TEST(ReplicatedSimTest, MergedFamiliesAndSketchesBitIdenticalAtAnyThreadCount) {
   // order; both the series sets and the values must match bit for bit.
   std::vector<std::pair<std::string, std::uint64_t>> cs;
   std::vector<std::pair<std::string, std::uint64_t>> cp;
-  for (const auto& v : ms.family_counters) {
-    cs.emplace_back(series_id(v.name, v.labels), v.value);
+  for (const auto& v : ms.counters) {
+    if (!v.labels.empty()) {
+      cs.emplace_back(series_id(v.name, v.labels), v.value);
+    }
   }
-  for (const auto& v : mp.family_counters) {
-    cp.emplace_back(series_id(v.name, v.labels), v.value);
+  for (const auto& v : mp.counters) {
+    if (!v.labels.empty()) {
+      cp.emplace_back(series_id(v.name, v.labels), v.value);
+    }
   }
   EXPECT_EQ(cs, cp);
 
   std::vector<std::pair<std::string, double>> gs;
   std::vector<std::pair<std::string, double>> gp;
-  for (const auto& v : ms.family_gauges) {
-    gs.emplace_back(series_id(v.name, v.labels), v.value);
+  for (const auto& v : ms.gauges) {
+    if (!v.labels.empty()) {
+      gs.emplace_back(series_id(v.name, v.labels), v.value);
+    }
   }
-  for (const auto& v : mp.family_gauges) {
-    gp.emplace_back(series_id(v.name, v.labels), v.value);
+  for (const auto& v : mp.gauges) {
+    if (!v.labels.empty()) {
+      gp.emplace_back(series_id(v.name, v.labels), v.value);
+    }
   }
   EXPECT_FALSE(gs.empty());  // per-channel utilization must be present
   EXPECT_EQ(gs, gp);

@@ -2,6 +2,7 @@
 // executable documentation of the fixes.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -606,6 +607,72 @@ TEST(SessionSpanPinTest, AdaptiveWithFlipRestartAndAbsorbedQueues) {
   EXPECT_GT(parented_sessions(sink.spans), 0U);
   EXPECT_EQ(sink.spans.dropped(), 0U);
   EXPECT_DIGEST(text_digest(sink.spans.to_jsonl()), 0x6e52bb7ff83492df);
+}
+
+
+// ---------------------------------------------------------------------------
+// Registry export pins. One registry holds every instrument kind unlabeled,
+// labeled and past its cardinality cap (an overflow series plus
+// obs.labels_dropped); a second is a fixed-order fold of three such shards,
+// whose differing label tuples overflow again during the fold. The digests
+// are of to_json() and to_openmetrics() as they were when the registry kept
+// its unlabeled instruments in a store of their own, so every export of
+// metrics has to stay byte-identical. Labeled names sort before the
+// unlabeled ones of their kind, which pins "unlabeled series first".
+
+void fill_pinned_shard(obs::Registry& reg, std::uint64_t shard) {
+  const auto s = static_cast<double>(shard);
+  reg.counter("pin.requests").add(3 + shard);
+  reg.gauge("pin.peak_rate").max_of(2.5 * (s + 1.0));
+  auto& wait = reg.histogram("pin.wait_min", {0.5, 1.0, 5.0});
+  for (const double v : {0.25 + s, 0.75 * (s + 1.0), 7.0}) {
+    wait.observe(v);
+  }
+  auto& sketch = reg.sketch("pin.wait_sketch_min");
+  for (const double v : {0.0, 0.3 * (s + 1.0), 12.5, 1e-3}) {
+    sketch.observe(v);
+  }
+  // Cap 2: two tuples fit, the third of each shard overflows.
+  auto& by_title = reg.counter_family("pin.by_title", {"title"}, 2);
+  by_title.with({"a\"b"}).add(2);
+  by_title.with_ids({10 + shard}).add(1 + shard);
+  by_title.with_ids({7}).add(5);
+  auto& util = reg.gauge_family("pin.channel.util", {"channel"}, 2);
+  util.with_ids({0}).set(0.125 * (s + 1.0));
+  util.with_ids({1 + shard}).set(0.5);
+  util.with_ids({9}).max_of(0.875);
+  auto& batch = reg.histogram_family("pin.batch", {"title"}, {1.0, 4.0}, 2);
+  batch.with_ids({3}).observe(2.0 + s);
+  batch.with_ids({4 + shard}).observe(0.5);
+  batch.with_ids({8}).observe(9.0);
+  auto& client_wait = reg.sketch_family("pin.client.wait",
+                                        {"title", "region"}, {}, 2);
+  client_wait.with({"1", "north"}).observe(0.4 * (s + 1.0));
+  client_wait.with({std::to_string(2 + shard), "south"}).observe(3.0);
+  client_wait.with({"9", "east"}).observe(0.0);
+}
+
+TEST(RegistryExportPinTest, EveryKindUnlabeledLabeledAndOverflowing) {
+  obs::Registry reg;
+  fill_pinned_shard(reg, 0);
+  EXPECT_EQ(reg.counter("obs.labels_dropped").value(), 4U);
+  EXPECT_DIGEST(text_digest(reg.to_json()), 0x5d236438f48f70b7);
+  EXPECT_DIGEST(text_digest(reg.to_openmetrics()), 0xdc63b7a8a4dc1638);
+}
+
+TEST(RegistryExportPinTest, FixedOrderFoldOfThreeShards) {
+  std::array<obs::Registry, 3> shards;
+  for (std::uint64_t i = 0; i < shards.size(); ++i) {
+    fill_pinned_shard(shards[i], i);
+  }
+  obs::Registry fold;
+  for (const auto& shard : shards) {
+    fold.merge_from(shard);
+  }
+  // 4 drops per shard, plus 2 per family where the fold itself overflows.
+  EXPECT_EQ(fold.counter("obs.labels_dropped").value(), 20U);
+  EXPECT_DIGEST(text_digest(fold.to_json()), 0x6752cbce346743a1);
+  EXPECT_DIGEST(text_digest(fold.to_openmetrics()), 0x8b390dd4e1d657b9);
 }
 
 }  // namespace
