@@ -69,9 +69,7 @@ std::optional<std::string> flag_value(int argc, const char* const* argv,
 }  // namespace
 
 Session::Session(std::string name, int argc, const char* const* argv)
-    : name_(std::move(name)),
-      start_(std::chrono::steady_clock::now()),
-      reporter_(name_) {
+    : name_(std::move(name)), start_(std::chrono::steady_clock::now()) {
   out_dir_ = env_or("VODBCAST_BENCH_OUT", ".");
   if (env_int_or("VODBCAST_BENCH_QUICK", 0) != 0) {
     reps_ = 1;
@@ -170,12 +168,11 @@ void Session::write_result() {
                               .count()) /
       1e3;
   result.cases = cases_;
-  auto& sink = reporter_.sink();
-  obs::publish_drop_metrics(sink);
-  result.trace_recorded = sink.trace.recorded();
-  result.trace_dropped = sink.trace.dropped();
-  result.trace_capacity = sink.trace.capacity();
-  result.metrics = util::json::parse(sink.metrics.to_json());
+  obs::publish_drop_metrics(sink_);
+  result.trace_recorded = sink_.trace.recorded();
+  result.trace_dropped = sink_.trace.dropped();
+  result.trace_capacity = sink_.trace.capacity();
+  result.metrics = util::json::parse(sink_.metrics.to_json());
 
   const std::string path = result_path();
   std::error_code ec;

@@ -4,8 +4,8 @@
 // into, times named cases (warmup + repetitions, wall and CPU clocks,
 // p50/p95/p99 over the reps), keeps the human tables on stdout untouched,
 // and at exit writes one machine-readable BENCH_<name>.json (schema
-// "vodbcast-bench-v1", see src/obs/bench_result.hpp) plus the classic
-// `[obs-snapshot]` footer.
+// "vodbcast-bench-v1", see src/obs/bench_result.hpp) carrying the cases,
+// the wall time, the trace counts and the sink's metrics.
 //
 //   int main(int argc, char** argv) {
 //     vodbcast::bench::Session session("fig7_access_latency", argc, argv);
@@ -35,7 +35,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/bench_report.hpp"
 #include "obs/bench_result.hpp"
 #include "obs/sink.hpp"
 #include "util/task_pool.hpp"
@@ -57,14 +56,11 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  /// Writes BENCH_<name>.json into the output directory, then (via the
-  /// embedded BenchReporter) prints the [obs-snapshot] footer.
+  /// Writes BENCH_<name>.json into the output directory.
   ~Session();
 
-  [[nodiscard]] obs::Sink& sink() noexcept { return reporter_.sink(); }
-  [[nodiscard]] obs::Registry& metrics() noexcept {
-    return reporter_.metrics();
-  }
+  [[nodiscard]] obs::Sink& sink() noexcept { return sink_; }
+  [[nodiscard]] obs::Registry& metrics() noexcept { return sink_.metrics; }
 
   [[nodiscard]] int default_reps() const noexcept { return reps_; }
   [[nodiscard]] int default_warmup() const noexcept { return warmup_; }
@@ -139,12 +135,10 @@ class Session {
   int reps_ = 5;
   int warmup_ = 1;
   int threads_ = 1;
+  obs::Sink sink_;
   std::unique_ptr<util::TaskPool> pool_;
   std::vector<obs::BenchCaseResult> cases_;
   std::chrono::steady_clock::time_point start_;
-  // Last member: its destructor prints the [obs-snapshot] footer after the
-  // Session destructor body has written the JSON result.
-  obs::BenchReporter reporter_;
 };
 
 }  // namespace vodbcast::bench

@@ -7,12 +7,16 @@
 # simulate --spans-out run must reconcile against its own --metrics-out dump
 # under tools/trace_analyze --check), a fault-injection self-check (a
 # seeded simulate --fault-plan trace must satisfy the hit = repair +
-# degraded contract under tools/trace_check --faults), a metro federation
+# degraded contract under tools/trace_check --faults), a control-plane
+# self-check (a seeded hybrid --adaptive run with a popularity flip must
+# keep one download per loader and drain before every reallocation under
+# tools/trace_check --max-loaders 1 --realloc), a metro federation
 # self-check (a seeded 4-region vodbcast metro run must conserve arrivals
 # across served-local/rerouted/rejected under tools/metrics_check and
 # reproduce its stdout and metrics byte for byte at --threads 4), a
-# replication self-check (simulate --reps 4 and hybrid --reps 3 must give
-# byte-identical stdout and span exports at --threads 1 and --threads 4), a
+# replication self-check (simulate --reps 4, hybrid --reps 3 and
+# hybrid --adaptive --reps 3 must give byte-identical stdout and span
+# exports at --threads 1 and --threads 4), a
 # CLI strictness self-check (a misspelled flag must exit 2 and name the
 # flag, not fall back to its default; a failed output write must exit 1
 # naming the path), a quick pass of the bench suite to
@@ -113,6 +117,16 @@ build/tools/vodbcast simulate --scheme SB:W=12 --bandwidth 300 \
   --trace-out "$om_dir/faults.jsonl" --trace-limit 262144
 build/tools/trace_check "$om_dir/faults.jsonl" --faults
 
+echo "== control plane self-check =="
+# hybrid --adaptive is the event engine's main heap user: epochs, drains,
+# the popularity flip, batch completions. A client never needs more than
+# one loader, and every channel moves only after its drain completes.
+build/tools/vodbcast hybrid --adaptive --bandwidth 120 --catalog 50 \
+  --hot 10 --channels 6 --duration 60 --arrivals 6 --horizon 1200 \
+  --epoch-minutes 60 --min-tail 8 --popularity-flip \
+  --trace-out "$om_dir/adaptive.jsonl" > /dev/null
+build/tools/trace_check "$om_dir/adaptive.jsonl" --max-loaders 1 --realloc
+
 echo "== metro federation self-check =="
 # A seeded 4-region federation. Every arrival must be accounted for by
 # exactly one of the three admission outcomes (the router's conservation
@@ -146,7 +160,8 @@ echo "== replication self-check =="
 # span merges must not depend on the pool, so one worker and four give the
 # same report and the same span export, byte for byte.
 for reps_cmd in "simulate --horizon 60 --reps 4" \
-                "hybrid --horizon 600 --reps 3"; do
+                "hybrid --horizon 600 --reps 3" \
+                "hybrid --adaptive --horizon 600 --reps 3"; do
   read -r -a reps_args <<< "$reps_cmd"
   for threads in 1 4; do
     build/tools/vodbcast "${reps_args[@]}" --threads "$threads" \

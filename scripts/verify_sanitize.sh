@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Sanitizer build-and-test sweep, two passes in separate build trees so the
 # regular tier-1 build stays untouched:
-#   build-asan  ASan+UBSan over the observability subsystem, simulator,
-#               event-engine slab allocator, batching server, net
-#               reassembly/loss paths, the fault-injection/recovery layer,
-#               the adaptive control plane and the metro federation;
+#   build-asan  ASan+UBSan (with float-cast-overflow, see CMakeLists.txt)
+#               over the observability subsystem, simulator, event engine,
+#               batching server, net reassembly/loss paths, the
+#               fault-injection/recovery layer, the adaptive control plane
+#               and the metro federation;
 #   build-tsan  TSan over the TaskPool and its parallel adopters, including
 #               the replication driver behind simulate_replicated,
 #               simulate_adaptive_replicated and

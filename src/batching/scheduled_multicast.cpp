@@ -83,8 +83,8 @@ struct InputFeed {
 };
 
 /// The per-run simulation state, bundled so event callbacks capture one
-/// pointer (plus a channel index) and stay inside the event engine's
-/// inline-capture budget — the hot path then never boxes a callback.
+/// pointer (plus a channel index) and fit std::function's local buffer —
+/// the hot path then never allocates a callback.
 struct MulticastSim {
   const BatchingPolicy& policy;
   const MulticastConfig& config;

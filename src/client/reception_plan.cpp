@@ -99,6 +99,17 @@ BufferTrace build_trace(const std::vector<SegmentDownload>& downloads,
   return BufferTrace(std::move(points));
 }
 
+/// Precondition of both planners: every time a plan holds fits in 64 bits.
+/// A download starts by its deadline (at most t0 + total units) or within
+/// one period of its own after its loader frees up, so no time exceeds
+/// t0 + 2 * total units.
+void expect_plan_fits(const series::SegmentLayout& layout, std::uint64_t t0) {
+  const std::uint64_t total = layout.total_units();
+  const auto span = util::checked_add(total, total);
+  VB_EXPECTS_MSG(span.has_value() && util::checked_add(t0, *span).has_value(),
+                 "reception plan: t0 + 2 * total units must fit in 64 bits");
+}
+
 /// Fills in the derived fields (deadline check, tuner peak, buffer trace)
 /// common to every planner.
 void finalize_plan(ReceptionPlan& plan, const series::SegmentLayout& layout) {
@@ -156,6 +167,7 @@ std::optional<std::uint64_t> phase_period(const series::SegmentLayout& layout,
 
 ReceptionPlan plan_reception(const series::SegmentLayout& layout,
                              std::uint64_t t0) {
+  expect_plan_fits(layout, t0);
   ReceptionPlan plan;
   plan.playback_start = t0;
 
@@ -198,6 +210,7 @@ WorstCase worst_case_over_phases(const series::SegmentLayout& layout,
 
 ReceptionPlan plan_parallel_reception(const series::SegmentLayout& layout,
                                       std::uint64_t t0) {
+  expect_plan_fits(layout, t0);
   ReceptionPlan plan;
   plan.playback_start = t0;
   for (int s = 1; s <= layout.segment_count(); ++s) {

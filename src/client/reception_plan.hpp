@@ -70,6 +70,9 @@ struct ReceptionPlan {
 /// deadline (Section 4 analyses exactly one broadcast period of candidate
 /// starts ending at each deadline). Joining any earlier would hold a whole
 /// extra group in the buffer and void the 60*b*D1*(W-1) storage bound.
+///
+/// Precondition (both planners): t0 + 2 * layout.total_units() fits in 64
+/// bits, a bound on every time the plan holds.
 [[nodiscard]] ReceptionPlan plan_reception(const series::SegmentLayout& layout,
                                            std::uint64_t t0);
 

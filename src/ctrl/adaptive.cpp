@@ -41,8 +41,8 @@ std::vector<core::VideoId> flip_permutation(std::size_t n,
 }
 
 /// The whole per-run state; event callbacks capture one pointer (plus at
-/// most a title and a time) and stay inside the event engine's
-/// inline-capture budget.
+/// most a title and a time). Only the drain callback, which needs all
+/// three, outgrows std::function's local buffer.
 struct AdaptiveSim {
   const batching::BatchingPolicy& policy;
   const AdaptiveConfig& config;

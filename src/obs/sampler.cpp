@@ -1,11 +1,14 @@
 #include "obs/sampler.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "obs/sink.hpp"
 #include "util/contracts.hpp"
 #include "util/json.hpp"
+#include "util/math.hpp"
 
 namespace vodbcast::obs {
 
@@ -36,18 +39,34 @@ void Sampler::advance(double sim_time_min) {
   if (next_tick_ > sim_time_min) {
     return;
   }
-  const double span = (sim_time_min - next_tick_) / options_.interval_min;
-  const auto pending = static_cast<std::uint64_t>(span) + 1;
-  if (pending > options_.max_samples) {
+  const double interval = options_.interval_min;
+  // Ticks crossed, counted in double: with a tiny interval the count
+  // overflows every integer type.
+  const double crossed =
+      std::floor((sim_time_min - next_tick_) / interval) + 1.0;
+  const auto cap = static_cast<double>(options_.max_samples);
+  if (crossed > cap) {
     // The skipped ticks would all have read today's probe state anyway;
     // recording them would only flood the ring with fabricated history.
-    const std::uint64_t skip = pending - options_.max_samples;
-    skipped_ += skip;
-    next_tick_ += static_cast<double>(skip) * options_.interval_min;
+    const double skip = crossed - cap;
+    const std::uint64_t count = skip < 0x1p64
+                                    ? static_cast<std::uint64_t>(skip)
+                                    : std::numeric_limits<std::uint64_t>::max();
+    skipped_ = util::checked_add(skipped_, count)
+                   .value_or(std::numeric_limits<std::uint64_t>::max());
+    next_tick_ = std::min(next_tick_ + skip * interval, sim_time_min);
   }
-  while (next_tick_ <= sim_time_min) {
+  for (std::size_t rows = 0;
+       rows < options_.max_samples && next_tick_ <= sim_time_min; ++rows) {
     sample_now(next_tick_);
-    next_tick_ += options_.interval_min;
+    next_tick_ += interval;
+  }
+  if (next_tick_ <= sim_time_min) {
+    // Below the clock's resolution at this time, adding the interval no
+    // longer moves the tick: resume the grid just past now rather than
+    // emit the same rows again on every later call.
+    next_tick_ =
+        std::nextafter(sim_time_min, std::numeric_limits<double>::infinity());
   }
 }
 
@@ -68,7 +87,8 @@ void Sampler::sample_now(double sim_time_min) {
 }
 
 std::uint64_t Sampler::dropped() const noexcept {
-  return (recorded_ - ring_.size()) + skipped_;
+  return util::checked_add(recorded_ - ring_.size(), skipped_)
+      .value_or(std::numeric_limits<std::uint64_t>::max());
 }
 
 std::vector<Sampler::Sample> Sampler::samples() const {

@@ -56,7 +56,8 @@ class Sampler {
   /// interval tick crossed (the first row lands on t = 0). Never emits more
   /// than max_samples rows per call: a huge jump skips the leading ticks
   /// (the probes could only report current state anyway) and counts them as
-  /// dropped.
+  /// dropped, saturating at the largest std::uint64_t. An interval too small
+  /// to move the tick at this time resumes the grid just past `sim_time_min`.
   void advance(double sim_time_min);
 
   /// Emits one row at `sim_time_min` regardless of the tick grid.

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "util/contracts.hpp"
 #include "util/json.hpp"
 
@@ -64,6 +67,36 @@ TEST(SamplerTest, HugeJumpSkipsLeadingTicksBounded) {
   EXPECT_LE(sampler.size(), 8U);
   EXPECT_GE(sampler.size(), 7U);  // float rounding may cede one tick
   EXPECT_GT(sampler.dropped(), 0U);
+}
+
+// An interval below half an ulp of the tick no longer moves it: advance
+// must still return after at most max_samples rows, and a repeat call at
+// the same time adds none.
+TEST(SamplerTest, IntervalBelowClockResolutionStillReturns) {
+  Sampler sampler(opts(1e-14, 8));
+  (void)sampler.register_probe("x", [] { return 1.0; });
+  sampler.advance(240.0);
+  EXPECT_GE(sampler.size(), 1U);
+  EXPECT_LE(sampler.recorded(), 8U);
+  EXPECT_GT(sampler.dropped(), std::uint64_t{1} << 50);  // ~2.4e16 ticks
+  const auto recorded = sampler.recorded();
+  sampler.advance(240.0);
+  EXPECT_EQ(sampler.recorded(), recorded);
+  sampler.advance(241.0);
+  EXPECT_LE(sampler.recorded(), recorded + 8U);
+  EXPECT_DOUBLE_EQ(sampler.samples().back().t, 241.0);
+}
+
+// 2.4e302 crossed ticks fit no integer type: the skipped count saturates
+// instead of casting out of range.
+TEST(SamplerTest, SkippedTickCountSaturates) {
+  Sampler sampler(opts(1e-300, 8));
+  (void)sampler.register_probe("x", [] { return 1.0; });
+  sampler.advance(240.0);
+  EXPECT_GE(sampler.size(), 1U);
+  EXPECT_LE(sampler.recorded(), 8U);
+  EXPECT_EQ(sampler.dropped(), std::numeric_limits<std::uint64_t>::max());
+  EXPECT_DOUBLE_EQ(sampler.samples().back().t, 240.0);
 }
 
 TEST(SamplerTest, ProbeChurnIsSafePerRow) {

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <set>
 
 #include "series/broadcast_series.hpp"
+#include "util/contracts.hpp"
 
 namespace vodbcast::client {
 namespace {
@@ -108,6 +111,30 @@ TEST(ReceptionPlanTest, WidthTwoAchievesExactlyOneUnit) {
   const auto layout = make_layout(10, 2);
   const auto worst = worst_case_over_phases(layout);
   EXPECT_EQ(worst.max_buffer_units, 1);
+}
+
+// Plan times are t0 plus offsets in unsigned 64-bit arithmetic: a phase
+// whose plan would pass 2^64 - 1 is rejected, not wrapped round to a
+// download over [2^64 - 1, 0). The largest accepted phase plans like its
+// phase modulo the schedule's period.
+TEST(ReceptionPlanTest, RejectsPhasesWhosePlanOverflows) {
+  const auto layout = make_layout(10, 12);
+  const std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_THROW((void)plan_reception(layout, max), util::ContractViolation);
+  EXPECT_THROW((void)plan_parallel_reception(layout, max),
+               util::ContractViolation);
+  const std::uint64_t last = max - 2 * layout.total_units();
+  EXPECT_THROW((void)plan_reception(layout, last + 1),
+               util::ContractViolation);
+  const auto period = phase_period(layout, max);
+  ASSERT_TRUE(period.has_value());
+  const auto plan = plan_reception(layout, last);
+  const auto twin = plan_reception(layout, last % *period);
+  EXPECT_EQ(plan.jitter_free, twin.jitter_free);
+  EXPECT_EQ(plan.max_buffer_units, twin.max_buffer_units);
+  EXPECT_EQ(plan.max_concurrent_downloads, twin.max_concurrent_downloads);
+  EXPECT_EQ(plan_parallel_reception(layout, last).max_buffer_units,
+            plan_parallel_reception(layout, last % *period).max_buffer_units);
 }
 
 TEST(ReceptionPlanTest, MaxBufferMbitsConversion) {
