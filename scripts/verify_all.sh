@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full verification chain: tier-1 build+tests, 50 repeats of the parallel
+# Full verification chain: tier-1 build+tests, a run of every example
+# program (each must exit 0), 50 repeats of the parallel
 # determinism pins, the ASan/UBSan and TSan sweeps, an
 # OpenMetrics exposition self-check (simulate --metrics-format openmetrics
 # must lint clean under tools/metrics_check, including the per-title wait
@@ -19,7 +20,8 @@
 # exports at --threads 1 and --threads 4), a
 # CLI strictness self-check (a misspelled flag must exit 2 and name the
 # flag, not fall back to its default; a failed output write must exit 1
-# naming the path), a quick pass of the bench suite to
+# naming the path; a negative --fault-retries, an unknown --policy and
+# --reps 0 must exit 1 naming the bound), a quick pass of the bench suite to
 # prove every binary still writes a valid BENCH_*.json that bench_diff can
 # read back, and (opt-in) the mechanical perf gate against the committed
 # trajectory.
@@ -58,6 +60,12 @@ done
 echo "== tier-1: build + ctest =="
 cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure
+
+echo "== examples =="
+for example in quickstart metropolitan_vod scheme_comparison tune_width \
+               vcr_session lossy_network; do
+  build/examples/"$example" > /dev/null
+done
 
 echo "== parallel determinism stress =="
 # The slot/merge pins race only under real concurrency: repeat them so a
@@ -177,15 +185,39 @@ for reps_cmd in "simulate --horizon 60 --reps 4" \
 done
 
 echo "== CLI strictness self-check =="
+# expect_cli_error RC TEXT ARGS...: `vodbcast ARGS...` must exit RC with
+# TEXT on stderr.
+expect_cli_error() {
+  local want=$1 text=$2
+  shift 2
+  local rc=0
+  build/tools/vodbcast "$@" > /dev/null 2> "$om_dir/cli_err.txt" || rc=$?
+  if [[ $rc -ne $want ]] || ! grep -qF -- "$text" "$om_dir/cli_err.txt"; then
+    echo "cli strictness: expected 'vodbcast $*' to exit $want naming" \
+         "\"$text\", got $rc:" >&2
+    cat "$om_dir/cli_err.txt" >&2
+    exit 1
+  fi
+}
 # A typo must fail loudly instead of running with the default horizon.
-cli_rc=0
-build/tools/vodbcast simulate --horizn 10 > /dev/null \
-  2> "$om_dir/cli_err.txt" || cli_rc=$?
-if [[ $cli_rc -ne 2 ]] || ! grep -q -- '--horizn' "$om_dir/cli_err.txt"; then
-  echo "cli strictness: expected exit 2 naming --horizn, got $cli_rc:" >&2
-  cat "$om_dir/cli_err.txt" >&2
-  exit 1
-fi
+expect_cli_error 2 '--horizn' simulate --horizn 10
+# A value outside a flag's bound must fail instead of running: a negative
+# retry budget would stamp degradations before their hits, an unknown
+# policy would run MQL, and --reps 0 would run one replication.
+expect_cli_error 1 'retry budget must be >= 0' simulate --scheme SB:W=52 \
+  --horizon 120 --arrivals 4 --fault-plan outages=2,bursts=1 \
+  --fault-retries -1
+expect_cli_error 1 'retry budget must be >= 0' hybrid --adaptive \
+  --horizon 120 --fault-plan outages=2 --fault-retries -1
+expect_cli_error 1 "--policy must be 'mql' or 'fcfs', got 'bogus'" \
+  hybrid --policy bogus --horizon 60
+expect_cli_error 1 "--policy must be 'mql' or 'fcfs', got 'nonsense'" \
+  hybrid --adaptive --policy nonsense --horizon 60
+for reps_cmd in simulate hybrid "hybrid --adaptive" metro; do
+  read -r -a reps_args <<< "$reps_cmd"
+  expect_cli_error 1 '--reps must be at least 1, got 0' \
+    "${reps_args[@]}" --reps 0 --horizon 10
+done
 # A failed write must fail too, not report the file as written.
 cli_rc=0
 build/tools/vodbcast simulate --horizon 10 --metrics-out /dev/full \

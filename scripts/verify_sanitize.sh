@@ -4,8 +4,9 @@
 #   build-asan  ASan+UBSan (with float-cast-overflow, see CMakeLists.txt)
 #               over the observability subsystem, simulator, event engine,
 #               batching server, net reassembly/loss paths, the
-#               fault-injection/recovery layer, the adaptive control plane
-#               and the metro federation;
+#               fault-injection/recovery layer, the adaptive control plane,
+#               the metro federation, and the client reception planner
+#               with VCR pause/rejoin and the transition-local accounting;
 #   build-tsan  TSan over the TaskPool and its parallel adopters, including
 #               the replication driver behind simulate_replicated,
 #               simulate_adaptive_replicated and
@@ -36,7 +37,8 @@ if [[ $mode == all || $mode == asan ]]; then
     test_obs_sampler test_obs_family test_obs_sketch test_obs_openmetrics \
     test_util_json test_bench_harness test_simulator test_task_pool \
     test_parallel test_event_queue test_batching test_net test_ctrl \
-    test_fault test_metro test_plan_cache test_stats
+    test_fault test_metro test_plan_cache test_stats test_reception_plan \
+    test_vcr test_transition_local test_reception_properties
 
   ./build-asan/tests/test_obs_registry
   ./build-asan/tests/test_obs_trace
@@ -58,6 +60,10 @@ if [[ $mode == all || $mode == asan ]]; then
   ./build-asan/tests/test_metro
   ./build-asan/tests/test_plan_cache
   ./build-asan/tests/test_stats
+  ./build-asan/tests/test_reception_plan
+  ./build-asan/tests/test_vcr
+  ./build-asan/tests/test_transition_local
+  ./build-asan/tests/test_reception_properties
 fi
 
 if [[ $mode == all || $mode == thread ]]; then

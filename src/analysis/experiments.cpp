@@ -1,6 +1,7 @@
 #include "analysis/experiments.hpp"
 
 #include <algorithm>
+#include <span>
 #include <sstream>
 
 #include "schemes/registry.hpp"
@@ -126,11 +127,9 @@ TransitionLocalWorst transition_local_worst(
   VB_EXPECTS(playback_parity >= -1 && playback_parity <= 1);
   const auto& from = groups[group_index];
   const auto& to = groups[group_index + 1];
-  const int first_segment = from.first_segment;
-  const int last_segment = to.first_segment + to.length - 1;
   const std::uint64_t span_units = from.total_units() + to.total_units();
   const std::uint64_t from_offset =
-      layout.playback_offset_units(first_segment);
+      layout.playback_offset_units(from.first_segment);
 
   // Behaviour repeats with the lcm of the two groups' sizes times two (the
   // parities of t0); a generous bound is from.size * to.size * 2.
@@ -143,37 +142,22 @@ TransitionLocalWorst transition_local_worst(
         (t0 + from_offset) % 2 != static_cast<std::uint64_t>(playback_parity)) {
       continue;
     }
-    const client::ReceptionPlan plan = client::plan_reception(layout, t0);
-    // Breakpoint scan over only the two groups' downloads, drained by the
-    // playback of exactly their units.
+    // Only the two groups' downloads (the schedule lists segments in
+    // order) fill the buffer, drained by the playback of exactly their
+    // units.
+    const auto schedule = client::jit_schedule(layout, 1, 0, t0);
+    const std::span<const client::SegmentDownload> downloads =
+        std::span(schedule).subspan(
+            static_cast<std::size_t>(from.first_segment - 1),
+            static_cast<std::size_t>(from.length + to.length));
     const std::uint64_t play_start = t0 + from_offset;
-    std::vector<std::uint64_t> breakpoints{play_start,
-                                           play_start + span_units};
-    for (const auto& d : plan.downloads) {
-      if (d.segment < first_segment || d.segment > last_segment) {
-        continue;
-      }
-      breakpoints.push_back(d.start);
-      breakpoints.push_back(d.end());
-    }
-    for (const std::uint64_t at : breakpoints) {
-      std::int64_t downloaded = 0;
-      for (const auto& d : plan.downloads) {
-        if (d.segment < first_segment || d.segment > last_segment) {
-          continue;
-        }
-        const std::uint64_t progress =
-            at <= d.start ? 0 : std::min(at - d.start, d.length);
-        downloaded += static_cast<std::int64_t>(progress);
-      }
-      const std::uint64_t consumed =
-          at <= play_start ? 0 : std::min(at - play_start, span_units);
-      const std::int64_t level =
-          downloaded - static_cast<std::int64_t>(consumed);
-      if (level > result.peak_units) {
-        result.peak_units = level;
-        result.worst_phase = t0;
-      }
+    const client::PlaybackInterval playback[] = {
+        {play_start, play_start + span_units}};
+    const std::int64_t peak =
+        client::build_trace(downloads, playback).max_level();
+    if (peak > result.peak_units) {
+      result.peak_units = peak;
+      result.worst_phase = t0;
     }
   }
   return result;

@@ -63,46 +63,10 @@ int peak_concurrency(const std::vector<SegmentDownload>& downloads) {
   return peak;
 }
 
-BufferTrace build_trace(const std::vector<SegmentDownload>& downloads,
-                        std::uint64_t t0, std::uint64_t total_units) {
-  // Occupancy is piecewise linear: each download contributes fill rate +1
-  // over [start, end), playback drains at -1 over [t0, t0 + total_units).
-  // One sort plus a single accumulating sweep over the rate deltas visits
-  // each breakpoint once; the levels are the same integer sums the old
-  // per-breakpoint rescan computed, so the points are bit-identical.
-  std::vector<std::pair<std::uint64_t, std::int64_t>> events;
-  events.reserve(downloads.size() * 2 + 2);
-  for (const auto& d : downloads) {
-    events.emplace_back(d.start, std::int64_t{1});
-    events.emplace_back(d.end(), std::int64_t{-1});
-  }
-  events.emplace_back(t0, std::int64_t{-1});
-  events.emplace_back(t0 + total_units, std::int64_t{1});
-  std::sort(events.begin(), events.end());
-
-  std::vector<BufferPoint> points;
-  points.reserve(events.size());
-  std::int64_t level = 0;
-  std::int64_t rate = 0;
-  std::uint64_t prev = events.front().first;
-  for (std::size_t i = 0; i < events.size();) {
-    const std::uint64_t t = events[i].first;
-    level += rate * static_cast<std::int64_t>(t - prev);
-    while (i < events.size() && events[i].first == t) {
-      rate += events[i].second;
-      ++i;
-    }
-    points.push_back(BufferPoint{.time = t, .level = level});
-    prev = t;
-  }
-  VB_ASSERT(rate == 0);
-  return BufferTrace(std::move(points));
-}
-
-/// Precondition of both planners: every time a plan holds fits in 64 bits.
-/// A download starts by its deadline (at most t0 + total units) or within
-/// one period of its own after its loader frees up, so no time exceeds
-/// t0 + 2 * total units.
+/// Precondition of both planners and of jit_schedule: every time a plan
+/// holds fits in 64 bits. A download starts by its deadline (at most t0 +
+/// total units) or within one period of its own after its loader frees up,
+/// so no time exceeds t0 + 2 * total units.
 void expect_plan_fits(const series::SegmentLayout& layout, std::uint64_t t0) {
   const std::uint64_t total = layout.total_units();
   const auto span = util::checked_add(total, total);
@@ -117,8 +81,9 @@ void finalize_plan(ReceptionPlan& plan, const series::SegmentLayout& layout) {
       std::all_of(plan.downloads.begin(), plan.downloads.end(),
                   [](const SegmentDownload& d) { return d.meets_deadline(); });
   plan.max_concurrent_downloads = peak_concurrency(plan.downloads);
-  plan.trace =
-      build_trace(plan.downloads, plan.playback_start, layout.total_units());
+  const PlaybackInterval playback[] = {
+      {plan.playback_start, plan.playback_start + layout.total_units()}};
+  plan.trace = build_trace(plan.downloads, playback);
   plan.max_buffer_units = plan.trace.max_level();
 }
 
@@ -165,28 +130,33 @@ std::optional<std::uint64_t> phase_period(const series::SegmentLayout& layout,
   return period;
 }
 
-ReceptionPlan plan_reception(const series::SegmentLayout& layout,
-                             std::uint64_t t0) {
-  expect_plan_fits(layout, t0);
-  ReceptionPlan plan;
-  plan.playback_start = t0;
+std::vector<SegmentDownload> jit_schedule(const series::SegmentLayout& layout,
+                                          int first_segment,
+                                          std::uint64_t position_units,
+                                          std::uint64_t resume) {
+  VB_EXPECTS(first_segment >= 1 && first_segment <= layout.segment_count());
+  VB_EXPECTS(position_units <= layout.playback_offset_units(first_segment));
+  expect_plan_fits(layout, resume);
+  std::vector<SegmentDownload> downloads;
 
-  // Loader availability; both routines exist from client arrival, and the
-  // earliest joinable broadcast start is t0 (the next Segment-1 start).
-  std::uint64_t free_at[2] = {t0, t0};
+  // Loader availability; both routines are free from `resume`, the
+  // earliest joinable broadcast start (for a fresh client, t0 is the next
+  // Segment-1 start).
+  std::uint64_t free_at[2] = {resume, resume};
 
   for (const auto& group : layout.groups()) {
     const auto loader =
         group.parity == series::GroupParity::kOdd ? LoaderId::kOdd
                                                   : LoaderId::kEven;
     auto& free = free_at[loader == LoaderId::kOdd ? 0 : 1];
-    for (int s = group.first_segment;
+    for (int s = std::max(group.first_segment, first_segment);
          s < group.first_segment + group.length; ++s) {
       const std::uint64_t size = layout.units(s);
       VB_ASSERT(size == group.size);
-      const std::uint64_t deadline = t0 + layout.playback_offset_units(s);
+      const std::uint64_t deadline =
+          resume + (layout.playback_offset_units(s) - position_units);
       const std::uint64_t start = jit_broadcast_start(free, deadline, size);
-      plan.downloads.push_back(SegmentDownload{
+      downloads.push_back(SegmentDownload{
           .segment = s,
           .loader = loader,
           .start = start,
@@ -196,7 +166,53 @@ ReceptionPlan plan_reception(const series::SegmentLayout& layout,
       free = start + size;
     }
   }
+  return downloads;
+}
 
+BufferTrace build_trace(std::span<const SegmentDownload> downloads,
+                        std::span<const PlaybackInterval> playback) {
+  // Occupancy is piecewise linear: each download contributes fill rate +1
+  // over [start, end), each playback interval drains at -1. One sort plus a
+  // single accumulating sweep over the rate deltas visits each breakpoint
+  // once, with the same integer levels a per-breakpoint rescan of every
+  // download computes.
+  std::vector<std::pair<std::uint64_t, std::int64_t>> events;
+  events.reserve(downloads.size() * 2 + playback.size() * 2);
+  for (const auto& d : downloads) {
+    events.emplace_back(d.start, std::int64_t{1});
+    events.emplace_back(d.end(), std::int64_t{-1});
+  }
+  for (const auto& interval : playback) {
+    VB_EXPECTS(interval.begin <= interval.end);
+    events.emplace_back(interval.begin, std::int64_t{-1});
+    events.emplace_back(interval.end, std::int64_t{1});
+  }
+  std::sort(events.begin(), events.end());
+
+  std::vector<BufferPoint> points;
+  points.reserve(events.size());
+  std::int64_t level = 0;
+  std::int64_t rate = 0;
+  std::uint64_t prev = events.empty() ? 0 : events.front().first;
+  for (std::size_t i = 0; i < events.size();) {
+    const std::uint64_t t = events[i].first;
+    level += rate * static_cast<std::int64_t>(t - prev);
+    while (i < events.size() && events[i].first == t) {
+      rate += events[i].second;
+      ++i;
+    }
+    points.push_back(BufferPoint{.time = t, .level = level});
+    prev = t;
+  }
+  VB_ASSERT(rate == 0);
+  return BufferTrace(std::move(points));
+}
+
+ReceptionPlan plan_reception(const series::SegmentLayout& layout,
+                             std::uint64_t t0) {
+  ReceptionPlan plan;
+  plan.playback_start = t0;
+  plan.downloads = jit_schedule(layout, 1, 0, t0);
   finalize_plan(plan, layout);
   return plan;
 }

@@ -10,10 +10,13 @@
 // loaders produce, then verifies jitter-freedom, tuner count and peak buffer
 // directly from it. All arithmetic is integral, so the Figure 1-4 scenarios
 // are reproduced bit-exactly.
+// VCR pause/rejoin and the transition-local accounting of Figures 1-4
+// reuse its schedule (jit_schedule), phase period and sweep (build_trace).
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "client/buffer_trace.hpp"
@@ -59,6 +62,35 @@ struct ReceptionPlan {
   }
 };
 
+/// The two-loader just-in-time schedule (see plan_reception) of segments
+/// `first_segment..K`, in segment order, for a playback that plays video
+/// unit `position_units` at slot `resume` with both loaders free from
+/// `resume`: segment s is due at resume + offset(s) - position_units, and a
+/// download that cannot meet its deadline joins the first broadcast after
+/// its loader frees up (SegmentDownload::meets_deadline flags it).
+/// plan_reception(layout, t0) schedules (1, 0, t0).
+/// Preconditions: 1 <= first_segment <= K, position_units <=
+/// offset(first_segment), and resume + 2 * layout.total_units() fits in 64
+/// bits, a bound on every time the schedule holds.
+[[nodiscard]] std::vector<SegmentDownload> jit_schedule(
+    const series::SegmentLayout& layout, int first_segment,
+    std::uint64_t position_units, std::uint64_t resume);
+
+/// A half-open slot interval [begin, end) over which the player drains the
+/// buffer at the display rate.
+struct PlaybackInterval {
+  std::uint64_t begin = 0;
+  std::uint64_t end = 0;
+};
+
+/// Exact buffer occupancy of `downloads`, each filling at rate 1 over
+/// [start, end()), drained at rate 1 over every `playback` interval. The
+/// trace has one point per distinct start or end time, and the level is 0
+/// at the first. Precondition: begin <= end for every interval.
+[[nodiscard]] BufferTrace build_trace(
+    std::span<const SegmentDownload> downloads,
+    std::span<const PlaybackInterval> playback);
+
 /// Plans reception for a client whose playback starts at integer time `t0`
 /// (units of D1 since the broadcast epoch; a client arriving at real time a
 /// starts playback at t0 = ceil(a), the next Segment-1 broadcast).
@@ -72,7 +104,7 @@ struct ReceptionPlan {
 /// extra group in the buffer and void the 60*b*D1*(W-1) storage bound.
 ///
 /// Precondition (both planners): t0 + 2 * layout.total_units() fits in 64
-/// bits, a bound on every time the plan holds.
+/// bits, as for jit_schedule.
 [[nodiscard]] ReceptionPlan plan_reception(const series::SegmentLayout& layout,
                                            std::uint64_t t0);
 

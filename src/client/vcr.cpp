@@ -1,42 +1,22 @@
 #include "client/vcr.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "util/contracts.hpp"
 #include "util/math.hpp"
 
 namespace vodbcast::client {
 
-namespace {
-
-/// Consumption with a pause: rate 1 from t0 until pause_at, idle for
-/// pause_slots, then rate 1 until total units are played.
-std::int64_t consumed_with_pause(std::uint64_t t, std::uint64_t t0,
-                                 std::uint64_t pause_at,
-                                 std::uint64_t pause_slots,
-                                 std::uint64_t total) {
-  if (t <= t0) {
-    return 0;
-  }
-  std::uint64_t played = 0;
-  // Before the pause.
-  played += std::min(t, pause_at) - std::min(t0, std::min(t, pause_at));
-  // After the pause.
-  const std::uint64_t resume = pause_at + pause_slots;
-  if (t > resume) {
-    played += t - resume;
-  }
-  return static_cast<std::int64_t>(std::min(played, total));
-}
-
-}  // namespace
-
 PauseAnalysis analyze_pause(const series::SegmentLayout& layout,
                             std::uint64_t t0, std::uint64_t pause_at,
                             std::uint64_t pause_slots) {
+  const std::uint64_t total = layout.total_units();
   VB_EXPECTS(pause_at >= t0);
-  VB_EXPECTS(pause_at < t0 + layout.total_units());
+  VB_EXPECTS(pause_at < t0 + total);
+  const auto playback_end = util::checked_add(t0 + total, pause_slots);
+  VB_EXPECTS_MSG(playback_end.has_value(),
+                 "pause analysis: t0 + total units + pause must fit in 64 "
+                 "bits");
 
   const ReceptionPlan base = plan_reception(layout, t0);
   VB_EXPECTS_MSG(base.jitter_free,
@@ -45,31 +25,11 @@ PauseAnalysis analyze_pause(const series::SegmentLayout& layout,
   PauseAnalysis analysis;
   analysis.peak_buffer_units_unpaused = base.max_buffer_units;
 
-  // Rebuild the occupancy trace against the paused consumption curve; the
-  // downloads are unchanged (the loaders keep their schedule).
-  const std::uint64_t total = layout.total_units();
-  std::set<std::uint64_t> breakpoints{t0, pause_at, pause_at + pause_slots,
-                                      t0 + total + pause_slots};
-  for (const auto& d : base.downloads) {
-    breakpoints.insert(d.start);
-    breakpoints.insert(d.end());
-  }
-  std::vector<BufferPoint> points;
-  points.reserve(breakpoints.size());
-  for (const std::uint64_t t : breakpoints) {
-    std::int64_t downloaded = 0;
-    for (const auto& d : base.downloads) {
-      const std::uint64_t progress =
-          t <= d.start ? 0 : std::min(t - d.start, d.length);
-      downloaded += static_cast<std::int64_t>(progress);
-    }
-    points.push_back(BufferPoint{
-        .time = t,
-        .level = downloaded -
-                 consumed_with_pause(t, t0, pause_at, pause_slots, total),
-    });
-  }
-  analysis.paused_trace = BufferTrace(std::move(points));
+  // The loaders keep their schedule; the playback stops at pause_at and
+  // resumes pause_slots later.
+  const PlaybackInterval playback[] = {
+      {t0, pause_at}, {pause_at + pause_slots, *playback_end}};
+  analysis.paused_trace = build_trace(base.downloads, playback);
   analysis.peak_buffer_units_paused = analysis.paused_trace.max_level();
   // Pausing only postpones deadlines, so a jitter-free plan stays so.
   analysis.jitter_free = true;
@@ -80,68 +40,30 @@ RejoinAnalysis plan_rejoin(const series::SegmentLayout& layout,
                            int first_missing_segment,
                            std::uint64_t position_units,
                            std::uint64_t requested_resume) {
-  VB_EXPECTS(first_missing_segment >= 1 &&
-             first_missing_segment <= layout.segment_count());
-  VB_EXPECTS(position_units <=
-             layout.playback_offset_units(first_missing_segment));
-
   RejoinAnalysis analysis;
   analysis.requested_resume = requested_resume;
   analysis.refetched_segments =
       layout.segment_count() - first_missing_segment + 1;
 
-  // Try successive resume slots until the just-in-time suffix plan meets
-  // every deadline. The schedule repeats with the lcm of the segment
-  // periods — a fully aligned resume is always feasible — so searching one
-  // hyper-period (overflow-capped) is exhaustive.
-  std::uint64_t cap = 1;
-  for (const std::uint64_t s : layout.all_units()) {
-    const auto next = util::checked_mul(cap / util::gcd_u64(cap, s), s);
-    if (!next.has_value() || *next > (std::uint64_t{1} << 20)) {
-      cap = std::uint64_t{1} << 20;
-      break;
-    }
-    cap = *next;
-  }
+  // Try successive resume slots until the just-in-time suffix schedule
+  // meets every deadline. The schedule repeats with the layout's phase
+  // period — a fully aligned resume is always feasible — so searching one
+  // period (capped at 2^20 slots) is exhaustive.
+  constexpr std::uint64_t kMaxWait = std::uint64_t{1} << 20;
+  const std::uint64_t cap = phase_period(layout, kMaxWait).value_or(kMaxWait);
   for (std::uint64_t wait = 0; wait <= cap; ++wait) {
     const std::uint64_t resume = requested_resume + wait;
-    ReceptionPlan plan;
-    plan.playback_start = resume;
-    std::uint64_t free_at[2] = {resume, resume};
-    for (const auto& group : layout.groups()) {
-      const auto loader = group.parity == series::GroupParity::kOdd
-                              ? LoaderId::kOdd
-                              : LoaderId::kEven;
-      auto& free = free_at[loader == LoaderId::kOdd ? 0 : 1];
-      for (int s = group.first_segment;
-           s < group.first_segment + group.length; ++s) {
-        if (s < first_missing_segment) {
-          continue;  // already buffered from before the pause
-        }
-        const std::uint64_t size = layout.units(s);
-        const std::uint64_t deadline =
-            resume + (layout.playback_offset_units(s) - position_units);
-        const std::uint64_t jit = (deadline / size) * size;
-        const std::uint64_t start =
-            jit >= free ? jit : ((free + size - 1) / size) * size;
-        plan.downloads.push_back(SegmentDownload{
-            .segment = s,
-            .loader = loader,
-            .start = start,
-            .length = size,
-            .deadline = deadline,
-        });
-        free = start + size;
-      }
-    }
-    const bool feasible = std::all_of(
-        plan.downloads.begin(), plan.downloads.end(),
-        [](const SegmentDownload& d) { return d.meets_deadline(); });
-    if (feasible) {
-      plan.jitter_free = true;
+    auto downloads =
+        jit_schedule(layout, first_missing_segment, position_units, resume);
+    if (std::all_of(downloads.begin(), downloads.end(),
+                    [](const SegmentDownload& d) {
+                      return d.meets_deadline();
+                    })) {
       analysis.actual_resume = resume;
       analysis.extra_wait = wait;
-      analysis.suffix_plan = std::move(plan);
+      analysis.suffix_plan.playback_start = resume;
+      analysis.suffix_plan.downloads = std::move(downloads);
+      analysis.suffix_plan.jitter_free = true;
       return analysis;
     }
   }

@@ -34,7 +34,8 @@ struct PauseAnalysis {
 
 /// A playback that started at t0 pauses at absolute slot `pause_at` for
 /// `pause_slots`; loaders keep following the original plan.
-/// Preconditions: t0 <= pause_at < t0 + total units.
+/// Preconditions: t0 <= pause_at < t0 + total units, and t0 + total units +
+/// pause_slots fits in 64 bits.
 [[nodiscard]] PauseAnalysis analyze_pause(const series::SegmentLayout& layout,
                                           std::uint64_t t0,
                                           std::uint64_t pause_at,
@@ -53,8 +54,11 @@ struct RejoinAnalysis {
 /// boundary), given the set of segments already held (all with index <
 /// `first_missing_segment`), wanting playback back at `requested_resume`.
 /// Searches forward for the first resume slot whose just-in-time suffix
-/// plan is jitter-free. Preconditions: position_units is the playback
-/// offset of `first_missing_segment` or earlier.
+/// schedule (jit_schedule) is jitter-free. `suffix_plan` carries that
+/// schedule's downloads, its resume slot as playback_start and
+/// jitter_free; it has no trace. Preconditions: 1 <= first_missing_segment
+/// <= K, position_units <= offset(first_missing_segment), and every resume
+/// slot searched plus 2 * total units fits in 64 bits (jit_schedule's).
 [[nodiscard]] RejoinAnalysis plan_rejoin(const series::SegmentLayout& layout,
                                          int first_missing_segment,
                                          std::uint64_t position_units,

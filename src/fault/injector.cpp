@@ -1,6 +1,8 @@
 #include "fault/injector.hpp"
 
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
@@ -36,6 +38,13 @@ bool burst_damages(const Episode& episode, double a, double b,
 }
 
 }  // namespace
+
+Injector::Injector(Plan plan, RecoveryPolicy policy)
+    : plan_(std::move(plan)), policy_(policy) {
+  VB_EXPECTS_MSG(policy_.retry_budget >= 0,
+                 "fault recovery: the retry budget must be >= 0, got " +
+                     std::to_string(policy_.retry_budget));
+}
 
 FaultyChannel::FaultyChannel(const Injector& injector, int logical_channel,
                              net::LossModel& base)

@@ -24,14 +24,15 @@ struct RecoveryPolicy {
   /// block arrive, without waiting a repetition. Off by default.
   net::FecConfig fec{};
   /// Catch-up repetitions a client may wait for per damaged download
-  /// before the damage is declared degradation.
+  /// before the damage is declared degradation. Never negative.
   int retry_budget = 1;
 };
 
 class Injector {
  public:
-  explicit Injector(Plan plan, RecoveryPolicy policy = {})
-      : plan_(std::move(plan)), policy_(policy) {}
+  /// Precondition: policy.retry_budget >= 0 (a negative budget would stamp
+  /// a degradation before the hit it degrades).
+  explicit Injector(Plan plan, RecoveryPolicy policy = {});
 
   [[nodiscard]] const Plan& plan() const noexcept { return plan_; }
   [[nodiscard]] const RecoveryPolicy& policy() const noexcept {

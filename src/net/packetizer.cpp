@@ -1,6 +1,7 @@
 #include "net/packetizer.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include "util/contracts.hpp"
 
@@ -9,45 +10,12 @@ namespace vodbcast::net {
 std::vector<Packet> packetize_transmission(
     const channel::PeriodicBroadcast& stream, std::uint64_t index,
     core::Mbits mtu) {
-  VB_EXPECTS(mtu.v > 0.0);
-  const core::Mbits total = stream.rate * stream.transmission;
-  VB_EXPECTS(total.v > 0.0);
-
-  const core::Minutes start{stream.phase.v +
-                            static_cast<double>(index) * stream.period.v};
-  const StreamKey key{stream.video, stream.segment, stream.subchannel};
-
-  std::vector<Packet> packets;
-  packets.reserve(static_cast<std::size_t>(std::ceil(total.v / mtu.v)));
-  double offset = 0.0;
-  std::uint32_t sequence = 0;
-  while (offset < total.v - 1e-12) {
-    const double payload = std::min(mtu.v, total.v - offset);
-    const double end_of_packet = offset + payload;
-    // The packet's last bit leaves when the stream has emitted
-    // `end_of_packet` Mbits at `rate`.
-    const core::Minutes send{start.v +
-                             (core::Mbits{end_of_packet} / stream.rate).v};
-    packets.push_back(Packet{
-        .stream = key,
-        .broadcast_index = index,
-        .sequence = sequence++,
-        .offset = core::Mbits{offset},
-        .payload = core::Mbits{payload},
-        .send_time = send,
-    });
-    offset = end_of_packet;
-  }
-  VB_ENSURES(!packets.empty());
-  return packets;
+  return packetize_transmission_fec(stream, index, mtu, FecConfig{});
 }
 
 std::vector<Packet> packetize_transmission_fec(
     const channel::PeriodicBroadcast& stream, std::uint64_t index,
     core::Mbits mtu, const FecConfig& fec) {
-  if (!fec.enabled()) {
-    return packetize_transmission(stream, index, mtu);
-  }
   VB_EXPECTS(mtu.v > 0.0);
   const core::Mbits total = stream.rate * stream.transmission;
   VB_EXPECTS(total.v > 0.0);
@@ -56,15 +24,20 @@ std::vector<Packet> packetize_transmission_fec(
                             static_cast<double>(index) * stream.period.v};
   const StreamKey key{stream.video, stream.segment, stream.subchannel};
 
+  // FEC off is one parity-free block that no transmission can fill, so
+  // every packet stays in block 0 and the wire carries the data alone.
   const auto n_data = static_cast<std::size_t>(std::ceil(total.v / mtu.v));
-  const auto k = static_cast<std::size_t>(fec.data_per_block);
-  const auto p = static_cast<std::size_t>(fec.parity_per_block);
-  const std::size_t n_blocks = (n_data + k - 1) / k;
+  const std::size_t k = fec.enabled()
+                            ? static_cast<std::size_t>(fec.data_per_block)
+                            : std::numeric_limits<std::size_t>::max();
+  const std::size_t p =
+      fec.enabled() ? static_cast<std::size_t>(fec.parity_per_block) : 0;
+  const std::size_t n_blocks = n_data / k + (n_data % k != 0 ? 1 : 0);
   const double wire_total =
       total.v + static_cast<double>(n_blocks * p) * mtu.v;
   // Data + parity share the transmission slot: the wire emits `wire_total`
   // bits over the same duration the plain transmission emits `total`, so
-  // scale cumulative wire bits back to data-rate time.
+  // scale cumulative wire bits back to data-rate time (1 with FEC off).
   const double scale = total.v / wire_total;
 
   std::vector<Packet> packets;

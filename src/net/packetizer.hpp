@@ -41,8 +41,8 @@ struct FecConfig {
 /// transmission slot (the emission rate is inflated by the parity
 /// overhead), so the last bit still leaves at start + transmission and the
 /// SB period contract is preserved; the overhead is a bandwidth cost, not
-/// a slot overrun. With `fec` disabled this is exactly
-/// packetize_transmission.
+/// a slot overrun. With `fec` disabled the whole transmission is one
+/// parity-free block 0: packetize_transmission.
 [[nodiscard]] std::vector<Packet> packetize_transmission_fec(
     const channel::PeriodicBroadcast& stream, std::uint64_t index,
     core::Mbits mtu, const FecConfig& fec);

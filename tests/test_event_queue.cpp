@@ -44,8 +44,8 @@ TEST(EventQueueTest, EqualTimesFireInInsertionOrder) {
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-// A wide equal-time burst exercises the 4-ary sift paths well past one
-// node's worth of children.
+// A wide equal-time burst exercises the binary heap's sifts many levels
+// deep, where only the sequence number orders the entries.
 TEST(EventQueueTest, LargeEqualTimeBurstKeepsInsertionOrder) {
   EventQueue q;
   std::vector<int> fired;
@@ -59,9 +59,9 @@ TEST(EventQueueTest, LargeEqualTimeBurstKeepsInsertionOrder) {
   EXPECT_EQ(fired, expected);
 }
 
-// FIFO order must survive slab recycling: fire a wave (returning every slot
-// to the free list, which reverses their order), then schedule a fresh
-// equal-time wave into the recycled slots.
+// FIFO order must survive callback-slot recycling: fire a wave (returning
+// every slot to the free list, which reverses their order), then schedule a
+// fresh equal-time wave into the recycled slots.
 TEST(EventQueueTest, EqualTimeOrderSurvivesSlabRecycling) {
   EventQueue q;
   std::vector<int> fired;
@@ -155,8 +155,9 @@ TEST(EventQueueTest, CallbackMayScheduleAtCurrentTime) {
   EXPECT_EQ(fired, (std::vector<int>{0, 1, 2}));
 }
 
-// A deep schedule-from-inside chain grows the slab while callbacks are in
-// flight (the pool must be safe to reallocate under a running callback).
+// A deep schedule-from-inside chain grows the callback slots while
+// callbacks are in flight (the slot vector must be safe to reallocate under
+// a running callback).
 TEST(EventQueueTest, CallbacksMayGrowThePoolWhileRunning) {
   EventQueue q;
   int count = 0;
@@ -182,18 +183,19 @@ struct PaddedRecorder {
     for (const auto b : pad) {
       sum += b;
     }
-    // Every pad byte must survive the slab round-trip intact.
+    // Every pad byte must survive the std::function round-trip intact.
     ASSERT_EQ(sum, N * 7U);
     out->push_back(id);
   }
 };
 
-// Captures on both sides of the SBO threshold run correctly and in order.
+// Captures of several sizes, small and large enough for std::function to
+// allocate, run correctly and in order.
 TEST(EventQueueTest, CaptureSizesStraddleTheInlineThreshold) {
   PaddedRecorder<8> small{};
-  PaddedRecorder<32> mid{};      // == 48 bytes with out+id: at the edge
-  PaddedRecorder<48> large{};    // 64 bytes: spills to the heap box
-  PaddedRecorder<240> larger{};  // far past the threshold
+  PaddedRecorder<32> mid{};      // 48 bytes with out+id
+  PaddedRecorder<48> large{};    // 64 bytes
+  PaddedRecorder<240> larger{};  // 256 bytes
 
   EventQueue q;
   std::vector<int> fired;
@@ -217,16 +219,16 @@ TEST(EventQueueTest, CaptureSizesStraddleTheInlineThreshold) {
   EXPECT_EQ(fired, expected);
 }
 
-// Destroying the queue releases the captures of never-fired events, for
-// inline and boxed storage alike.
+// Destroying the queue releases the captures of never-fired events, small
+// and heap-allocated alike.
 TEST(EventQueueTest, DestructorReleasesUnfiredCaptures) {
   const auto token = std::make_shared<int>(1);
   {
     EventQueue q;
-    q.schedule(1.0, [token] {});                      // inline capture
+    q.schedule(1.0, [token] {});                      // small capture
     q.schedule(2.0, [token, pad = std::array<char, 64>{}] {
       (void)pad;
-    });                                               // boxed capture
+    });                                               // 80-byte capture
     EXPECT_EQ(token.use_count(), 3);
   }
   EXPECT_EQ(token.use_count(), 1);
@@ -375,7 +377,7 @@ TEST(EventQueueFeedTest, ArrivalsAfterUntilStayForTheNextRun) {
 }
 
 // Fed arrivals count as scheduled and fired, but take no heap entry or
-// slab slot: the high-water marks describe server events only.
+// callback slot: the high-water marks describe server events only.
 TEST(EventQueueFeedTest, SinkCountsFedArrivalsAsScheduledAndFired) {
   obs::Sink sink;
   EventQueue q;

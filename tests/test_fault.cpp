@@ -376,6 +376,15 @@ channel::PeriodicBroadcast sb_stream(double period_min = 8.0) {
   };
 }
 
+// A negative retry budget would stamp every degradation w_end + retries *
+// period, before the hit it degrades; the injector refuses it up front.
+TEST(InjectorTest, RejectsANegativeRetryBudget) {
+  EXPECT_THROW((void)Injector(Plan{}, RecoveryPolicy{.retry_budget = -1}),
+               util::ContractViolation);
+  const Injector none{Plan{}, RecoveryPolicy{.retry_budget = 0}};
+  EXPECT_EQ(none.policy().retry_budget, 0);
+}
+
 TEST(FecPacketizerTest, DisabledFecIsExactlyPlainPacketization) {
   const auto stream = sb_stream();
   const auto plain = net::packetize_transmission(stream, 1,

@@ -176,12 +176,17 @@ TEST(ReceptionPlanTest, WorstCasePhaseCapRespected) {
 }
 
 // Reference trace builder: the pre-rewrite O(breakpoints * W) form that
-// rescans every download per breakpoint. The production build_trace is now
-// a single event-sweep with running rate deltas; this regression pins the
-// two bit-identical over a full W=52 phase sweep.
+// rescans every download per breakpoint, drained by any list of playback
+// intervals. The production build_trace is a single event-sweep with
+// running rate deltas; the regressions below pin the two bit-identical
+// over a full W=52 phase sweep, paused playback and two-group accounting.
 BufferTrace reference_trace(const std::vector<SegmentDownload>& downloads,
-                            std::uint64_t t0, std::uint64_t total_units) {
-  std::set<std::uint64_t> breakpoints{t0, t0 + total_units};
+                            const std::vector<PlaybackInterval>& playback) {
+  std::set<std::uint64_t> breakpoints;
+  for (const auto& interval : playback) {
+    breakpoints.insert(interval.begin);
+    breakpoints.insert(interval.end);
+  }
   for (const auto& d : downloads) {
     breakpoints.insert(d.start);
     breakpoints.insert(d.end());
@@ -194,14 +199,38 @@ BufferTrace reference_trace(const std::vector<SegmentDownload>& downloads,
           t <= d.start ? 0 : std::min(t - d.start, d.length);
       downloaded += static_cast<std::int64_t>(progress);
     }
-    const std::uint64_t consumed =
-        t <= t0 ? 0 : std::min(t - t0, total_units);
+    std::uint64_t consumed = 0;
+    for (const auto& interval : playback) {
+      consumed += t <= interval.begin
+                      ? 0
+                      : std::min(t - interval.begin,
+                                 interval.end - interval.begin);
+    }
     points.push_back(BufferPoint{
         .time = t,
         .level = downloaded - static_cast<std::int64_t>(consumed),
     });
   }
   return BufferTrace(std::move(points));
+}
+
+/// The reference for one uninterrupted playback of `total_units` from t0.
+BufferTrace reference_trace(const std::vector<SegmentDownload>& downloads,
+                            std::uint64_t t0, std::uint64_t total_units) {
+  return reference_trace(downloads, {{t0, t0 + total_units}});
+}
+
+/// Asserts that the sweep and the rescan agree point for point.
+void expect_sweep_matches_reference(
+    const std::vector<SegmentDownload>& downloads,
+    const std::vector<PlaybackInterval>& playback) {
+  const auto sweep = build_trace(downloads, playback);
+  const auto reference = reference_trace(downloads, playback);
+  ASSERT_EQ(sweep.points().size(), reference.points().size());
+  for (std::size_t i = 0; i < reference.points().size(); ++i) {
+    ASSERT_EQ(sweep.points()[i].time, reference.points()[i].time) << i;
+    ASSERT_EQ(sweep.points()[i].level, reference.points()[i].level) << i;
+  }
 }
 
 TEST(ReceptionPlanTest, EventSweepTraceMatchesReferenceRescanAtW52) {
@@ -221,6 +250,64 @@ TEST(ReceptionPlanTest, EventSweepTraceMatchesReferenceRescanAtW52) {
           << "t0 = " << t0 << " i = " << i;
     }
     EXPECT_EQ(plan.max_buffer_units, reference.max_level());
+  }
+}
+
+// Keep-downloading pause (client::analyze_pause): the playback stops at
+// pause_at and resumes `pause` slots later, while the downloads stay put.
+TEST(ReceptionPlanTest, EventSweepTraceMatchesReferenceForPausedPlayback) {
+  const auto layout = make_layout(10, 12);
+  const std::uint64_t total = layout.total_units();
+  const auto period = phase_period(layout, 1 << 16);
+  ASSERT_TRUE(period.has_value());
+  for (std::uint64_t t0 = 0; t0 < *period; ++t0) {
+    const auto plan = plan_reception(layout, t0);
+    for (const std::uint64_t pause : {0U, 1U, 7U, 33U}) {
+      for (int s = 1; s <= layout.segment_count(); ++s) {
+        // Pause at each segment boundary and one slot into the segment.
+        for (const std::uint64_t into : {0U, 1U}) {
+          const std::uint64_t pause_at =
+              t0 + layout.playback_offset_units(s) + into;
+          if (pause_at >= t0 + total) {
+            continue;
+          }
+          SCOPED_TRACE(testing::Message() << "t0 = " << t0 << " pause = "
+                                          << pause << " at " << pause_at);
+          expect_sweep_matches_reference(
+              plan.downloads,
+              {{t0, pause_at}, {pause_at + pause, t0 + total + pause}});
+        }
+      }
+    }
+  }
+}
+
+// Transition-local accounting (analysis::transition_local_worst): only two
+// consecutive groups' downloads, drained by the playback of their units.
+TEST(ReceptionPlanTest, EventSweepTraceMatchesReferenceForTwoGroupPlayback) {
+  const auto layout = make_layout(10, 12);
+  const auto& groups = layout.groups();
+  const auto period = phase_period(layout, 1 << 16);
+  ASSERT_TRUE(period.has_value());
+  for (std::uint64_t t0 = 0; t0 < *period; ++t0) {
+    const auto plan = plan_reception(layout, t0);
+    for (std::size_t g = 0; g + 1 < groups.size(); ++g) {
+      const auto& from = groups[g];
+      const auto& to = groups[g + 1];
+      std::vector<SegmentDownload> downloads;
+      for (const auto& d : plan.downloads) {
+        if (d.segment >= from.first_segment &&
+            d.segment < to.first_segment + to.length) {
+          downloads.push_back(d);
+        }
+      }
+      const std::uint64_t play_start =
+          t0 + layout.playback_offset_units(from.first_segment);
+      SCOPED_TRACE(testing::Message() << "t0 = " << t0 << " g = " << g);
+      expect_sweep_matches_reference(
+          downloads,
+          {{play_start, play_start + from.total_units() + to.total_units()}});
+    }
   }
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "series/broadcast_series.hpp"
 #include "util/contracts.hpp"
 
@@ -67,6 +70,22 @@ TEST(PauseTest, RejectsPauseOutsidePlayback) {
                util::ContractViolation);
 }
 
+// Playback times are t0 plus offsets in unsigned 64-bit arithmetic: a
+// pause whose resumed playback would end past 2^64 - 1 is rejected, not
+// wrapped round to a resume before the pause (K = 6, W = 12: 27 units).
+TEST(PauseTest, RejectsPausesWhosePlaybackOverflows) {
+  const auto layout = make_layout(6, 12);
+  ASSERT_EQ(layout.total_units(), 27U);
+  const std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_THROW((void)analyze_pause(layout, 4, 10, max - 5),
+               util::ContractViolation);
+  EXPECT_THROW((void)analyze_pause(layout, 4, 10, max - 4 - 27 + 1),
+               util::ContractViolation);
+  // The largest pause whose playback still ends in range is analysed.
+  const auto analysis = analyze_pause(layout, 4, 10, max - 4 - 27);
+  EXPECT_EQ(analysis.paused_trace.points().back().level, 0);
+}
+
 TEST(RejoinTest, AlignedResumeNeedsNoWait) {
   const auto layout = make_layout(5);  // 1,2,2,5,5; suffix from segment 4
   // Segment 4's broadcasts start at multiples of 5; resuming at one of them
@@ -114,6 +133,36 @@ TEST(RejoinTest, RestartFromBeginningMatchesFreshPlan) {
               fresh.downloads[i].start)
         << i;
   }
+}
+
+// Rejoining from the start with nothing held is a fresh client at the
+// resume slot the search settles on, for every requested phase.
+TEST(RejoinTest, RejoinFromTheStartIsAFreshPlanAtTheActualResume) {
+  const auto layout = make_layout(10, 12);
+  for (std::uint64_t requested = 0; requested < 150; ++requested) {
+    const auto rejoin = plan_rejoin(layout, 1, 0, requested);
+    const auto fresh = plan_reception(layout, rejoin.actual_resume);
+    const auto& got = rejoin.suffix_plan.downloads;
+    ASSERT_EQ(got.size(), fresh.downloads.size()) << requested;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].segment, fresh.downloads[i].segment) << requested;
+      EXPECT_EQ(got[i].loader, fresh.downloads[i].loader) << requested;
+      EXPECT_EQ(got[i].start, fresh.downloads[i].start) << requested;
+      EXPECT_EQ(got[i].length, fresh.downloads[i].length) << requested;
+      EXPECT_EQ(got[i].deadline, fresh.downloads[i].deadline) << requested;
+    }
+  }
+}
+
+// A resume slot whose suffix schedule would pass 2^64 - 1 is rejected, not
+// wrapped round to a resume at slot 0 with downloads in the past.
+TEST(RejoinTest, RejectsResumesWhoseScheduleOverflows) {
+  const auto layout = make_layout(6, 12);  // 1,2,2,5,5,12: 27 units
+  const std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_THROW((void)plan_rejoin(layout, 4, 5, max - 3),
+               util::ContractViolation);
+  EXPECT_THROW((void)plan_rejoin(layout, 4, 5, max - 2 * 27 + 1),
+               util::ContractViolation);
 }
 
 TEST(RejoinTest, RejectsBadArguments) {

@@ -183,6 +183,32 @@ std::unique_ptr<util::TaskPool> make_pool(const util::ArgParser& args) {
   return std::make_unique<util::TaskPool>(static_cast<unsigned>(threads));
 }
 
+/// Resolves --reps: the number of seeded replications, 1 by default.
+std::size_t replications(const util::ArgParser& args) {
+  const auto reps = args.get_uint("reps", 1);
+  if (reps < 1) {
+    throw std::invalid_argument("--reps must be at least 1, got " +
+                                std::to_string(reps));
+  }
+  return static_cast<std::size_t>(reps);
+}
+
+/// Resolves --policy to the batching tail's queue policy: 'mql' (the
+/// default) or 'fcfs'.
+const batching::BatchingPolicy& batching_policy(const util::ArgParser& args) {
+  static const batching::MqlPolicy mql;
+  static const batching::FcfsPolicy fcfs;
+  const std::string name = args.get_string("policy", "mql");
+  if (name == "mql") {
+    return mql;
+  }
+  if (name == "fcfs") {
+    return fcfs;
+  }
+  throw std::invalid_argument("--policy must be 'mql' or 'fcfs', got '" +
+                              name + "'");
+}
+
 /// Builds the --fault-plan injector (null when the flag is absent). The
 /// spec's horizon and channel count come from the run configuration; the
 /// plan seed defaults to a value derived from the run seed (xored with a
@@ -338,7 +364,7 @@ int cmd_simulate(const util::ArgParser& args) {
   }
   const auto sampler = make_sampler(args);
   config.sampler = sampler.get();
-  const auto reps = static_cast<std::size_t>(args.get_uint("reps", 1));
+  const auto reps = replications(args);
   sim::SimulationReport report;
   if (reps > 1) {
     if (sampler != nullptr) {
@@ -465,14 +491,9 @@ int cmd_hybrid_adaptive(const util::ArgParser& args) {
   const auto sampler = make_sampler(args);
   config.sampler = sampler.get();
 
-  const batching::MqlPolicy mql;
-  const batching::FcfsPolicy fcfs;
-  const bool use_fcfs = args.get_string("policy", "mql") == "fcfs";
-  const auto& policy =
-      use_fcfs ? static_cast<const batching::BatchingPolicy&>(fcfs)
-               : static_cast<const batching::BatchingPolicy&>(mql);
+  const auto& policy = batching_policy(args);
 
-  const auto reps = static_cast<std::size_t>(args.get_uint("reps", 1));
+  const auto reps = replications(args);
   ctrl::AdaptiveReport report;
   double ci95 = 0.0;
   if (reps > 1) {
@@ -571,13 +592,8 @@ int cmd_hybrid(const util::ArgParser& args) {
   }
   const auto sampler = make_sampler(args);
   config.sampler = sampler.get();
-  const batching::MqlPolicy mql;
-  const batching::FcfsPolicy fcfs;
-  const bool use_fcfs = args.get_string("policy", "mql") == "fcfs";
-  const auto& policy =
-      use_fcfs ? static_cast<const batching::BatchingPolicy&>(fcfs)
-               : static_cast<const batching::BatchingPolicy&>(mql);
-  const auto reps = static_cast<std::size_t>(args.get_uint("reps", 1));
+  const auto& policy = batching_policy(args);
+  const auto reps = replications(args);
   batching::HybridReport report;
   if (reps > 1) {
     if (sampler != nullptr) {
@@ -709,7 +725,7 @@ int cmd_metro(const util::ArgParser& args) {
     config.sink = &sink;
   }
   const auto pool = make_pool(args);
-  const auto reps = static_cast<std::size_t>(args.get_uint("reps", 1));
+  const auto reps = replications(args);
 
   metro::FederationReport report;
   if (reps > 1) {
