@@ -17,7 +17,6 @@
 // >=1M gate applies only to the full-size run. Conservation and the
 // serial-vs-pool bit-identity gates apply at every size.
 #include <cstdio>
-#include <cstdlib>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -43,9 +42,7 @@ int main(int argc, char** argv) {
   vodbcast::bench::Session session("ext_metro_federation", argc, argv);
   using namespace vodbcast;
 
-  const char* quick_env = std::getenv("VODBCAST_BENCH_QUICK");
-  const bool quick = quick_env != nullptr && quick_env[0] != '\0' &&
-                     quick_env[0] != '0';
+  const bool quick = session.quick();
   // 1700/min over 600 min ~= 1.02M Poisson arrivals at full size.
   const double scale = quick ? 0.05 : 1.0;
   const core::Minutes horizon{600.0};

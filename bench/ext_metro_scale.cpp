@@ -20,7 +20,6 @@
 // the full-size run.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <vector>
@@ -44,9 +43,7 @@ int main(int argc, char** argv) {
   vodbcast::bench::Session session("ext_metro_scale", argc, argv);
   using namespace vodbcast;
 
-  const char* quick_env = std::getenv("VODBCAST_BENCH_QUICK");
-  const bool quick = quick_env != nullptr && quick_env[0] != '\0' &&
-                     quick_env[0] != '0';
+  const bool quick = session.quick();
   // 2000/min over 600 min ~= 1.2M Poisson arrivals at full size.
   const double arrivals_per_minute = quick ? 200.0 : 2000.0;
   const core::Minutes horizon{600.0};

@@ -71,7 +71,8 @@ std::optional<std::string> flag_value(int argc, const char* const* argv,
 Session::Session(std::string name, int argc, const char* const* argv)
     : name_(std::move(name)), start_(std::chrono::steady_clock::now()) {
   out_dir_ = env_or("VODBCAST_BENCH_OUT", ".");
-  if (env_int_or("VODBCAST_BENCH_QUICK", 0) != 0) {
+  quick_ = env_int_or("VODBCAST_BENCH_QUICK", 0) != 0;
+  if (quick_) {
     reps_ = 1;
     warmup_ = 0;
   }

@@ -65,6 +65,9 @@ class Session {
   [[nodiscard]] int default_reps() const noexcept { return reps_; }
   [[nodiscard]] int default_warmup() const noexcept { return warmup_; }
   [[nodiscard]] int threads() const noexcept { return threads_; }
+  /// VODBCAST_BENCH_QUICK is a non-zero integer: a CI smoke run, which
+  /// campaign benches also scale down.
+  [[nodiscard]] bool quick() const noexcept { return quick_; }
 
   /// Lazily-built worker pool for pool-aware cases: null when --threads
   /// (or VODBCAST_BENCH_THREADS) is 1 — the serial path, no pool overhead —
@@ -135,6 +138,7 @@ class Session {
   int reps_ = 5;
   int warmup_ = 1;
   int threads_ = 1;
+  bool quick_ = false;
   obs::Sink sink_;
   std::unique_ptr<util::TaskPool> pool_;
   std::vector<obs::BenchCaseResult> cases_;

@@ -20,8 +20,10 @@
 # exports at --threads 1 and --threads 4), a
 # CLI strictness self-check (a misspelled flag must exit 2 and name the
 # flag, not fall back to its default; a failed output write must exit 1
-# naming the path; a negative --fault-retries, an unknown --policy and
-# --reps 0 must exit 1 naming the bound), a quick pass of the bench suite to
+# naming the path; a negative --fault-retries, an unknown --policy,
+# --reps 0, a nan or non-positive --horizon and a negative
+# --reject-penalty must exit 1 naming the bound), a quick pass of the bench
+# suite to
 # prove every binary still writes a valid BENCH_*.json that bench_diff can
 # read back, and (opt-in) the mechanical perf gate against the committed
 # trajectory.
@@ -218,6 +220,15 @@ for reps_cmd in simulate hybrid "hybrid --adaptive" metro; do
   expect_cli_error 1 '--reps must be at least 1, got 0' \
     "${reps_args[@]}" --reps 0 --horizon 10
 done
+# Neither may a horizon or a duration the engines cannot run: a nan
+# horizon ran an empty simulation, a negative one an empty report, and a
+# negative reject penalty averaged into negative penalized waits.
+expect_cli_error 1 "--horizon expects a finite number, got 'nan'" \
+  simulate --horizon nan
+expect_cli_error 1 'config.horizon.v > 0.0' simulate --horizon -5
+expect_cli_error 1 'config.horizon.v > 0.0' hybrid --horizon -1
+expect_cli_error 1 'reject_penalty must be finite and non-negative' \
+  metro --reject-penalty -30 --horizon 10
 # A failed write must fail too, not report the file as written.
 cli_rc=0
 build/tools/vodbcast simulate --horizon 10 --metrics-out /dev/full \

@@ -5,8 +5,10 @@
 #               over the observability subsystem, simulator, event engine,
 #               batching server, net reassembly/loss paths, the
 #               fault-injection/recovery layer, the adaptive control plane,
-#               the metro federation, and the client reception planner
-#               with VCR pause/rejoin and the transition-local accounting;
+#               the metro federation, the client reception planner
+#               with VCR pause/rejoin and the transition-local accounting,
+#               the packet client and reassembler fuzz, the argument
+#               parser, the workload generators and the hybrid split;
 #   build-tsan  TSan over the TaskPool and its parallel adopters, including
 #               the replication driver behind simulate_replicated,
 #               simulate_adaptive_replicated and
@@ -38,7 +40,8 @@ if [[ $mode == all || $mode == asan ]]; then
     test_util_json test_bench_harness test_simulator test_task_pool \
     test_parallel test_event_queue test_batching test_net test_ctrl \
     test_fault test_metro test_plan_cache test_stats test_reception_plan \
-    test_vcr test_transition_local test_reception_properties
+    test_vcr test_transition_local test_reception_properties test_fuzz \
+    test_packet_client test_util_args test_workload test_hybrid
 
   ./build-asan/tests/test_obs_registry
   ./build-asan/tests/test_obs_trace
@@ -64,6 +67,11 @@ if [[ $mode == all || $mode == asan ]]; then
   ./build-asan/tests/test_vcr
   ./build-asan/tests/test_transition_local
   ./build-asan/tests/test_reception_properties
+  ./build-asan/tests/test_fuzz
+  ./build-asan/tests/test_packet_client
+  ./build-asan/tests/test_util_args
+  ./build-asan/tests/test_workload
+  ./build-asan/tests/test_hybrid
 fi
 
 if [[ $mode == all || $mode == thread ]]; then

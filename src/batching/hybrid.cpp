@@ -16,6 +16,7 @@ HybridReport evaluate_hybrid(const BatchingPolicy& policy,
                              const HybridConfig& config) {
   VB_EXPECTS(config.hot_titles >= 1);
   VB_EXPECTS(config.broadcast_channels_per_video >= 1);
+  VB_EXPECTS(config.horizon.v > 0.0);
   // Caller-facing input validation (not programming-error contracts): these
   // bounds depend on runtime configuration, so violations throw
   // std::invalid_argument carrying the violated bound.

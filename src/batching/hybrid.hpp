@@ -26,7 +26,7 @@ struct HybridConfig {
   std::uint64_t sb_width = 52;
   core::VideoParams video{};
   double arrivals_per_minute = 10.0;
-  core::Minutes horizon{2000.0};
+  core::Minutes horizon{2000.0};  ///< observation window, > 0
   core::Minutes mean_patience{-1.0};
   std::uint64_t seed = 11;
   /// Sample cap for the tail simulation's Distributions (forwarded to

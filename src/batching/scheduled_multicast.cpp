@@ -219,6 +219,7 @@ MulticastReport simulate_scheduled_multicast(
     const MulticastConfig& config) {
   VB_EXPECTS(config.channels >= 1);
   VB_EXPECTS(config.video_length.v > 0.0);
+  VB_EXPECTS(config.horizon.v > 0.0);
   VB_EXPECTS(num_videos >= 1);
   for (std::size_t i = 0; i < requests.size(); ++i) {
     VB_EXPECTS(requests[i].video < num_videos);

@@ -23,7 +23,7 @@ namespace vodbcast::batching {
 struct MulticastConfig {
   int channels = 10;
   core::Minutes video_length{120.0};
-  core::Minutes horizon{2000.0};
+  core::Minutes horizon{2000.0};  ///< observation window, > 0
   /// Mean patience before a waiting subscriber reneges; <= 0 disables
   /// reneging (everyone waits indefinitely).
   core::Minutes mean_patience{-1.0};

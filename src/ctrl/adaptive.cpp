@@ -15,6 +15,10 @@ namespace vodbcast::ctrl {
 
 namespace {
 
+/// The hot set counts as re-converged after the flip once it carries at
+/// least this fraction of the demand mass of the ideal (oracle) hot set.
+constexpr double kConvergenceFraction = 0.9;
+
 enum class TitleMode : std::uint8_t { kTail, kHot, kDraining };
 
 struct HotState {
@@ -436,7 +440,7 @@ struct AdaptiveSim {
   }
 
   /// After the flip, the hot set has re-converged once it carries
-  /// convergence_fraction of the demand mass of the oracle top-H set.
+  /// kConvergenceFraction of the demand mass of the oracle top-H set.
   void check_convergence(const std::vector<std::size_t>& hot_set) {
     if (!flipped || report.converged_epochs_after_flip >= 0 ||
         epochs_since_flip < 0) {
@@ -457,7 +461,7 @@ struct AdaptiveSim {
       hot_mass += true_popularity[v];
     }
     if (ideal_mass <= 0.0 ||
-        hot_mass >= config.convergence_fraction * ideal_mass) {
+        hot_mass >= kConvergenceFraction * ideal_mass) {
       report.converged_epochs_after_flip = epochs_since_flip;
     }
   }
@@ -473,8 +477,6 @@ AdaptiveReport simulate_adaptive(const batching::BatchingPolicy& policy,
   VB_EXPECTS(config.broadcast_channels_per_video >= 1);
   VB_EXPECTS(config.horizon.v > 0.0);
   VB_EXPECTS(config.arrivals_per_minute > 0.0);
-  VB_EXPECTS(config.convergence_fraction > 0.0 &&
-             config.convergence_fraction <= 1.0);
 
   const ChannelAllocator allocator(AllocatorConfig{
       .total_bandwidth = config.total_bandwidth,

@@ -66,9 +66,6 @@ struct AdaptiveConfig {
   double promote_ratio = 1.2;
   double demote_ratio = 0.8;
   int min_tail_channels = 1;
-  /// Hot set counts as re-converged after the flip when it carries at least
-  /// this fraction of the demand mass of the ideal (oracle) hot set.
-  double convergence_fraction = 0.9;
 
   /// Simulation time of the popularity flip; < 0 disables the scenario.
   core::Minutes flip_at{-1.0};
@@ -121,9 +118,9 @@ struct AdaptiveReport {
   bool degraded = false;
   std::vector<std::size_t> final_hot;  ///< sorted title ids at the horizon
 
-  /// Epochs after flip_at until the hot set first carried
-  /// convergence_fraction of the oracle hot set's demand mass; -1 when a
-  /// flip happened but the controller never re-converged (or no flip ran).
+  /// Epochs after flip_at until the hot set first carried 90% of the
+  /// oracle hot set's demand mass; -1 when a flip happened but the
+  /// controller never re-converged (or no flip ran).
   std::int64_t converged_epochs_after_flip = -1;
 
   [[nodiscard]] double mean_wait_minutes() const {

@@ -155,7 +155,6 @@ Allocation ChannelAllocator::reallocate(
 
   // Fill genuine vacancies (set smaller than capacity) with the best
   // remaining outsiders — an empty slot needs no hysteresis.
-  std::vector<std::size_t> vacancies;
   while (hot.size() < cap.hot_titles && next_outsider < outsiders.size()) {
     const std::size_t challenger = outsiders[next_outsider++];
     if (weights[challenger] <= 0.0) {

@@ -7,6 +7,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -177,6 +178,15 @@ FederationReport simulate_federation(const Topology& topology,
   }
   if (!(config.horizon.v > 0.0)) {
     throw std::invalid_argument("metro federation horizon must be positive");
+  }
+  for (const auto& [name, duration] :
+       {std::pair{"patience", config.patience},
+        std::pair{"spill_wait", config.spill_wait},
+        std::pair{"reject_penalty", config.reject_penalty}}) {
+    if (!(duration.v >= 0.0 && std::isfinite(duration.v))) {
+      throw std::invalid_argument(std::string("metro federation ") + name +
+                                  " must be finite and non-negative");
+    }
   }
   const double d1 = broadcast_d1(config);
 

@@ -124,7 +124,8 @@ struct FederationReport {
 
 /// One federation campaign over `topology`. Throws std::invalid_argument
 /// on a malformed config (fault plan count, infeasible SB head design,
-/// non-positive horizon).
+/// non-positive horizon, negative or non-finite patience, spill_wait or
+/// reject_penalty).
 [[nodiscard]] FederationReport simulate_federation(
     const Topology& topology, const FederationConfig& config,
     util::TaskPool* pool = nullptr);

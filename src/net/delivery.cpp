@@ -8,22 +8,44 @@ namespace vodbcast::net {
 
 namespace {
 
-/// Feeds one pass's surviving data packets into the reassembler and heals
-/// FEC blocks: a block with a lost data packet but at least k surviving
-/// symbols (data or parity) reconstructs, with the lost bytes becoming
-/// available at the send time of the k-th surviving symbol — in-band,
-/// without waiting a repetition. Returns the number of data packets healed.
-std::size_t absorb_pass(const std::vector<Packet>& sent,
-                        const std::vector<Packet>& survivors,
-                        SegmentReassembler& reassembler) {
+/// What one repetition put on the wire.
+struct Pass {
+  std::vector<Packet> sent;       ///< data + parity, in wire order
+  std::vector<Packet> lost_data;  ///< data packets lost, healed or not
+};
+
+/// One repetition of the loop on the wire: packetizes the `index`-th
+/// transmission, lets `loss` drop packets, counts what was sent, lost and
+/// parity into `report`, and feeds the surviving data packets into the
+/// reassembler. FEC heals a block with a lost data packet once any k of its
+/// symbols (data or parity) survived: the lost bytes become available at
+/// the send time of the k-th surviving symbol — in-band, without waiting a
+/// repetition.
+Pass deliver_pass(const channel::PeriodicBroadcast& stream,
+                  std::uint64_t index, core::Mbits mtu, const FecConfig& fec,
+                  LossModel& loss, SegmentReassembler& reassembler,
+                  DeliveryReport& report) {
+  Pass pass{packetize_transmission_fec(stream, index, mtu, fec), {}};
+  const std::vector<Packet>& sent = pass.sent;
   std::vector<char> survived(sent.size(), 0);
-  for (const auto& s : survivors) {
-    survived[s.sequence] = 1;
-    if (!s.is_parity) {
-      reassembler.accept(s);
+  report.packets_sent += sent.size();
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    const Packet& p = sent[i];
+    if (p.is_parity) {
+      ++report.parity_sent;
+    }
+    if (loss.drop(p)) {
+      ++report.packets_lost;
+      if (!p.is_parity) {
+        pass.lost_data.push_back(p);
+      }
+      continue;
+    }
+    survived[i] = 1;
+    if (!p.is_parity) {
+      reassembler.accept(p);
     }
   }
-  std::size_t repaired = 0;
   std::size_t i = 0;
   while (i < sent.size()) {
     const std::uint32_t block = sent[i].fec_block;
@@ -39,35 +61,27 @@ std::size_t absorb_pass(const std::vector<Packet>& sent,
       }
       ++j;
     }
-    if (data_lost && data_in_block > 0) {
+    if (data_lost) {
       // The block reconstructs once any `data_in_block` symbols are in.
       std::size_t got = 0;
-      double heal = 0.0;
-      bool healable = false;
       for (std::size_t t = i; t < j; ++t) {
-        if (!survived[t]) {
-          continue;
-        }
-        if (++got == data_in_block) {
-          heal = sent[t].send_time.v;
-          healable = true;
-          break;
-        }
-      }
-      if (healable) {
-        for (std::size_t t = i; t < j; ++t) {
-          if (!survived[t] && !sent[t].is_parity) {
-            Packet fixed = sent[t];
-            fixed.send_time = core::Minutes{heal};
-            reassembler.accept(fixed);
-            ++repaired;
+        if (survived[t] && ++got == data_in_block) {
+          const core::Minutes heal = sent[t].send_time;
+          for (std::size_t u = i; u < j; ++u) {
+            if (!survived[u] && !sent[u].is_parity) {
+              Packet fixed = sent[u];
+              fixed.send_time = heal;
+              reassembler.accept(fixed);
+              ++report.repaired_packets;
+            }
           }
+          break;
         }
       }
     }
     i = j;
   }
-  return repaired;
+  return pass;
 }
 
 }  // namespace
@@ -80,36 +94,13 @@ DeliveryReport deliver_segment(const channel::PeriodicBroadcast& stream,
                                std::uint64_t parent_span) {
   VB_EXPECTS(display_rate.v > 0.0);
   VB_EXPECTS(options.retry_budget >= 0);
-  const auto sent = packetize_transmission_fec(stream, index, mtu, options.fec);
-  const auto survivors = apply_loss(sent, loss);
-
-  const core::Mbits segment_size = stream.rate * stream.transmission;
-  SegmentReassembler reassembler(segment_size);
-
+  SegmentReassembler reassembler(stream.rate * stream.transmission);
   DeliveryReport report;
-  report.packets_sent = sent.size();
-  report.packets_lost = sent.size() - survivors.size();
-  for (const auto& p : sent) {
-    if (p.is_parity) {
-      ++report.parity_sent;
-    }
-  }
-  report.repaired_packets = absorb_pass(sent, survivors, reassembler);
-
   // The first-pass data holes are what the recovery story is about: they
   // anchor the retransmit span and the heal instant.
-  std::vector<const Packet*> lost_data;
-  {
-    std::vector<char> survived(sent.size(), 0);
-    for (const auto& s : survivors) {
-      survived[s.sequence] = 1;
-    }
-    for (const auto& p : sent) {
-      if (!survived[p.sequence] && !p.is_parity) {
-        lost_data.push_back(&p);
-      }
-    }
-  }
+  const Pass first = deliver_pass(stream, index, mtu, options.fec, loss,
+                                  reassembler, report);
+  const std::vector<Packet>& lost_data = first.lost_data;
 
   // Catch-up: refill remaining holes from the following repetitions of the
   // loop, within the retry budget. The loss model chain keeps drawing, so
@@ -117,17 +108,8 @@ DeliveryReport deliver_segment(const channel::PeriodicBroadcast& stream,
   while (!reassembler.complete() &&
          static_cast<int>(report.retries_used) < options.retry_budget) {
     ++report.retries_used;
-    const auto again = packetize_transmission_fec(
-        stream, index + report.retries_used, mtu, options.fec);
-    const auto again_survivors = apply_loss(again, loss);
-    report.packets_sent += again.size();
-    report.packets_lost += again.size() - again_survivors.size();
-    for (const auto& p : again) {
-      if (p.is_parity) {
-        ++report.parity_sent;
-      }
-    }
-    report.repaired_packets += absorb_pass(again, again_survivors, reassembler);
+    (void)deliver_pass(stream, index + report.retries_used, mtu, options.fec,
+                       loss, reassembler, report);
   }
 
   report.complete = reassembler.complete();
@@ -139,7 +121,7 @@ DeliveryReport deliver_segment(const channel::PeriodicBroadcast& stream,
   // reaches it: playback_start + x / display_rate.
   report.jitter_free = report.complete;
   if (report.complete) {
-    for (const auto& p : sent) {
+    for (const auto& p : first.sent) {
       if (p.is_parity) {
         continue;
       }
@@ -164,19 +146,19 @@ DeliveryReport deliver_segment(const channel::PeriodicBroadcast& stream,
   // replays every byte period minutes later.)
   if (!lost_data.empty()) {
     double heal = 0.0;
-    for (const Packet* p : lost_data) {
+    for (const Packet& p : lost_data) {
       const auto covered = reassembler.covered_since(
-          p->offset, core::Mbits{p->offset.v + p->payload.v});
+          p.offset, core::Mbits{p.offset.v + p.payload.v});
       const double h =
           covered.has_value()
               ? covered->v
-              : p->send_time.v +
+              : p.send_time.v +
                     (static_cast<double>(report.retries_used) + 1.0) *
                         stream.period.v;
       heal = std::max(heal, h);
       if (!covered.has_value()) {
         // A hole that never healed: project the player's stall on it.
-        const core::Mbits through{p->offset.v + p->payload.v};
+        const core::Mbits through{p.offset.v + p.payload.v};
         const double needed_by =
             playback_start.v + (through / display_rate).v;
         report.stall_min = std::max(report.stall_min, h - needed_by);
@@ -215,7 +197,7 @@ DeliveryReport deliver_segment(const channel::PeriodicBroadcast& stream,
       // until the last hole's repetition.
       sink->spans.record(obs::Span{
           .parent = parent_span,
-          .start_min = lost_data.front()->send_time.v,
+          .start_min = lost_data.front().send_time.v,
           .end_min = report.heal_min,
           .phase = obs::SpanPhase::kRetransmit,
           .channel = stream.logical_channel,
@@ -227,15 +209,6 @@ DeliveryReport deliver_segment(const channel::PeriodicBroadcast& stream,
     }
   }
   return report;
-}
-
-DeliveryReport deliver_segment(const channel::PeriodicBroadcast& stream,
-                               std::uint64_t index, core::Mbits mtu,
-                               LossModel& loss, core::Minutes playback_start,
-                               core::MbitPerSec display_rate, obs::Sink* sink,
-                               std::uint64_t parent_span) {
-  return deliver_segment(stream, index, mtu, loss, playback_start,
-                         display_rate, DeliveryOptions{}, sink, parent_span);
 }
 
 }  // namespace vodbcast::net

@@ -64,14 +64,7 @@ struct DeliveryReport {
 [[nodiscard]] DeliveryReport deliver_segment(
     const channel::PeriodicBroadcast& stream, std::uint64_t index,
     core::Mbits mtu, LossModel& loss, core::Minutes playback_start,
-    core::MbitPerSec display_rate, const DeliveryOptions& options,
+    core::MbitPerSec display_rate, const DeliveryOptions& options = {},
     obs::Sink* sink = nullptr, std::uint64_t parent_span = 0);
-
-/// Recovery-free delivery (the passive baseline).
-[[nodiscard]] DeliveryReport deliver_segment(
-    const channel::PeriodicBroadcast& stream, std::uint64_t index,
-    core::Mbits mtu, LossModel& loss, core::Minutes playback_start,
-    core::MbitPerSec display_rate, obs::Sink* sink = nullptr,
-    std::uint64_t parent_span = 0);
 
 }  // namespace vodbcast::net

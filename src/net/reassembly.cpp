@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/contracts.hpp"
 
@@ -16,35 +17,26 @@ SegmentReassembler::SegmentReassembler(core::Mbits expected)
   VB_EXPECTS(expected.v > 0.0);
 }
 
-bool SegmentReassembler::covered_by(double begin, double end,
-                                    double by_time) const {
+SegmentReassembler::Reach SegmentReassembler::walk(double begin,
+                                                   double end) const {
   // The timeline holds, for every covered byte, the earliest send time at
-  // which it became covered; [begin, end] is covered by packets no later
-  // than `by_time` exactly when the pieces overlapping it are contiguous
-  // and none became covered later than `by_time`.
+  // which it became covered. Start at the piece holding `begin` and follow
+  // contiguous coverage (gaps of at most kEps) until it reaches `end`.
   auto it = std::upper_bound(
       timeline_.begin(), timeline_.end(), begin,
       [](double v, const Piece& p) { return v < p.begin; });
-  if (it != timeline_.begin()) {
+  if (it != timeline_.begin() && (it - 1)->end >= begin - kEps) {
     --it;
-    if (it->end < begin - kEps) {
-      ++it;
+  }
+  Reach reach{begin, -std::numeric_limits<double>::infinity()};
+  for (; it != timeline_.end() && it->begin <= reach.end + kEps; ++it) {
+    reach.latest = std::max(reach.latest, it->cover_time);
+    reach.end = std::max(reach.end, it->end);
+    if (reach.end + kEps >= end) {
+      break;
     }
   }
-  double cursor = begin;
-  for (; it != timeline_.end() && it->begin < end - kEps; ++it) {
-    if (it->begin > cursor + kEps) {
-      return false;
-    }
-    if (it->cover_time > by_time + kEps) {
-      return false;
-    }
-    cursor = std::max(cursor, it->end);
-    if (cursor + kEps >= end) {
-      return true;
-    }
-  }
-  return cursor + kEps >= end;
+  return reach;
 }
 
 void SegmentReassembler::merge_range(double begin, double end, double at) {
@@ -108,7 +100,9 @@ void SegmentReassembler::accept(const Packet& packet) {
   // A packet whose bytes were already covered at its own send time can
   // change neither the coverage nor any availability answer: drop it. This
   // is what bounds the log under duplicate/retransmission storms.
-  if (covered_by(begin, end, packet.send_time.v)) {
+  const Reach reach = walk(begin, end);
+  if (reach.end + kEps >= end &&
+      reach.latest <= packet.send_time.v + kEps) {
     return;
   }
   ++retained_;
@@ -116,17 +110,8 @@ void SegmentReassembler::accept(const Packet& packet) {
 }
 
 core::Mbits SegmentReassembler::contiguous_prefix() const {
-  if (timeline_.empty() || timeline_.front().begin > kEps) {
-    return core::Mbits{0.0};
-  }
-  double prefix = timeline_.front().end;
-  for (std::size_t i = 1; i < timeline_.size(); ++i) {
-    if (timeline_[i].begin > prefix + kEps) {
-      break;
-    }
-    prefix = std::max(prefix, timeline_[i].end);
-  }
-  return core::Mbits{prefix};
+  return core::Mbits{
+      walk(0.0, std::numeric_limits<double>::infinity()).end};
 }
 
 core::Mbits SegmentReassembler::received() const {
@@ -162,52 +147,20 @@ std::optional<core::Minutes> SegmentReassembler::prefix_available_at(
   if (point.v <= kEps) {
     return core::Minutes{0.0};
   }
-  // The prefix through `point` closes at the latest earliest-cover time of
-  // any byte in [0, point]: one contiguous walk over the timeline.
-  double cursor = 0.0;
-  double latest = 0.0;
-  for (const auto& p : timeline_) {
-    if (p.begin > cursor + kEps) {
-      return std::nullopt;  // hole before `point`
-    }
-    latest = std::max(latest, p.cover_time);
-    cursor = std::max(cursor, p.end);
-    if (cursor + kEps >= point.v) {
-      return core::Minutes{latest};
-    }
-  }
-  return std::nullopt;
+  return covered_since(core::Mbits{0.0}, point);
 }
 
 std::optional<core::Minutes> SegmentReassembler::covered_since(
     core::Mbits begin, core::Mbits end) const {
   VB_EXPECTS(begin.v >= -kEps && end.v <= expected_ + kEps &&
              begin.v <= end.v + kEps);
-  auto it = std::upper_bound(
-      timeline_.begin(), timeline_.end(), begin.v,
-      [](double v, const Piece& p) { return v < p.begin; });
-  if (it != timeline_.begin()) {
-    --it;
-    if (it->end < begin.v - kEps) {
-      ++it;
-    }
+  // The range closes at the latest earliest-cover time of any byte in it;
+  // times are reported from 0 on.
+  const Reach reach = walk(begin.v, end.v);
+  if (reach.end + kEps < end.v) {
+    return std::nullopt;
   }
-  double cursor = begin.v;
-  double latest = 0.0;
-  for (; it != timeline_.end() && it->begin < end.v - kEps; ++it) {
-    if (it->begin > cursor + kEps) {
-      return std::nullopt;
-    }
-    latest = std::max(latest, it->cover_time);
-    cursor = std::max(cursor, it->end);
-    if (cursor + kEps >= end.v) {
-      return core::Minutes{latest};
-    }
-  }
-  if (cursor + kEps >= end.v) {
-    return core::Minutes{latest};
-  }
-  return std::nullopt;
+  return core::Minutes{std::max(0.0, reach.latest)};
 }
 
 }  // namespace vodbcast::net

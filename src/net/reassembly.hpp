@@ -77,10 +77,17 @@ class SegmentReassembler {
     double cover_time;
   };
 
-  /// True when `[begin, end]` is covered by retained packets whose
-  /// send_time is at most `by_time`.
-  [[nodiscard]] bool covered_by(double begin, double end,
-                                double by_time) const;
+  /// How far contiguous coverage reaches from `begin` towards `end`, and
+  /// the latest cover time of the pieces it crossed.
+  struct Reach {
+    double end;
+    double latest;
+  };
+
+  /// The one coverage walk: from the piece holding `begin`, follows
+  /// pieces separated by gaps of at most kEps until it reaches `end`.
+  /// Every availability answer and accept()'s drop rule derive from it.
+  [[nodiscard]] Reach walk(double begin, double end) const;
   /// Lowers the earliest-cover time over `[begin, end]` to at most `at`,
   /// filling holes; the timeline stays sorted, disjoint and fused.
   void merge_range(double begin, double end, double at);

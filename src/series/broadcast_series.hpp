@@ -14,8 +14,9 @@
 // materializing as [1, 2, 2, 5, 5, 12, 12, 25, 25, 52, 52, ...]; applying the
 // width cap W yields segment sizes min(f(n), W). The paper frames SB as a
 // *family* of schemes parameterized by the series, so the generator is an
-// interface with the pyramid (geometric), flat (staggered) and
-// fast-broadcast (powers of two) laws implemented alongside.
+// interface with the flat (staggered) and fast-broadcast (powers of two)
+// laws implemented alongside. The pyramid schemes' geometric sizes are not
+// a series law: PB and PPB compute them from α in src/schemes.
 #pragma once
 
 #include <cstdint>

@@ -87,6 +87,7 @@ void trace_reception(obs::Sink& sink, const client::PlanView& plan,
 SimulationReport simulate(const schemes::BroadcastScheme& scheme,
                           const schemes::DesignInput& input,
                           const SimulationConfig& config) {
+  VB_EXPECTS(config.horizon.v > 0.0);
   const auto design = scheme.design(input);
   VB_EXPECTS_MSG(design.has_value(), "scheme infeasible at this bandwidth");
 

@@ -26,7 +26,7 @@ class Injector;
 namespace vodbcast::sim {
 
 struct SimulationConfig {
-  core::Minutes horizon{600.0};       ///< observation window
+  core::Minutes horizon{600.0};       ///< observation window, > 0
   double arrivals_per_minute = 10.0;  ///< aggregate Poisson rate
   std::uint64_t seed = 42;
   /// Run the exact SB reception plan per client (slower; SB schemes only).

@@ -2,11 +2,43 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 
 #include "util/contracts.hpp"
 
 namespace vodbcast::util {
+
+namespace {
+
+/// The whole of `text` as a finite double; nullopt for junk, an empty
+/// string, inf, nan or a literal that overflows to inf (1e999).
+std::optional<double> parse_finite(const std::string& text) {
+  char* end = nullptr;
+  const double parsed = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0' || !std::isfinite(parsed)) {
+    return std::nullopt;
+  }
+  return parsed;
+}
+
+/// Splits on ',' keeping empty pieces, so "4,,2" and "4,2," surface the
+/// empty element to the per-element validator instead of vanishing.
+std::vector<std::string> split_list(const std::string& text) {
+  std::vector<std::string> parts;
+  std::size_t begin = 0;
+  for (;;) {
+    const auto comma = text.find(',', begin);
+    if (comma == std::string::npos) {
+      parts.push_back(text.substr(begin));
+      return parts;
+    }
+    parts.push_back(text.substr(begin, comma - begin));
+    begin = comma + 1;
+  }
+}
+
+}  // namespace
 
 ArgParser::ArgParser(const std::vector<std::string>& args) {
   for (std::size_t i = 0; i < args.size(); ++i) {
@@ -73,11 +105,11 @@ double ArgParser::get_double(const std::string& flag, double fallback) const {
   if (!value.has_value()) {
     return fallback;
   }
-  char* end = nullptr;
-  const double parsed = std::strtod(value->c_str(), &end);
-  VB_EXPECTS_MSG(end != nullptr && *end == '\0' && end != value->c_str(),
-                 "--" + flag + " expects a number, got '" + *value + "'");
-  return parsed;
+  const auto parsed = parse_finite(*value);
+  VB_EXPECTS_MSG(parsed.has_value(), "--" + flag +
+                                         " expects a finite number, got '" +
+                                         *value + "'");
+  return *parsed;
 }
 
 std::int64_t ArgParser::get_int(const std::string& flag,
@@ -112,26 +144,6 @@ std::uint64_t ArgParser::get_uint(const std::string& flag,
   return parsed;
 }
 
-namespace {
-
-/// Splits on ',' keeping empty pieces, so "4,,2" and "4,2," surface the
-/// empty element to the per-element validator instead of vanishing.
-std::vector<std::string> split_list(const std::string& text) {
-  std::vector<std::string> parts;
-  std::size_t begin = 0;
-  for (;;) {
-    const auto comma = text.find(',', begin);
-    if (comma == std::string::npos) {
-      parts.push_back(text.substr(begin));
-      return parts;
-    }
-    parts.push_back(text.substr(begin, comma - begin));
-    begin = comma + 1;
-  }
-}
-
-}  // namespace
-
 std::vector<double> ArgParser::get_double_list(
     const std::string& flag, const std::vector<double>& fallback) const {
   const auto value = get(flag);
@@ -143,16 +155,12 @@ std::vector<double> ArgParser::get_double_list(
   std::vector<double> out;
   const auto parts = split_list(*value);
   for (std::size_t i = 0; i < parts.size(); ++i) {
-    const std::string& part = parts[i];
-    char* end = nullptr;
-    const double parsed =
-        part.empty() ? 0.0 : std::strtod(part.c_str(), &end);
-    VB_EXPECTS_MSG(
-        !part.empty() && end != nullptr && *end == '\0' &&
-            end != part.c_str(),
-        "--" + flag + " element " + std::to_string(i + 1) +
-            " must be a number, got '" + part + "' in '" + *value + "'");
-    out.push_back(parsed);
+    const auto parsed = parse_finite(parts[i]);
+    VB_EXPECTS_MSG(parsed.has_value(),
+                   "--" + flag + " element " + std::to_string(i + 1) +
+                       " must be a finite number, got '" + parts[i] +
+                       "' in '" + *value + "'");
+    out.push_back(*parsed);
   }
   return out;
 }

@@ -30,7 +30,8 @@ class ArgParser {
   [[nodiscard]] bool has(const std::string& flag) const;
   [[nodiscard]] std::optional<std::string> get(const std::string& flag) const;
 
-  /// Typed accessors with defaults; throw ContractViolation on junk.
+  /// Typed accessors with defaults; throw ContractViolation on junk. A
+  /// double must be finite: inf, nan and 1e999 are junk too.
   [[nodiscard]] std::string get_string(const std::string& flag,
                                        const std::string& fallback) const;
   [[nodiscard]] double get_double(const std::string& flag,
@@ -42,9 +43,9 @@ class ArgParser {
 
   /// Comma-separated list values (e.g. `--regions 400,300,300`). Absent
   /// flag -> `fallback`. Each element is validated individually; a
-  /// malformed, empty (leading/trailing/double comma) element throws
-  /// ContractViolation naming the flag, the 1-based element position and
-  /// the offending text.
+  /// malformed, non-finite or empty (leading/trailing/double comma) element
+  /// throws ContractViolation naming the flag, the 1-based element position
+  /// and the offending text.
   [[nodiscard]] std::vector<double> get_double_list(
       const std::string& flag, const std::vector<double>& fallback) const;
   [[nodiscard]] std::vector<std::uint64_t> get_uint_list(

@@ -25,12 +25,21 @@ TaskPool::TaskPool(unsigned threads, std::size_t queue_capacity)
     : queue_capacity_(std::max<std::size_t>(1, queue_capacity)) {
   const unsigned count = std::max(1U, threads);
   workers_.reserve(count);
-  for (unsigned i = 0; i < count; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+  try {
+    for (unsigned i = 0; i < count; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    // A thread that cannot start (std::system_error): destroying the
+    // joinable workers already started would call std::terminate.
+    stop_and_join();
+    throw;
   }
 }
 
-TaskPool::~TaskPool() {
+TaskPool::~TaskPool() { stop_and_join(); }
+
+void TaskPool::stop_and_join() {
   {
     const std::scoped_lock lock(mutex_);
     stopping_ = true;

@@ -35,7 +35,9 @@ namespace vodbcast::util {
 class TaskPool {
  public:
   /// Spawns max(1, threads) workers. `queue_capacity` bounds the number of
-  /// submitted-but-unstarted tasks (>= 1).
+  /// submitted-but-unstarted tasks (>= 1). When a worker cannot start, the
+  /// ones already started are stopped and joined and the std::system_error
+  /// propagates.
   explicit TaskPool(unsigned threads, std::size_t queue_capacity = 1024);
 
   TaskPool(const TaskPool&) = delete;
@@ -64,6 +66,8 @@ class TaskPool {
 
  private:
   void worker_loop();
+  /// Lets the workers drain the queue and exit, then joins them.
+  void stop_and_join();
 
   std::mutex mutex_;
   std::condition_variable queue_not_empty_;

@@ -7,7 +7,7 @@
 namespace vodbcast::workload {
 
 /// Homogeneous Poisson process; inter-arrival gaps are exponential with the
-/// given rate (arrivals per minute).
+/// given rate (arrivals per minute), which must be positive and finite.
 class PoissonProcess {
  public:
   PoissonProcess(double arrivals_per_minute, util::Rng rng);

@@ -35,6 +35,7 @@ Request RequestGenerator::next() {
 }
 
 std::vector<Request> RequestGenerator::generate_until(core::Minutes horizon) {
+  VB_EXPECTS(std::isfinite(horizon.v));
   std::vector<Request> requests;
   while (true) {
     Request r = next();
@@ -49,6 +50,8 @@ std::vector<Request> RequestGenerator::generate_until(core::Minutes horizon) {
 RequestFeed::RequestFeed(RequestGenerator generator, core::Minutes horizon)
     : generator_(std::move(generator)),
       horizon_(horizon.v),
-      ahead_(generator_.next()) {}
+      ahead_(generator_.next()) {
+  VB_EXPECTS(std::isfinite(horizon_));
+}
 
 }  // namespace vodbcast::workload

@@ -28,7 +28,7 @@ class RequestGenerator {
   /// The next request in arrival order.
   Request next();
 
-  /// All requests within [0, horizon).
+  /// All requests within [0, horizon); `horizon` must be finite.
   [[nodiscard]] std::vector<Request> generate_until(core::Minutes horizon);
 
  private:
@@ -40,7 +40,8 @@ class RequestGenerator {
 /// The requests generate_until(horizon) would return, pulled one at a time
 /// through a one-request look-ahead, so a consumer holds O(1) requests
 /// instead of the whole stream. The generator draws exactly what
-/// generate_until draws. Models sim::ArrivalFeed.
+/// generate_until draws. Models sim::ArrivalFeed. `horizon` must be
+/// finite.
 class RequestFeed {
  public:
   RequestFeed(RequestGenerator generator, core::Minutes horizon);

@@ -49,6 +49,18 @@ std::vector<workload::Request> uniform_requests(double rate, double horizon,
   return gen.generate_until(core::Minutes{horizon});
 }
 
+TEST(ScheduledMulticastTest, RejectsNonPositiveHorizons) {
+  const auto requests = uniform_requests(0.2, 50.0, 4, 3);
+  for (const double horizon : {-1.0, 0.0}) {
+    MulticastConfig config;
+    config.horizon = core::Minutes{horizon};
+    EXPECT_THROW(
+        (void)simulate_scheduled_multicast(MqlPolicy(), requests, 4, config),
+        util::ContractViolation)
+        << horizon;
+  }
+}
+
 TEST(ScheduledMulticastTest, AllServedWhenCapacityIsAmple) {
   // Little's law: ~0.2/min x 120 min = 24 concurrent streams on average;
   // 60 channels make an idle channel at every arrival all but certain.

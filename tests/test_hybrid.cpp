@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/contracts.hpp"
+
 namespace vodbcast::batching {
 namespace {
 
@@ -93,6 +95,16 @@ TEST(HybridTest, RejectsMoreHotTitlesThanCatalog) {
     const std::string what = e.what();
     EXPECT_NE(what.find("hot_titles (200)"), std::string::npos) << what;
     EXPECT_NE(what.find("catalog_size (100)"), std::string::npos) << what;
+  }
+}
+
+TEST(HybridTest, RejectsNonPositiveHorizons) {
+  for (const double horizon : {-1.0, 0.0}) {
+    auto config = base_config();
+    config.horizon = core::Minutes{horizon};
+    EXPECT_THROW((void)evaluate_hybrid(MqlPolicy(), config),
+                 util::ContractViolation)
+        << horizon;
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -341,6 +342,23 @@ TEST(FederationTest, ValidatesConfig) {
                std::invalid_argument);
   EXPECT_THROW(PlacementSolver(0, 0.271), std::invalid_argument);
   EXPECT_THROW(PlacementSolver(10, 1.5), std::invalid_argument);
+}
+
+TEST(FederationTest, RejectsNegativeDurations) {
+  const auto topo = four_regions();
+  for (const auto field : {&FederationConfig::patience,
+                           &FederationConfig::spill_wait,
+                           &FederationConfig::reject_penalty}) {
+    for (const double bad :
+         {-30.0, std::numeric_limits<double>::infinity(),
+          std::numeric_limits<double>::quiet_NaN()}) {
+      auto config = small_config();
+      config.*field = core::Minutes{bad};
+      EXPECT_THROW((void)simulate_federation(topo, config),
+                   std::invalid_argument)
+          << bad;
+    }
+  }
 }
 
 TEST(FederationTest, SampleCapKeepsMomentsExact) {

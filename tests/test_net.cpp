@@ -1,10 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "net/delivery.hpp"
 #include "net/loss.hpp"
 #include "net/packetizer.hpp"
 #include "net/reassembly.hpp"
 #include "util/contracts.hpp"
+#include "util/rng.hpp"
 
 namespace vodbcast::net {
 namespace {
@@ -191,6 +199,187 @@ TEST(ReassemblerTest, AvailabilityFollowsSendTimesNotAcceptOrder) {
   const auto at720 = reassembler.prefix_available_at(core::Mbits{720.0});
   ASSERT_TRUE(at720.has_value());
   EXPECT_NEAR(at720->v, 8.0, 1e-9);
+}
+
+// Reference model on an integer unit grid: each unit keeps its earliest
+// cover time, and a packet is kept unless every unit it spans was already
+// covered no later than its send time. With integer offsets and send times
+// every answer is exact, so the reassembler must agree bit for bit after
+// every accept.
+class GridReference {
+ public:
+  explicit GridReference(int units)
+      : cover_(static_cast<std::size_t>(units), -1) {}
+
+  void accept(int begin, int end, int send) {
+    bool covered = true;
+    for (int u = begin; u < end; ++u) {
+      covered = covered && cover(u) >= 0 && cover(u) <= send;
+    }
+    if (covered) {
+      return;
+    }
+    ++retained_;
+    for (int u = begin; u < end; ++u) {
+      if (cover(u) < 0 || cover(u) > send) {
+        cover_[static_cast<std::size_t>(u)] = send;
+      }
+    }
+  }
+
+  [[nodiscard]] int units() const { return static_cast<int>(cover_.size()); }
+  [[nodiscard]] std::size_t retained() const { return retained_; }
+  [[nodiscard]] int prefix() const {
+    int u = 0;
+    while (u < units() && cover(u) >= 0) {
+      ++u;
+    }
+    return u;
+  }
+  [[nodiscard]] int received() const {
+    int n = 0;
+    for (const int c : cover_) {
+      n += c >= 0 ? 1 : 0;
+    }
+    return n;
+  }
+  [[nodiscard]] std::vector<std::pair<int, int>> gaps() const {
+    std::vector<std::pair<int, int>> out;
+    for (int u = 0; u < units(); ++u) {
+      if (cover(u) >= 0) {
+        continue;
+      }
+      if (!out.empty() && out.back().second == u) {
+        out.back().second = u + 1;
+      } else {
+        out.emplace_back(u, u + 1);
+      }
+    }
+    return out;
+  }
+  /// Latest cover time over [begin, end), -1 while any unit is missing.
+  [[nodiscard]] int covered_since(int begin, int end) const {
+    int latest = 0;
+    for (int u = begin; u < end; ++u) {
+      if (cover(u) < 0) {
+        return -1;
+      }
+      latest = std::max(latest, cover(u));
+    }
+    return latest;
+  }
+
+ private:
+  [[nodiscard]] int cover(int u) const {
+    return cover_[static_cast<std::size_t>(u)];
+  }
+
+  std::vector<int> cover_;
+  std::size_t retained_ = 0;
+};
+
+double answer(const std::optional<core::Minutes>& at) {
+  return at.has_value() ? at->v : -1.0;
+}
+
+TEST(ReassemblerTest, AgreesWithTheUnitGridReference) {
+  util::Rng rng(0x5eed2026);
+  for (int set = 0; set < 2000; ++set) {
+    const int units = 1 + static_cast<int>(rng.next_below(24));
+    SegmentReassembler reassembler(core::Mbits{static_cast<double>(units)});
+    GridReference reference(units);
+    std::vector<std::array<int, 3>> sent;
+    const int packets = 1 + static_cast<int>(rng.next_below(
+                                static_cast<std::uint64_t>(3 * units)));
+    for (int i = 0; i < packets; ++i) {
+      std::array<int, 3> packet{};
+      if (!sent.empty() && rng.next_double() < 0.25) {
+        // A duplicate, resent at the same or a fresh (possibly earlier) time.
+        packet = sent[rng.next_below(sent.size())];
+        if (rng.next_double() < 0.5) {
+          packet[2] = static_cast<int>(rng.next_below(16));
+        }
+      } else {
+        const int begin = static_cast<int>(
+            rng.next_below(static_cast<std::uint64_t>(units)));
+        const int end = begin + 1 +
+                        static_cast<int>(rng.next_below(
+                            static_cast<std::uint64_t>(units - begin)));
+        packet = {begin, end, static_cast<int>(rng.next_below(16))};
+      }
+      sent.push_back(packet);
+      const auto [begin, end, send] = packet;
+      Packet p;
+      p.offset = core::Mbits{static_cast<double>(begin)};
+      p.payload = core::Mbits{static_cast<double>(end - begin)};
+      p.send_time = core::Minutes{static_cast<double>(send)};
+      reassembler.accept(p);
+      reference.accept(begin, end, send);
+
+      const std::string where = "set " + std::to_string(set) + " packet " +
+                                std::to_string(i);
+      ASSERT_EQ(reassembler.retained_packets(), reference.retained())
+          << where;
+      ASSERT_EQ(reassembler.contiguous_prefix().v, reference.prefix())
+          << where;
+      ASSERT_EQ(reassembler.complete(), reference.prefix() == units) << where;
+      ASSERT_EQ(reassembler.received().v, reference.received()) << where;
+      const auto gaps = reassembler.gaps();
+      const auto expected_gaps = reference.gaps();
+      ASSERT_EQ(gaps.size(), expected_gaps.size()) << where;
+      for (std::size_t g = 0; g < gaps.size(); ++g) {
+        ASSERT_EQ(gaps[g].begin.v, expected_gaps[g].first) << where;
+        ASSERT_EQ(gaps[g].end.v, expected_gaps[g].second) << where;
+      }
+      for (int point = 0; point <= units; ++point) {
+        ASSERT_EQ(answer(reassembler.prefix_available_at(
+                      core::Mbits{static_cast<double>(point)})),
+                  reference.covered_since(0, point))
+            << where << " point " << point;
+      }
+      for (int q = 0; q < 8; ++q) {
+        const int a = static_cast<int>(
+            rng.next_below(static_cast<std::uint64_t>(units)));
+        const int b = a + 1 +
+                      static_cast<int>(rng.next_below(
+                          static_cast<std::uint64_t>(units - a)));
+        ASSERT_EQ(answer(reassembler.covered_since(
+                      core::Mbits{static_cast<double>(a)},
+                      core::Mbits{static_cast<double>(b)})),
+                  reference.covered_since(a, b))
+            << where << " range " << a << ".." << b;
+      }
+    }
+  }
+}
+
+// Every availability answer follows one coverage walk, so a range from 0
+// and the prefix through the same point agree even when two pieces meet
+// within the kEps tolerance just short of that point.
+TEST(ReassemblerTest, RangeFromZeroAndPrefixAgreeAtTheToleranceEdge) {
+  SegmentReassembler reassembler(core::Mbits{10.0});
+  Packet head;
+  head.payload = core::Mbits{5.0 - 1.5e-9};
+  head.send_time = core::Minutes{1.0};
+  Packet tail;
+  tail.offset = core::Mbits{5.0 - 0.8e-9};
+  tail.payload = core::Mbits{10.0 - tail.offset.v};
+  tail.send_time = core::Minutes{2.0};
+  reassembler.accept(head);
+  reassembler.accept(tail);
+  const auto prefix = reassembler.prefix_available_at(core::Mbits{5.0});
+  const auto range =
+      reassembler.covered_since(core::Mbits{0.0}, core::Mbits{5.0});
+  ASSERT_TRUE(prefix.has_value());
+  ASSERT_TRUE(range.has_value());
+  EXPECT_EQ(prefix->v, 2.0);
+  EXPECT_EQ(range->v, 2.0);
+  // A later copy of [0, 5] adds nothing the walk did not already cover.
+  Packet late;
+  late.payload = core::Mbits{5.0};
+  late.send_time = core::Minutes{3.0};
+  reassembler.accept(late);
+  EXPECT_EQ(reassembler.retained_packets(), 2U);
 }
 
 // A late retransmission that fills a real hole must still count: only

@@ -19,6 +19,7 @@
 #include "ctrl/adaptive.hpp"
 #include "fault/injector.hpp"
 #include "metro/federation.hpp"
+#include "net/delivery.hpp"
 #include "obs/sink.hpp"
 #include "schemes/permutation_pyramid.hpp"
 #include "schemes/skyscraper.hpp"
@@ -673,6 +674,89 @@ TEST(RegistryExportPinTest, FixedOrderFoldOfThreeShards) {
   EXPECT_EQ(fold.counter("obs.labels_dropped").value(), 20U);
   EXPECT_DIGEST(text_digest(fold.to_json()), 0x6752cbce346743a1);
   EXPECT_DIGEST(text_digest(fold.to_openmetrics()), 0x8b390dd4e1d657b9);
+}
+
+// ---------------------------------------------------------------------------
+// Packet delivery pin: deliver_segment reports (and the retransmit span a
+// lossy delivery records) over a grid of rates, segment lengths, MTUs, FEC
+// shapes, retry budgets, loss models, seeds and repetitions, captured
+// before the reassembler's availability queries became one coverage walk
+// and the delivery passes one pass function.
+
+std::uint64_t digest(const net::DeliveryReport& r, const obs::Sink& sink) {
+  Fnv f;
+  for (const std::size_t count :
+       {r.packets_sent, r.packets_lost, r.parity_sent, r.repaired_packets,
+        r.retries_used, r.gap_count}) {
+    f.add(static_cast<std::uint64_t>(count));
+  }
+  f.add(static_cast<std::uint64_t>(r.complete))
+      .add(static_cast<std::uint64_t>(r.degraded))
+      .add(static_cast<std::uint64_t>(r.jitter_free))
+      .add(r.heal_min)
+      .add(r.stall_min);
+  for (const auto& span : sink.spans.spans()) {
+    f.add(span.start_min).add(span.end_min).add(span.value).add(span.parent);
+  }
+  return f.value();
+}
+
+TEST(DeliveryPinTest, ReportsOverRatesMtusFecRetriesAndLossModels) {
+  Fnv all;
+  std::uint64_t reports = 0;
+  for (const double rate : {1.5, 4.0}) {
+    for (const double length : {0.5, 2.0, 4.0}) {
+      const channel::PeriodicBroadcast stream{
+          .logical_channel = 3,
+          .subchannel = 0,
+          .video = 1,
+          .segment = 2,
+          .rate = core::MbitPerSec{rate},
+          .period = core::Minutes{length},
+          .phase = core::Minutes{length / 4.0},
+          .transmission = core::Minutes{length},
+      };
+      for (const double mtu : {0.5, 3.0, 20.0}) {
+        for (const auto& fec :
+             {net::FecConfig{}, net::FecConfig{4, 1}, net::FecConfig{8, 2},
+              net::FecConfig{1, 1}}) {
+          for (int retries = 0; retries <= 2; ++retries) {
+            for (int model = 0; model < 3; ++model) {
+              for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+                for (std::uint64_t index = 0; index < 2; ++index) {
+                  net::NoLoss none;
+                  net::BernoulliLoss bernoulli(0.05, seed);
+                  net::GilbertElliottLoss bursty(
+                      net::GilbertElliottLoss::Params{0.02, 0.3, 0.0, 0.6},
+                      seed);
+                  net::LossModel* const models[] = {&none, &bernoulli,
+                                                    &bursty};
+                  // Seed 2 plays straight off the channel; the others one
+                  // period later.
+                  const double start =
+                      stream.phase.v +
+                      static_cast<double>(index) * stream.period.v +
+                      (seed == 2 ? 0.0 : length);
+                  obs::Sink sink;
+                  const auto report = net::deliver_segment(
+                      stream, index, core::Mbits{mtu},
+                      *models[static_cast<std::size_t>(model)],
+                      core::Minutes{start}, core::MbitPerSec{1.5},
+                      net::DeliveryOptions{.fec = fec,
+                                           .retry_budget = retries},
+                      &sink, 7);
+                  all.add(digest(report, sink));
+                  ++reports;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(reports, 3888U);
+  EXPECT_DIGEST(all.value(), 0x4a16fec44f2d1ed3);
 }
 
 }  // namespace

@@ -91,6 +91,17 @@ TEST(SimulatorTest, ReportsPeakServerRate) {
   EXPECT_NEAR(report.peak_server_rate.v, 150.0, 1e-6);
 }
 
+TEST(SimulatorTest, RejectsNonPositiveHorizons) {
+  const schemes::SkyscraperScheme sb(52);
+  const auto input = paper_input(300.0);
+  for (const double horizon : {-1.0, 0.0}) {
+    SimulationConfig config;
+    config.horizon = core::Minutes{horizon};
+    EXPECT_THROW((void)simulate(sb, input, config), util::ContractViolation)
+        << horizon;
+  }
+}
+
 TEST(SimulatorTest, InfeasibleSchemeRejected) {
   const schemes::PyramidScheme pb(schemes::Variant::kB);
   const auto input = paper_input(40.0);

@@ -1,13 +1,19 @@
 #include "util/task_pool.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <cstdlib>
+#include <fstream>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -123,6 +129,58 @@ TEST(ParallelMapTest, NullPoolMatchesPooledResult) {
 
 TEST(TaskPoolTest, HardwareThreadsIsPositive) {
   EXPECT_GE(TaskPool::hardware_threads(), 1U);
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+
+/// Address space the calling process has mapped (VmSize), in bytes.
+std::uint64_t mapped_bytes() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmSize:") {
+      std::uint64_t kib = 0;
+      status >> kib;
+      return kib * 1024;
+    }
+    status.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+  }
+  return 0;
+}
+
+/// Death-test child: caps its address space at its current size + 64 MiB,
+/// far short of 64 default thread stacks, and asks for 64 workers. Exits 0
+/// when the pool reports the failure as std::system_error.
+[[noreturn]] void start_pool_under_address_cap() {
+  const std::uint64_t mapped = mapped_bytes();
+  const rlim_t cap = mapped + (rlim_t{64} << 20);
+  const rlimit limit{cap, cap};
+  if (mapped == 0 || ::setrlimit(RLIMIT_AS, &limit) != 0) {
+    std::_Exit(3);
+  }
+  try {
+    const TaskPool pool(64);
+    std::_Exit(2);  // every worker started: the cap did not bind
+  } catch (const std::system_error&) {
+    std::_Exit(0);
+  }
+}
+
+// A worker thread that cannot start used to abort the process: unwinding
+// the constructor destroyed the joinable workers already started, which
+// calls std::terminate. The pool must stop and join what it started and
+// hand the std::system_error to the caller.
+TEST(TaskPoolDeathTest, ThreadThatCannotStartThrowsInsteadOfAborting) {
+  if (kSanitized) {
+    GTEST_SKIP() << "sanitizer shadow mappings do not fit an address-space "
+                    "cap";
+  }
+  EXPECT_EXIT(start_pool_under_address_cap(), ::testing::ExitedWithCode(0),
+              "");
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/contracts.hpp"
 
 namespace vodbcast::util {
@@ -71,6 +73,34 @@ TEST(ArgParserTest, RejectsJunkNumbers) {
   EXPECT_THROW((void)args.get_double("bandwidth", 0.0), ContractViolation);
   EXPECT_THROW((void)args.get_int("count", 0), ContractViolation);
   EXPECT_THROW((void)args.get_uint("count", 0), ContractViolation);
+}
+
+TEST(ArgParserTest, RejectsNonFiniteNumbers) {
+  // strtod reads all four; none is a usable flag value (an inf or nan
+  // horizon never terminates a run).
+  for (const std::string text : {"inf", "-inf", "nan", "1e999"}) {
+    const ArgParser args({"--horizon", text, "--regions", "400," + text});
+    try {
+      (void)args.get_double("horizon", 1.0);
+      ADD_FAILURE() << "get_double accepted '" << text << "'";
+    } catch (const ContractViolation& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("--horizon expects a finite number, got '" + text +
+                          "'"),
+                std::string::npos)
+          << what;
+    }
+    try {
+      (void)args.get_double_list("regions", {});
+      ADD_FAILURE() << "get_double_list accepted '" << text << "'";
+    } catch (const ContractViolation& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("element 2 must be a finite number, got '" + text +
+                          "'"),
+                std::string::npos)
+          << what;
+    }
+  }
 }
 
 TEST(ArgParserTest, DoubleListParsesElements) {

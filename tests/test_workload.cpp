@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "util/contracts.hpp"
 #include "workload/arrivals.hpp"
@@ -117,6 +118,35 @@ TEST(PoissonProcessTest, RateMatchesLongRunAverage) {
     t = process.next().v;
   }
   EXPECT_NEAR(n / t, 4.0, 0.1);
+}
+
+TEST(PoissonProcessTest, RejectsNonFiniteRates) {
+  for (const double rate : {std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN(), 0.0,
+                            -1.0}) {
+    EXPECT_THROW(PoissonProcess(rate, util::Rng(1)), util::ContractViolation)
+        << rate;
+  }
+}
+
+TEST(RequestFeedTest, RejectsNonFiniteHorizonsAndRates) {
+  const auto popularity = zipf_probabilities(10);
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    // A non-finite horizon would never end the stream.
+    EXPECT_THROW(
+        RequestFeed(RequestGenerator(popularity, 2.0, util::Rng(1)),
+                    core::Minutes{bad}),
+        util::ContractViolation)
+        << bad;
+  }
+  EXPECT_THROW(RequestFeed(RequestGenerator(
+                               popularity,
+                               std::numeric_limits<double>::infinity(),
+                               util::Rng(1)),
+                           core::Minutes{60.0}),
+               util::ContractViolation);
 }
 
 TEST(RequestGeneratorTest, VideosFollowPopularity) {
