@@ -93,9 +93,11 @@ build/tools/metrics_check "$om_dir/metrics.txt" \
 echo "== metro-scale hot-path self-check =="
 # A >=100k-client campaign with the phase-keyed plan cache and streaming
 # (sample-capped) wait statistics both on. Two invariants: every lookup is
-# accounted (hits + misses == clients served), and turning the cache off
-# changes nothing in the report — byte-identical stdout, so the wait
-# distribution, client count, and buffer peak all match exactly.
+# accounted (hits + misses == clients served), and no lookup path changes
+# the report — byte-identical stdout, so the wait distribution, client
+# count, and buffer peak all match exactly. The three paths: cached views
+# (a sink is attached), the cache's summary table (no sink, no faults) and
+# no cache at all.
 metro_args=(--scheme SB:W=52 --bandwidth 600 --videos 20
             --horizon 600 --arrivals 200 --seed 7 --stats-cap 4096)
 build/tools/vodbcast simulate "${metro_args[@]}" --plan-cache 1 \
@@ -104,8 +106,11 @@ build/tools/vodbcast simulate "${metro_args[@]}" --plan-cache 1 \
 build/tools/metrics_check "$om_dir/metro.txt" \
   'sim_plan_cache_hits_total + sim_plan_cache_misses_total == sim_clients_served_total' \
   --verbose
+build/tools/vodbcast simulate "${metro_args[@]}" --plan-cache 1 \
+  > "$om_dir/metro_cache_summary.txt"
 build/tools/vodbcast simulate "${metro_args[@]}" --plan-cache 0 \
   > "$om_dir/metro_cache_off.txt"
+diff "$om_dir/metro_cache_on.txt" "$om_dir/metro_cache_summary.txt"
 diff "$om_dir/metro_cache_on.txt" "$om_dir/metro_cache_off.txt"
 grep -Eq 'clients served: [0-9]{6,}' "$om_dir/metro_cache_on.txt" || {
   echo "metro smoke: expected >=100k clients served" >&2
@@ -229,6 +234,10 @@ expect_cli_error 1 'config.horizon.v > 0.0' simulate --horizon -5
 expect_cli_error 1 'config.horizon.v > 0.0' hybrid --horizon -1
 expect_cli_error 1 'reject_penalty must be finite and non-negative' \
   metro --reject-penalty -30 --horizon 10
+# hybrid --adaptive takes --stats-cap like the static hybrid (it used to
+# exit 2 naming the flag).
+build/tools/vodbcast hybrid --adaptive --horizon 120 --stats-cap 4096 \
+  > /dev/null
 # A failed write must fail too, not report the file as written.
 cli_rc=0
 build/tools/vodbcast simulate --horizon 10 --metrics-out /dev/full \

@@ -13,11 +13,12 @@
 #               the replication driver behind simulate_replicated,
 #               simulate_adaptive_replicated and
 #               simulate_federation_replicated (test_regressions pins them
-#               on a pool), and over the Registry and its families
-#               (threads racing on one quantile sketch while its counter
-#               window grows, and unlabeled, labeled and snapshot lookups
-#               racing through the family locks) — the data races serial
-#               ctest cannot see.
+#               on a pool) and one plan cache per replication on 3- and
+#               4-thread pools (test_plan_cache), and over the Registry
+#               and its families (threads racing on one quantile sketch
+#               while its counter window grows, and unlabeled, labeled and
+#               snapshot lookups racing through the family locks) — the
+#               data races serial ctest cannot see.
 #
 #   scripts/verify_sanitize.sh [all|asan|thread]   (default: all)
 set -euo pipefail
@@ -79,7 +80,7 @@ if [[ $mode == all || $mode == thread ]]; then
   cmake --build build-tsan -j "$(nproc)" \
     --target test_task_pool test_parallel test_simulator test_ctrl \
     test_metro test_obs_registry test_obs_family test_obs_openmetrics \
-    test_obs_sketch test_regressions
+    test_obs_sketch test_regressions test_plan_cache
 
   ./build-tsan/tests/test_task_pool
   ./build-tsan/tests/test_parallel
@@ -91,6 +92,7 @@ if [[ $mode == all || $mode == thread ]]; then
   ./build-tsan/tests/test_obs_openmetrics
   ./build-tsan/tests/test_obs_sketch
   ./build-tsan/tests/test_regressions
+  ./build-tsan/tests/test_plan_cache
 fi
 
 echo "sanitize verify ($mode): OK"

@@ -1,5 +1,7 @@
 #include "client/plan_cache.hpp"
 
+#include "util/contracts.hpp"
+
 namespace vodbcast::client {
 
 ReceptionPlan PlanView::materialize() const {
@@ -34,12 +36,13 @@ PlanCache::PlanCache(const series::SegmentLayout& layout,
   const auto period = phase_period(layout, max_entries);
   if (period.has_value()) {
     period_ = *period;
-    slots_.resize(static_cast<std::size_t>(period_));
+    summaries_.resize(static_cast<std::size_t>(period_));
+    stats_.bytes = summaries_.capacity() * sizeof(PlanSummary);
   }
 }
 
 bool PlanCache::contains(std::uint64_t t0) const noexcept {
-  if (period_ == 0) {
+  if (slots_.empty()) {
     return false;
   }
   return slots_[static_cast<std::size_t>(t0 % period_)] != nullptr;
@@ -51,6 +54,9 @@ PlanView PlanCache::at(std::uint64_t t0) {
     scratch_ = plan_reception(layout_, t0);
     return PlanView(scratch_, 0, false);
   }
+  if (slots_.empty()) {
+    slots_.resize(static_cast<std::size_t>(period_));
+  }
   const std::uint64_t phase = t0 % period_;
   auto& slot = slots_[static_cast<std::size_t>(phase)];
   const bool hit = slot != nullptr;
@@ -59,10 +65,28 @@ PlanView PlanCache::at(std::uint64_t t0) {
   } else {
     ++stats_.misses;
     slot = std::make_unique<ReceptionPlan>(plan_reception(layout_, phase));
+    summaries_[static_cast<std::size_t>(phase)] = slot->summary();
     ++stats_.entries;
     stats_.bytes += plan_bytes(*slot);
   }
   return PlanView(*slot, t0 - phase, hit);
+}
+
+PlanSummary PlanCache::summary(std::uint64_t t0) {
+  if (period_ == 0) {
+    ++stats_.misses;
+    return plan_reception(layout_, t0).summary();
+  }
+  const std::uint64_t phase = t0 % period_;
+  PlanSummary& entry = summaries_[static_cast<std::size_t>(phase)];
+  if (entry.max_concurrent_downloads != 0) {
+    ++stats_.hits;
+    return entry;
+  }
+  ++stats_.misses;
+  entry = plan_reception(layout_, phase).summary();
+  VB_ASSERT(entry.max_concurrent_downloads != 0);
+  return entry;
 }
 
 }  // namespace vodbcast::client

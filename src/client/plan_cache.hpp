@@ -13,9 +13,18 @@
 // playback start, leaving the jitter verdict, tuner peak and buffer peak
 // untouched (all are differences of times). A metropolitan simulation that
 // recomputed the plan per arrival therefore pays O(arrivals * W log W) for
-// results drawn from at most P distinct answers; this cache computes one
-// canonical plan per phase and serves every other arrival as a shifted
-// *view* of it — no download-vector copy, no trace rebuild.
+// results drawn from at most P distinct answers. The cache answers two
+// kinds of lookup, each planning a phase once:
+//
+//   * summary(t0): the three verdicts (a PlanSummary), from one contiguous
+//     table of 16-byte entries indexed by phase. A phase's first visit
+//     runs plan_reception into a transient plan and keeps only the
+//     verdicts, so the table is all the cache retains: 62 KB for SB:W=52's
+//     3900 phases, where a retained plan costs about 5 KB per phase.
+//   * at(t0): the phase's canonical plan, retained on first visit and
+//     served as a shifted *view* (no download-vector copy, no trace
+//     rebuild), for callers that walk the downloads: tracing and fault
+//     assessment.
 //
 // The phase-shift invariance itself is pinned independently of the cache by
 // tests/test_plan_cache.cpp (property test over schemes, widths and
@@ -63,6 +72,9 @@ class PlanView {
       const series::SegmentLayout& layout) const {
     return base_->max_buffer(layout);
   }
+  [[nodiscard]] PlanSummary summary() const noexcept {
+    return base_->summary();
+  }
 
   [[nodiscard]] std::size_t download_count() const noexcept {
     return base_->downloads.size();
@@ -87,13 +99,15 @@ class PlanView {
   bool hit_ = false;
 };
 
-/// Caches one canonical ReceptionPlan per arrival phase of a layout.
+/// Caches the plan verdicts of every arrival phase of a layout in one
+/// table, and canonical plans for the phases at() visits.
 ///
-/// Entries are computed lazily on first miss and never evicted (the entry
-/// count is bounded by the phase period, which is bounded by
+/// Entries are computed lazily on a phase's first lookup and never evicted
+/// (the entry count is bounded by the phase period, which is bounded by
 /// `max_entries`). When the layout's phase period exceeds `max_entries`
-/// the cache degrades to a pass-through: every at() recomputes into a
-/// scratch plan and counts as a miss, so callers need no fallback path.
+/// the cache degrades to a pass-through: every lookup recomputes and
+/// counts as a miss (at() into a scratch plan), so callers need no
+/// fallback path.
 ///
 /// View validity: a view served from a cached entry stays valid for the
 /// cache's lifetime; a pass-through view only until the next at() call.
@@ -104,10 +118,10 @@ class PlanCache {
   static constexpr std::uint64_t kDefaultMaxEntries = 1u << 16;
 
   struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::size_t entries = 0;  ///< canonical plans materialized
-    std::size_t bytes = 0;    ///< approx retained plan storage
+    std::uint64_t hits = 0;    ///< lookups of either kind served from storage
+    std::uint64_t misses = 0;  ///< lookups that ran plan_reception
+    std::size_t entries = 0;   ///< canonical plans retained by at()
+    std::size_t bytes = 0;     ///< the summary table plus retained plans
   };
 
   explicit PlanCache(const series::SegmentLayout& layout,
@@ -128,11 +142,20 @@ class PlanCache {
   /// observable field.
   [[nodiscard]] PlanView at(std::uint64_t t0);
 
+  /// plan_reception(layout, t0).summary(), from the phase table. A hit
+  /// once either lookup has planned t0's phase; retains no plan.
+  [[nodiscard]] PlanSummary summary(std::uint64_t t0);
+
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
  private:
   const series::SegmentLayout& layout_;
   std::uint64_t period_ = 0;  ///< 0 = pass-through
+  /// By phase. A plan holds at least one download, so a zero tuner peak
+  /// marks a phase not yet planned.
+  std::vector<PlanSummary> summaries_;
+  /// By phase; sized on the first at(), so summary-only use allocates the
+  /// table alone.
   std::vector<std::unique_ptr<ReceptionPlan>> slots_;
   ReceptionPlan scratch_;  ///< pass-through result storage
   Stats stats_;

@@ -99,7 +99,7 @@ WorstCase sweep_phases(const series::SegmentLayout& layout,
   WorstCase result;
   result.phases_examined = phases;
   for (std::uint64_t t0 = 0; t0 < phases; ++t0) {
-    const ReceptionPlan plan = planner(layout, t0);
+    const PlanSummary plan = planner(layout, t0).summary();
     if (!plan.jitter_free) {
       result.always_jitter_free = false;
     }
@@ -138,6 +138,8 @@ std::vector<SegmentDownload> jit_schedule(const series::SegmentLayout& layout,
   VB_EXPECTS(position_units <= layout.playback_offset_units(first_segment));
   expect_plan_fits(layout, resume);
   std::vector<SegmentDownload> downloads;
+  downloads.reserve(
+      static_cast<std::size_t>(layout.segment_count() - first_segment + 1));
 
   // Loader availability; both routines are free from `resume`, the
   // earliest joinable broadcast start (for a fresh client, t0 is the next

@@ -46,6 +46,21 @@ struct SegmentDownload {
   }
 };
 
+/// The three verdicts of a plan that are differences of times, so every
+/// arrival of one phase shares them: jitter freedom, the tuner peak and
+/// the buffer peak (paper Sections 3.3 and 4).
+struct PlanSummary {
+  std::int64_t max_buffer_units = 0;  ///< peak buffer, units of D1 data
+  int max_concurrent_downloads = 0;   ///< peak simultaneous tuners
+  bool jitter_free = false;           ///< all deadlines met
+
+  /// Peak buffer converted to Mbits for a given layout.
+  [[nodiscard]] core::Mbits max_buffer(const series::SegmentLayout& layout) const {
+    return layout.video().display_rate * layout.unit_duration() *
+           static_cast<double>(max_buffer_units);
+  }
+};
+
 /// The complete plan plus the derived correctness/storage verdicts.
 struct ReceptionPlan {
   std::uint64_t playback_start = 0;  ///< t0, units since broadcast epoch
@@ -55,10 +70,14 @@ struct ReceptionPlan {
   std::int64_t max_buffer_units = 0;  ///< peak buffer, units of D1 data
   BufferTrace trace;                  ///< exact occupancy breakpoints
 
+  [[nodiscard]] PlanSummary summary() const noexcept {
+    return PlanSummary{.max_buffer_units = max_buffer_units,
+                       .max_concurrent_downloads = max_concurrent_downloads,
+                       .jitter_free = jitter_free};
+  }
   /// Peak buffer converted to Mbits for a given layout.
   [[nodiscard]] core::Mbits max_buffer(const series::SegmentLayout& layout) const {
-    return layout.video().display_rate * layout.unit_duration() *
-           static_cast<double>(max_buffer_units);
+    return summary().max_buffer(layout);
   }
 };
 

@@ -521,6 +521,9 @@ AdaptiveReport simulate_adaptive(const batching::BatchingPolicy& policy,
   }
 
   AdaptiveReport report;
+  report.wait_minutes.set_sample_cap(config.stats_sample_cap);
+  report.hot_wait_minutes.set_sample_cap(config.stats_sample_cap);
+  report.tail_wait_minutes.set_sample_cap(config.stats_sample_cap);
   report.channels_per_video = capacity.channels_per_video;
   report.broadcast_worst_latency = core::Minutes{slot_d1};
   report.degraded = capacity.degraded;

@@ -71,6 +71,10 @@ struct AdaptiveConfig {
   core::Minutes flip_at{-1.0};
 
   std::uint64_t seed = 11;
+  /// Sample cap for the report's three wait Distributions, as
+  /// sim::SimulationConfig::stats_sample_cap: 0 (the default) retains every
+  /// wait; a positive cap folds past it into a bounded quantile sketch.
+  std::size_t stats_sample_cap = 0;
   /// Optional observability attachment (not owned): "ctrl.*" metrics and
   /// realloc/promote/demote/drain_complete trace events, plus the client
   /// arrival/tune-in/download events trace_check replays.

@@ -92,6 +92,8 @@ SimulationReport simulate(const schemes::BroadcastScheme& scheme,
   VB_EXPECTS_MSG(design.has_value(), "scheme infeasible at this bandwidth");
 
   obs::Sink* sink = config.sink;
+  const bool faults =
+      config.injector != nullptr && !config.injector->plan().empty();
   obs::ScopedTimer run_timer(
       sink != nullptr
           ? &sink->metrics.histogram("sim.simulate_ns",
@@ -131,7 +133,7 @@ SimulationReport simulate(const schemes::BroadcastScheme& scheme,
       util_family.with_ids({static_cast<std::uint64_t>(channel)})
           .max_of(std::min(utilization, 1.0));
     }
-    if (config.injector != nullptr && !config.injector->plan().empty()) {
+    if (faults) {
       fault::trace_plan(*sink, config.injector->plan());
     }
   }
@@ -151,13 +153,18 @@ SimulationReport simulate(const schemes::BroadcastScheme& scheme,
   if (sb != nullptr && config.plan_clients) {
     layout.emplace(sb->layout(input, *design));
   }
-  // Phase-keyed plan cache: one canonical plan per arrival phase, every
-  // other arrival served as a shifted view. Private to this run, so the
-  // replication bit-identity contract is untouched.
+  // Phase-keyed plan cache, private to this run, so the replication
+  // bit-identity contract is untouched. Only tracing (a sink) and fault
+  // assessment walk an arrival's downloads; without either, the run reads
+  // each phase's verdicts from the cache's summary table and retains no
+  // plan. Otherwise it keeps one canonical plan per phase and serves every
+  // other arrival as a shifted view.
   std::optional<client::PlanCache> cache;
   if (layout.has_value() && config.plan_cache) {
     cache.emplace(*layout);
   }
+  const bool summaries_only =
+      cache.has_value() && sink == nullptr && !faults;
 
   // Time-series probes read simulation locals; the ProbeScope unregisters
   // them before those locals die. last_buffer_peak_units tracks the most
@@ -265,20 +272,26 @@ SimulationReport simulate(const schemes::BroadcastScheme& scheme,
       const auto t0 = static_cast<std::uint64_t>(
           std::llround(start->v / d1));
       client::ReceptionPlan local_plan;
-      client::PlanView plan;
-      if (cache.has_value()) {
-        // A cheap contains() probe picks the timer before the clock starts,
-        // so hit and miss latencies land in separate histograms.
-        const bool cached = cache->contains(t0);
-        const obs::ScopedTimer plan_timer(cached ? plan_cache_hit_ns
-                                                 : plan_ns);
-        plan = cache->at(t0);
+      client::PlanView plan;  // left empty when summaries_only
+      client::PlanSummary summary;
+      if (summaries_only) {
+        summary = cache->summary(t0);
       } else {
-        const obs::ScopedTimer plan_timer(plan_ns);
-        local_plan = client::plan_reception(*layout, t0);
-        plan = client::PlanView(local_plan, 0, false);
+        if (cache.has_value()) {
+          // A cheap contains() probe picks the timer before the clock
+          // starts, so hit and miss latencies land in separate histograms.
+          const bool cached = cache->contains(t0);
+          const obs::ScopedTimer plan_timer(cached ? plan_cache_hit_ns
+                                                   : plan_ns);
+          plan = cache->at(t0);
+        } else {
+          const obs::ScopedTimer plan_timer(plan_ns);
+          local_plan = client::plan_reception(*layout, t0);
+          plan = client::PlanView(local_plan, 0, false);
+        }
+        summary = plan.summary();
       }
-      if (!plan.jitter_free()) {
+      if (!summary.jitter_free) {
         ++report.jitter_events;
         obs::logf(obs::LogLevel::kWarn,
                   "simulate: jitter for client %llu of video %llu (t0=%llu)",
@@ -299,16 +312,16 @@ SimulationReport simulate(const schemes::BroadcastScheme& scheme,
       }
       report.max_concurrent_downloads =
           std::max(report.max_concurrent_downloads,
-                   plan.max_concurrent_downloads());
+                   summary.max_concurrent_downloads);
       last_buffer_peak_units =
-          static_cast<double>(plan.max_buffer_units());
-      report.buffer_peak_mbits.add(plan.max_buffer(*layout).v);
+          static_cast<double>(summary.max_buffer_units);
+      report.buffer_peak_mbits.add(summary.max_buffer(*layout).v);
       if (sink != nullptr) {
         trace_reception(*sink, plan, d1, request.video,
                         report.clients_served, session_span);
       }
 
-      if (config.injector != nullptr && !config.injector->plan().empty()) {
+      if (faults) {
         // Assess each planned download against the fault plan and play the
         // recovery policy forward. Damage never becomes silent jitter: it
         // is either repaired (catch-up on a later repetition, or a disk

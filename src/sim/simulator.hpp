@@ -33,8 +33,11 @@ struct SimulationConfig {
   bool plan_clients = false;
   /// Serve reception plans through the phase-keyed client::PlanCache: SB
   /// schedules repeat with period P = lcm(slot periods), so every arrival
-  /// phase shares one canonical plan served as a shifted view. Output is
-  /// bit-identical either way (the invariance is pinned by
+  /// phase shares one plan. Without a sink or a fault plan with episodes,
+  /// nothing walks an arrival's downloads, and the run reads each phase's
+  /// three verdicts from the cache's 16-byte-per-phase summary table;
+  /// otherwise each phase keeps one canonical plan served as a shifted
+  /// view. Output is bit-identical either way (the invariance is pinned by
   /// tests/test_plan_cache.cpp); off recomputes per arrival — the A/B lever
   /// for bench/ext_metro_scale.
   bool plan_cache = true;

@@ -424,6 +424,44 @@ TEST(AdaptiveSimTest, ReplicationCiUsesTheSampleStddev) {
   EXPECT_DOUBLE_EQ(replicated.mean_ci95, 1.96 * s / std::sqrt(3.0));
 }
 
+// stats_sample_cap bounds all three wait distributions, a single run's and
+// the replication fold's, while count, mean, min and max stay exact.
+TEST(AdaptiveSimTest, StatsCapKeepsExactCountAndMoments) {
+  const batching::MqlPolicy policy;
+  const auto exact_config = adaptive_config();
+  auto capped_config = exact_config;
+  capped_config.stats_sample_cap = 16;
+  const auto exact = ctrl::simulate_adaptive(policy, exact_config);
+  const auto capped = ctrl::simulate_adaptive(policy, capped_config);
+  const auto exact_reps =
+      ctrl::simulate_adaptive_replicated(policy, exact_config, 3);
+  const auto capped_reps =
+      ctrl::simulate_adaptive_replicated(policy, capped_config, 3);
+  EXPECT_EQ(capped.served_hot, exact.served_hot);
+  EXPECT_EQ(capped.served_tail, exact.served_tail);
+  for (const auto member :
+       {&ctrl::AdaptiveReport::wait_minutes,
+        &ctrl::AdaptiveReport::hot_wait_minutes,
+        &ctrl::AdaptiveReport::tail_wait_minutes}) {
+    for (const auto& [e, c] :
+         {std::pair{&(exact.*member), &(capped.*member)},
+          std::pair{&(exact_reps.merged.*member),
+                    &(capped_reps.merged.*member)}}) {
+      ASSERT_GT(e->count(), 16U);
+      EXPECT_FALSE(e->folded());
+      EXPECT_TRUE(c->folded());
+      EXPECT_EQ(c->sample_cap(), 16U);
+      EXPECT_TRUE(c->samples().empty());
+      EXPECT_EQ(c->count(), e->count());
+      EXPECT_EQ(c->mean(), e->mean());
+      EXPECT_EQ(c->min(), e->min());
+      EXPECT_EQ(c->max(), e->max());
+    }
+  }
+  EXPECT_EQ(capped_reps.replication_means.samples(),
+            exact_reps.replication_means.samples());
+}
+
 // A replication that served nobody has no mean wait, so it adds no sample
 // to the replication means (it used to add a 0-minute mean).
 TEST(AdaptiveSimTest, ReplicationsThatServeNobodyAddNoMean) {

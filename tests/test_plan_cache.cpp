@@ -5,11 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <tuple>
+#include <vector>
 
 #include "client/reception_plan.hpp"
 #include "fault/injector.hpp"
+#include "obs/sink.hpp"
 #include "schemes/skyscraper.hpp"
 #include "series/broadcast_series.hpp"
 #include "sim/simulator.hpp"
@@ -151,6 +154,96 @@ TEST(PlanCacheTest, PassThroughWhenPeriodExceedsBudget) {
   EXPECT_EQ(cache.stats().entries, 0U);
 }
 
+// The phase table against the planner: every summary lookup over two full
+// periods, across SB layouts and one pass-through cache, returns the three
+// verdicts of plan_reception at that t0, and the Mbits conversion gives
+// the same bits as ReceptionPlan::max_buffer.
+TEST(PlanCacheTest, SummaryMatchesPlannerAtEveryPhase) {
+  struct Case {
+    int k;
+    std::uint64_t width;
+    std::uint64_t max_entries;
+  };
+  std::vector<Case> cases;
+  for (const int k : {6, 10, 14}) {
+    for (const std::uint64_t w : {2, 12, 52}) {
+      cases.push_back({k, w, PlanCache::kDefaultMaxEntries});
+    }
+  }
+  cases.push_back({10, 52, 100});  // period 3900 > 100: pass-through
+  for (const auto& c : cases) {
+    SCOPED_TRACE(::testing::Message() << "K=" << c.k << " W=" << c.width
+                                      << " max_entries=" << c.max_entries);
+    const auto layout = make_layout(c.k, c.width);
+    const auto period = phase_period(layout, 1 << 16);
+    ASSERT_TRUE(period.has_value());
+    PlanCache cache(layout, c.max_entries);
+    EXPECT_EQ(cache.enabled(), c.max_entries >= *period);
+    const std::uint64_t lookups = 2 * *period;
+    for (std::uint64_t t0 = 0; t0 < lookups; ++t0) {
+      const PlanSummary summary = cache.summary(t0);
+      const auto direct = plan_reception(layout, t0);
+      ASSERT_EQ(summary.jitter_free, direct.jitter_free) << "t0=" << t0;
+      ASSERT_EQ(summary.max_concurrent_downloads,
+                direct.max_concurrent_downloads) << "t0=" << t0;
+      ASSERT_EQ(summary.max_buffer_units, direct.max_buffer_units)
+          << "t0=" << t0;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(summary.max_buffer(layout).v),
+                std::bit_cast<std::uint64_t>(direct.max_buffer(layout).v))
+          << "t0=" << t0;
+    }
+    const auto& stats = cache.stats();
+    EXPECT_EQ(stats.hits + stats.misses, lookups);
+    EXPECT_EQ(stats.misses, cache.enabled() ? *period : lookups);
+  }
+}
+
+TEST(PlanCacheTest, SummaryLookupsRetainNoPlans) {
+  const auto layout = make_layout(10, 52);
+  PlanCache cache(layout);
+  ASSERT_EQ(cache.period(), 3900U);
+  for (std::uint64_t t0 = 0; t0 < cache.period(); ++t0) {
+    (void)cache.summary(t0);
+  }
+  const auto& stats = cache.stats();
+  EXPECT_EQ(stats.misses, 3900U);
+  EXPECT_EQ(stats.hits, 0U);
+  EXPECT_EQ(stats.entries, 0U);
+  EXPECT_EQ(stats.bytes, 3900 * sizeof(PlanSummary));
+  EXPECT_EQ(sizeof(PlanSummary), 16U);
+  for (std::uint64_t t0 = 0; t0 < cache.period(); ++t0) {
+    EXPECT_FALSE(cache.contains(t0));
+  }
+  // A second pass is all hits and still retains nothing.
+  for (std::uint64_t t0 = cache.period(); t0 < 2 * cache.period(); ++t0) {
+    (void)cache.summary(t0);
+  }
+  EXPECT_EQ(stats.hits, 3900U);
+  EXPECT_EQ(stats.entries, 0U);
+  EXPECT_EQ(stats.bytes, 3900 * sizeof(PlanSummary));
+}
+
+// The two lookups share the table: a phase at() planned is a summary hit,
+// but a summary never stands in for the plan at() must retain.
+TEST(PlanCacheTest, ViewAndSummaryLookupsShareThePhaseTable) {
+  const auto layout = make_layout(10, 52);
+  PlanCache cache(layout);
+  const auto view = cache.at(17);
+  const PlanSummary planned = cache.summary(17 + cache.period());
+  EXPECT_EQ(cache.stats().hits, 1U);
+  EXPECT_EQ(planned.jitter_free, view.jitter_free());
+  EXPECT_EQ(planned.max_concurrent_downloads,
+            view.max_concurrent_downloads());
+  EXPECT_EQ(planned.max_buffer_units, view.max_buffer_units());
+
+  (void)cache.summary(18);
+  EXPECT_FALSE(cache.contains(18));
+  EXPECT_FALSE(cache.at(18).hit());
+  EXPECT_EQ(cache.stats().hits, 1U);
+  EXPECT_EQ(cache.stats().misses, 3U);
+  EXPECT_EQ(cache.stats().entries, 2U);
+}
+
 // ---------------------------------------------------------------------------
 // Simulator-level identity contracts
 
@@ -173,16 +266,27 @@ sim::SimulationConfig sim_config(bool cache) {
   return config;
 }
 
+void expect_reports_identical(const sim::SimulationReport& a,
+                              const sim::SimulationReport& b) {
+  EXPECT_EQ(a.scheme, b.scheme);
+  EXPECT_EQ(a.clients_served, b.clients_served);
+  EXPECT_EQ(a.jitter_events, b.jitter_events);
+  EXPECT_EQ(a.max_concurrent_downloads, b.max_concurrent_downloads);
+  EXPECT_EQ(a.peak_server_rate.v, b.peak_server_rate.v);
+  EXPECT_EQ(a.latency_minutes.samples(), b.latency_minutes.samples());
+  EXPECT_EQ(a.buffer_peak_mbits.samples(), b.buffer_peak_mbits.samples());
+  EXPECT_EQ(a.fault_hits, b.fault_hits);
+  EXPECT_EQ(a.fault_repairs, b.fault_repairs);
+  EXPECT_EQ(a.fault_degraded, b.fault_degraded);
+  EXPECT_EQ(a.fault_penalty_minutes.samples(),
+            b.fault_penalty_minutes.samples());
+}
+
 TEST(SimulatorPlanCacheTest, CacheOnOffOutputsAreBitIdentical) {
   const schemes::SkyscraperScheme sb(52);
   const auto input = sim_input();
-  const auto on = sim::simulate(sb, input, sim_config(true));
-  const auto off = sim::simulate(sb, input, sim_config(false));
-  EXPECT_EQ(on.clients_served, off.clients_served);
-  EXPECT_EQ(on.jitter_events, off.jitter_events);
-  EXPECT_EQ(on.max_concurrent_downloads, off.max_concurrent_downloads);
-  EXPECT_EQ(on.latency_minutes.samples(), off.latency_minutes.samples());
-  EXPECT_EQ(on.buffer_peak_mbits.samples(), off.buffer_peak_mbits.samples());
+  expect_reports_identical(sim::simulate(sb, input, sim_config(true)),
+                           sim::simulate(sb, input, sim_config(false)));
 }
 
 TEST(SimulatorPlanCacheTest, CacheIdentityHoldsAtAnyThreadCount) {
@@ -226,6 +330,46 @@ TEST(SimulatorPlanCacheTest, StreamingCapKeepsExactCountAndMoments) {
               0.02 * exact.latency_minutes.max() + 1e-9);
 }
 
+// The ext_metro_scale layout (80-channel SB:W=52, period 3900) at 12k
+// arrivals, enough to reach most phases. simulate reads the summary table
+// without a sink or faults and walks views otherwise; every lookup path
+// must give the same report.
+TEST(SimulatorPlanCacheTest, SummaryAndViewPathsGiveIdenticalReports) {
+  const schemes::SkyscraperScheme sb(52);
+  const schemes::DesignInput input{
+      .server_bandwidth = core::MbitPerSec{2400.0},
+      .num_videos = 20,
+      .video = core::VideoParams{core::Minutes{120.0},
+                                 core::MbitPerSec{1.5}},
+  };
+  auto config = sim_config(true);
+  config.horizon = core::Minutes{600.0};
+  config.arrivals_per_minute = 20.0;
+  const auto summary_path = sim::simulate(sb, input, config);
+  ASSERT_GT(summary_path.clients_served, 10000U);
+  EXPECT_EQ(summary_path.jitter_events, 0U);
+
+  obs::Sink sink(1024, 1024);
+  auto viewed = config;
+  viewed.sink = &sink;
+  expect_reports_identical(summary_path, sim::simulate(sb, input, viewed));
+  const auto misses = sink.metrics.counter("sim.plan_cache.misses").value();
+  EXPECT_GT(misses, 3000U);  // most of the 3900 phases
+  EXPECT_LE(misses, 3900U);
+  EXPECT_EQ(sink.metrics.counter("sim.plan_cache.hits").value() + misses,
+            summary_path.clients_served);
+
+  const fault::Injector empty{fault::Plan{}};
+  auto zero_episodes = config;
+  zero_episodes.injector = &empty;
+  expect_reports_identical(summary_path,
+                           sim::simulate(sb, input, zero_episodes));
+
+  auto uncached = config;
+  uncached.plan_cache = false;
+  expect_reports_identical(summary_path, sim::simulate(sb, input, uncached));
+}
+
 // Fault-path compatibility: cached plans hand out absolutely-shifted
 // download windows, so damage assessment is identical with and without the
 // cache, and the PR 8 accounting invariant keeps holding under it.
@@ -247,11 +391,7 @@ TEST(SimulatorPlanCacheTest, FaultRunsIdenticalWithAndWithoutCache) {
   const auto cached = sim::simulate(sb, input, on);
   const auto direct = sim::simulate(sb, input, off);
   EXPECT_GT(cached.fault_hits, 0U);
-  EXPECT_EQ(cached.fault_hits, direct.fault_hits);
-  EXPECT_EQ(cached.fault_repairs, direct.fault_repairs);
-  EXPECT_EQ(cached.fault_degraded, direct.fault_degraded);
-  EXPECT_EQ(cached.fault_penalty_minutes.samples(),
-            direct.fault_penalty_minutes.samples());
+  expect_reports_identical(cached, direct);
   // The PR 8 invariant: every hit is repaired or surfaced, never silent.
   EXPECT_EQ(cached.fault_hits, cached.fault_repairs + cached.fault_degraded);
   EXPECT_EQ(cached.jitter_events, 0U);

@@ -472,6 +472,8 @@ int cmd_hybrid_adaptive(const util::ArgParser& args) {
   config.min_tail_channels =
       static_cast<int>(args.get_int("min-tail", 1));
   config.seed = args.get_uint("seed", 11);
+  config.stats_sample_cap =
+      static_cast<std::size_t>(args.get_uint("stats-cap", 0));
   if (args.has("popularity-flip") || args.has("flip-at")) {
     config.flip_at =
         core::Minutes{args.get_double("flip-at", config.horizon.v / 2.0)};
@@ -812,7 +814,7 @@ std::optional<FlagList> known_flags(const std::string& command,
   const FlagList series = {"series-out", "series-interval", "series-limit"};
   const FlagList hybrid = {"adaptive", "bandwidth", "catalog", "hot",
                            "channels", "width", "arrivals", "horizon",
-                           "policy"};
+                           "policy", "stats-cap"};
   if (command == "design") {
     return concat({{"scheme"}, input});
   }
@@ -844,7 +846,7 @@ std::optional<FlagList> known_flags(const std::string& command,
                    run, fault, obs, series});
   }
   if (command == "hybrid") {
-    return concat({hybrid, {"stats-cap"}, run, obs, series});
+    return concat({hybrid, run, obs, series});
   }
   if (command == "metro") {
     return concat({{"regions", "channels", "link-capacity", "link-latency",
