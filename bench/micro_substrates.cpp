@@ -67,12 +67,15 @@ void BM_RequestGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_RequestGeneration);
 
+// Each iteration draws its requests as it runs, so the time includes
+// request generation.
 void BM_ScheduledMulticast(benchmark::State& state) {
-  workload::RequestGenerator gen(workload::zipf_probabilities(20), 4.0,
-                                 util::Rng(7));
-  const auto requests = gen.generate_until(core::Minutes{500.0});
+  const auto popularity = workload::zipf_probabilities(20);
   const batching::MqlPolicy policy;
   for (auto _ : state) {
+    workload::RequestFeed requests(
+        workload::RequestGenerator(popularity, 4.0, util::Rng(7)),
+        core::Minutes{500.0});
     batching::MulticastConfig config;
     config.channels = 8;
     config.horizon = core::Minutes{600.0};

@@ -17,12 +17,15 @@
 # reproduce its stdout and metrics byte for byte at --threads 4), a
 # replication self-check (simulate --reps 4, hybrid --reps 3 and
 # hybrid --adaptive --reps 3 must give byte-identical stdout and span
-# exports at --threads 1 and --threads 4), a
+# exports at --threads 1 and --threads 4), an O(live state) self-check
+# (simulate, hybrid, hybrid --adaptive and metro each peak within 10% of
+# their 1x-horizon RSS at 10x the horizon), a
 # CLI strictness self-check (a misspelled flag must exit 2 and name the
 # flag, not fall back to its default; a failed output write must exit 1
 # naming the path; a negative --fault-retries, an unknown --policy,
-# --reps 0, a nan or non-positive --horizon and a negative
-# --reject-penalty must exit 1 naming the bound), a quick pass of the bench
+# --reps 0, a nan or non-positive --horizon, a negative
+# --reject-penalty and a --flip-at outside [0, horizon) must exit 1 naming
+# the bound), a quick pass of the bench
 # suite to
 # prove every binary still writes a valid BENCH_*.json that bench_diff can
 # read back, and (opt-in) the mechanical perf gate against the committed
@@ -116,6 +119,72 @@ grep -Eq 'clients served: [0-9]{6,}' "$om_dir/metro_cache_on.txt" || {
   echo "metro smoke: expected >=100k clients served" >&2
   exit 1
 }
+
+echo "== O(live state) self-check =="
+# Every engine pulls its arrivals from a feed, so its memory follows the
+# live state (queues, pending events, sample-capped statistics), not the
+# horizon: at 10x the horizon and the same rate, each engine's peak RSS
+# stays within 10% of its 1x peak. Scale the horizon, never the rate: a
+# higher rate grows the live queues, which is not a leak. A small fork/exec
+# launcher takes the child's ru_maxrss from wait4, so no parent process
+# inflates the reading and nothing is written under /proc.
+cat > "$om_dir/peak_rss.c" <<'LAUNCHER'
+#include <fcntl.h>
+#include <stdio.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+/* peak_rss CMD [ARG...]: runs CMD with its output discarded and prints its
+   peak resident set in kB; exits 1 if CMD fails. */
+int main(int argc, char** argv) {
+  const pid_t pid = fork();
+  if (pid == 0) {
+    const int null_fd = open("/dev/null", O_WRONLY);
+    dup2(null_fd, STDOUT_FILENO);
+    dup2(null_fd, STDERR_FILENO);
+    execvp(argv[1], argv + 1);
+    _exit(127);
+  }
+  int status = 0;
+  struct rusage usage;
+  if (pid < 0 || wait4(pid, &status, 0, &usage) < 0) {
+    perror("peak_rss");
+    return 2;
+  }
+  if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+    fprintf(stderr, "peak_rss: %s failed (status %d)\n", argv[1], status);
+    return 1;
+  }
+  printf("%ld\n", usage.ru_maxrss);
+  return 0;
+}
+LAUNCHER
+"${CC:-cc}" -O2 -o "$om_dir/peak_rss" "$om_dir/peak_rss.c"
+# expect_flat_rss HORIZON ARGS...: `vodbcast ARGS...` at 10x HORIZON must
+# peak within 10% of its peak at HORIZON.
+expect_flat_rss() {
+  local horizon=$1
+  shift
+  local small big
+  small=$("$om_dir/peak_rss" build/tools/vodbcast "$@" \
+    --horizon "$horizon" --stats-cap 65536)
+  big=$("$om_dir/peak_rss" build/tools/vodbcast "$@" \
+    --horizon "$((horizon * 10))" --stats-cap 65536)
+  echo "vodbcast $*: peak RSS ${small} kB at --horizon $horizon," \
+       "${big} kB at 10x"
+  if (( big * 10 > small * 11 )); then
+    echo "O(live state): 'vodbcast $*' peaks at ${big} kB at 10x the" \
+         "horizon, more than 10% over ${small} kB" >&2
+    exit 1
+  fi
+}
+expect_flat_rss 600 simulate --scheme SB:W=52 --bandwidth 2400 --videos 20 \
+  --arrivals 2000
+expect_flat_rss 6000 hybrid --arrivals 200
+expect_flat_rss 6000 hybrid --adaptive --popularity-flip --arrivals 200
+expect_flat_rss 600 metro --regions 700,500,300,200 \
+  --channels 400,300,200,140
 
 echo "== span capture self-check =="
 build/tools/vodbcast simulate --scheme SB:W=52 --bandwidth 300 \
@@ -234,6 +303,14 @@ expect_cli_error 1 'config.horizon.v > 0.0' simulate --horizon -5
 expect_cli_error 1 'config.horizon.v > 0.0' hybrid --horizon -1
 expect_cli_error 1 'reject_penalty must be finite and non-negative' \
   metro --reject-penalty -30 --horizon 10
+# Outside [0, horizon) the engine never flips: a later flip would be
+# reported as "NOT re-converged", a negative one silently ignored.
+expect_cli_error 1 \
+  '--flip-at must be >= 0 and below the horizon (1500 min), got 5000' \
+  hybrid --adaptive --flip-at 5000 --horizon 1500
+expect_cli_error 1 \
+  '--flip-at must be >= 0 and below the horizon (1500 min), got -5' \
+  hybrid --adaptive --flip-at -5 --horizon 1500
 # hybrid --adaptive takes --stats-cap like the static hybrid (it used to
 # exit 2 naming the flag).
 build/tools/vodbcast hybrid --adaptive --horizon 120 --stats-cap 4096 \

@@ -8,7 +8,9 @@
 #               the metro federation, the client reception planner
 #               with VCR pause/rejoin and the transition-local accounting,
 #               the packet client and reassembler fuzz, the argument
-#               parser, the workload generators and the hybrid split;
+#               parser, the workload generators and their feed filters,
+#               the hybrid split and the engine report pins (whose
+#               filters capture locals by reference);
 #   build-tsan  TSan over the TaskPool and its parallel adopters, including
 #               the replication driver behind simulate_replicated,
 #               simulate_adaptive_replicated and
@@ -42,7 +44,8 @@ if [[ $mode == all || $mode == asan ]]; then
     test_parallel test_event_queue test_batching test_net test_ctrl \
     test_fault test_metro test_plan_cache test_stats test_reception_plan \
     test_vcr test_transition_local test_reception_properties test_fuzz \
-    test_packet_client test_util_args test_workload test_hybrid
+    test_packet_client test_util_args test_workload test_hybrid \
+    test_regressions
 
   ./build-asan/tests/test_obs_registry
   ./build-asan/tests/test_obs_trace
@@ -73,6 +76,7 @@ if [[ $mode == all || $mode == asan ]]; then
   ./build-asan/tests/test_util_args
   ./build-asan/tests/test_workload
   ./build-asan/tests/test_hybrid
+  ./build-asan/tests/test_regressions
 fi
 
 if [[ $mode == all || $mode == thread ]]; then

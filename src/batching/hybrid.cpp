@@ -52,37 +52,27 @@ HybridReport evaluate_hybrid(const BatchingPolicy& policy,
   const auto evaluation = sb.evaluate(sb_input);
   VB_EXPECTS(evaluation.has_value());
 
-  // Workload: split one Zipf stream into hot (absorbed by broadcast) and
-  // cold (queued for multicast) requests.
+  // One Zipf stream, split as it is pulled: hot requests are only counted
+  // (broadcast absorbs them); cold ones get ids in the tail's catalog.
   const auto popularity = workload::zipf_probabilities(config.catalog_size);
-  workload::RequestGenerator generator(popularity, config.arrivals_per_minute,
-                                       util::Rng(config.seed));
-  const auto all_requests = generator.generate_until(config.horizon);
-
-  std::vector<workload::Request> cold;
   std::uint64_t hot_count = 0;
-  for (const auto& r : all_requests) {
-    if (r.video < config.hot_titles) {
-      ++hot_count;
-    } else {
-      cold.push_back(workload::Request{
-          .arrival = r.arrival,
-          .video = r.video - static_cast<core::VideoId>(config.hot_titles),
+  std::uint64_t cold_count = 0;
+  workload::RequestFeed requests(
+      workload::RequestGenerator(popularity, config.arrivals_per_minute,
+                                 util::Rng(config.seed)),
+      config.horizon, [&](workload::Request& r) {
+        if (r.video < config.hot_titles) {
+          ++hot_count;
+          return false;
+        }
+        r.video -= static_cast<core::VideoId>(config.hot_titles);
+        ++cold_count;
+        return true;
       });
-    }
-  }
 
   obs::logf(obs::LogLevel::kDebug,
             "hybrid: %zu hot titles at %.1f Mb/s broadcast, %d tail channels",
             config.hot_titles, broadcast_bw, multicast_channels);
-  if (config.sink != nullptr) {
-    config.sink->metrics.gauge("hybrid.broadcast_bandwidth_mbps")
-        .set(broadcast_bw);
-    config.sink->metrics.gauge("hybrid.multicast_channels")
-        .set(static_cast<double>(multicast_channels));
-    config.sink->metrics.counter("hybrid.hot_requests").add(hot_count);
-    config.sink->metrics.counter("hybrid.cold_requests").add(cold.size());
-  }
 
   const MulticastConfig mc{
       .channels = multicast_channels,
@@ -97,10 +87,21 @@ HybridReport evaluate_hybrid(const BatchingPolicy& policy,
   HybridReport report;
   if (config.catalog_size > config.hot_titles) {
     report.multicast = simulate_scheduled_multicast(
-        policy, cold, config.catalog_size - config.hot_titles, mc);
+        policy, requests, config.catalog_size - config.hot_titles, mc);
+  } else {
+    // The whole catalog is broadcast and the tail channel idles; the
+    // filter dropped every request while the feed was built.
+    report.multicast.policy = policy.name();
   }
-  // else: the whole catalog is broadcast; the tail channel idles and the
-  // default (empty) multicast report stands.
+  // Both counts are final: every draw before the horizon has been pulled.
+  if (config.sink != nullptr) {
+    config.sink->metrics.gauge("hybrid.broadcast_bandwidth_mbps")
+        .set(broadcast_bw);
+    config.sink->metrics.gauge("hybrid.multicast_channels")
+        .set(static_cast<double>(multicast_channels));
+    config.sink->metrics.counter("hybrid.hot_requests").add(hot_count);
+    config.sink->metrics.counter("hybrid.cold_requests").add(cold_count);
+  }
 
   report.hot_titles = config.hot_titles;
   double mass = 0.0;

@@ -1,7 +1,6 @@
 #include "batching/scheduled_multicast.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "obs/log.hpp"
 #include "obs/timer.hpp"
@@ -69,18 +68,6 @@ std::size_t total_pending(const WaitQueues& queues) {
   }
   return total;
 }
-
-/// The caller's request vector as an arrival feed for the event engine.
-struct InputFeed {
-  const std::vector<workload::Request>& requests;
-  std::size_t next = 0;
-
-  [[nodiscard]] double next_at() const noexcept {
-    return next < requests.size() ? requests[next].arrival.v
-                                  : std::numeric_limits<double>::infinity();
-  }
-  const workload::Request& pop() noexcept { return requests[next++]; }
-};
 
 /// The per-run simulation state, bundled so event callbacks capture one
 /// pointer (plus a channel index) and fit std::function's local buffer —
@@ -195,6 +182,7 @@ struct MulticastSim {
   }
 
   void arrival(const workload::Request& request) {
+    VB_EXPECTS(request.video < queues.size());
     probes.advance(request.arrival.v);
     PendingRequest pending{.arrival = request.arrival,
                            .renege_at = core::Minutes{1e300}};
@@ -213,20 +201,14 @@ struct MulticastSim {
 
 }  // namespace
 
-MulticastReport simulate_scheduled_multicast(
-    const BatchingPolicy& policy,
-    const std::vector<workload::Request>& requests, std::size_t num_videos,
-    const MulticastConfig& config) {
+MulticastReport simulate_scheduled_multicast(const BatchingPolicy& policy,
+                                             workload::RequestFeed& requests,
+                                             std::size_t num_videos,
+                                             const MulticastConfig& config) {
   VB_EXPECTS(config.channels >= 1);
   VB_EXPECTS(config.video_length.v > 0.0);
   VB_EXPECTS(config.horizon.v > 0.0);
   VB_EXPECTS(num_videos >= 1);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    VB_EXPECTS(requests[i].video < num_videos);
-    VB_EXPECTS_MSG(
-        i == 0 || requests[i - 1].arrival.v <= requests[i].arrival.v,
-        "request arrival times must be nondecreasing");
-  }
 
   MulticastReport report;
   report.policy = policy.name();
@@ -309,11 +291,10 @@ MulticastReport simulate_scheduled_multicast(
   probes.add("batching.event_queue.pending",
              [&events] { return static_cast<double>(events.pending()); });
 
-  // The input stream feeds the engine in place: the heap only ever holds
+  // Requests are pulled as the clock reaches them: the heap only ever holds
   // batch completions.
-  InputFeed arrivals{.requests = requests};
   events.run_until(
-      config.horizon.v, arrivals,
+      config.horizon.v, requests,
       [&state](const workload::Request& request) { state.arrival(request); });
   probes.advance(config.horizon.v);
 

@@ -23,7 +23,8 @@ namespace vodbcast::batching {
 struct MulticastConfig {
   int channels = 10;
   core::Minutes video_length{120.0};
-  core::Minutes horizon{2000.0};  ///< observation window, > 0
+  /// The run's length, > 0; the feed's own horizon bounds the arrivals.
+  core::Minutes horizon{2000.0};
   /// Mean patience before a waiting subscriber reneges; <= 0 disables
   /// reneging (everyone waits indefinitely).
   core::Minutes mean_patience{-1.0};
@@ -52,10 +53,11 @@ struct MulticastReport {
   double channel_utilization = 0.0;  ///< busy channel-minutes / capacity
 };
 
-/// Simulates the policy on a pre-generated request stream. Preconditions:
-/// arrival times are nondecreasing and every video id is below num_videos.
+/// Simulates the policy on the requests `requests` yields before
+/// config.horizon, checking as each is pulled that arrival times are
+/// nondecreasing and every video id is below num_videos.
 [[nodiscard]] MulticastReport simulate_scheduled_multicast(
-    const BatchingPolicy& policy, const std::vector<workload::Request>& requests,
+    const BatchingPolicy& policy, workload::RequestFeed& requests,
     std::size_t num_videos, const MulticastConfig& config);
 
 }  // namespace vodbcast::batching

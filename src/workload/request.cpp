@@ -47,11 +47,13 @@ std::vector<Request> RequestGenerator::generate_until(core::Minutes horizon) {
   return requests;
 }
 
-RequestFeed::RequestFeed(RequestGenerator generator, core::Minutes horizon)
+RequestFeed::RequestFeed(RequestGenerator generator, core::Minutes horizon,
+                         Filter filter)
     : generator_(std::move(generator)),
       horizon_(horizon.v),
-      ahead_(generator_.next()) {
+      filter_(std::move(filter)) {
   VB_EXPECTS(std::isfinite(horizon_));
+  advance();
 }
 
 }  // namespace vodbcast::workload

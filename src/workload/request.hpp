@@ -2,6 +2,7 @@
 // selection.
 #pragma once
 
+#include <functional>
 #include <limits>
 #include <vector>
 
@@ -39,12 +40,16 @@ class RequestGenerator {
 
 /// The requests generate_until(horizon) would return, pulled one at a time
 /// through a one-request look-ahead, so a consumer holds O(1) requests
-/// instead of the whole stream. The generator draws exactly what
-/// generate_until draws. Models sim::ArrivalFeed. `horizon` must be
-/// finite.
+/// instead of the whole stream. Models sim::ArrivalFeed; every engine pulls
+/// its arrivals from one. `horizon` must be finite. An optional filter sees
+/// each draw before the horizon once, in draw order, never the draw that
+/// ends the stream: false drops the request, and a kept request may be
+/// rewritten (arrivals must stay time-ordered). The draws never change.
 class RequestFeed {
  public:
-  RequestFeed(RequestGenerator generator, core::Minutes horizon);
+  using Filter = std::function<bool(Request&)>;
+  RequestFeed(RequestGenerator generator, core::Minutes horizon,
+              Filter filter = {});
 
   /// Arrival time of the next request; +infinity once the stream reached
   /// the horizon.
@@ -55,15 +60,23 @@ class RequestFeed {
   /// finite.
   Request pop() {
     const Request request = ahead_;
-    ahead_ = generator_.next();
+    advance();
     return request;
   }
 
  private:
   static constexpr double kExhausted = std::numeric_limits<double>::infinity();
 
+  /// Draws until the filter keeps a request or the stream ends.
+  void advance() {
+    do {
+      ahead_ = generator_.next();
+    } while (filter_ && ahead_.arrival.v < horizon_ && !filter_(ahead_));
+  }
+
   RequestGenerator generator_;
   double horizon_;
+  Filter filter_;
   Request ahead_;
 };
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "batching/queue_policies.hpp"
 #include "batching/scheduled_multicast.hpp"
 #include "util/contracts.hpp"
@@ -40,18 +42,19 @@ TEST(MqlPolicyTest, BreaksTiesByOldestHead) {
   EXPECT_EQ(MqlPolicy().pick(queues), 1U);
 }
 
-std::vector<workload::Request> uniform_requests(double rate, double horizon,
-                                                std::size_t num_videos,
-                                                std::uint64_t seed) {
+workload::RequestFeed uniform_requests(
+    double rate, double horizon, std::size_t num_videos, std::uint64_t seed,
+    workload::RequestFeed::Filter filter = {}) {
   std::vector<double> popularity(num_videos,
                                  1.0 / static_cast<double>(num_videos));
-  workload::RequestGenerator gen(popularity, rate, util::Rng(seed));
-  return gen.generate_until(core::Minutes{horizon});
+  return workload::RequestFeed(
+      workload::RequestGenerator(popularity, rate, util::Rng(seed)),
+      core::Minutes{horizon}, std::move(filter));
 }
 
 TEST(ScheduledMulticastTest, RejectsNonPositiveHorizons) {
-  const auto requests = uniform_requests(0.2, 50.0, 4, 3);
   for (const double horizon : {-1.0, 0.0}) {
+    auto requests = uniform_requests(0.2, 50.0, 4, 3);
     MulticastConfig config;
     config.horizon = core::Minutes{horizon};
     EXPECT_THROW(
@@ -64,20 +67,26 @@ TEST(ScheduledMulticastTest, RejectsNonPositiveHorizons) {
 TEST(ScheduledMulticastTest, AllServedWhenCapacityIsAmple) {
   // Little's law: ~0.2/min x 120 min = 24 concurrent streams on average;
   // 60 channels make an idle channel at every arrival all but certain.
-  const auto requests = uniform_requests(0.2, 500.0, 4, 3);
+  std::uint64_t pulled = 0;
+  auto requests =
+      uniform_requests(0.2, 500.0, 4, 3, [&pulled](workload::Request&) {
+        ++pulled;
+        return true;
+      });
   MulticastConfig config;
   config.channels = 60;
   config.horizon = core::Minutes{500.0 + 120.0};
   const auto report =
       simulate_scheduled_multicast(MqlPolicy(), requests, 4, config);
-  EXPECT_EQ(report.served, requests.size());
+  EXPECT_GT(pulled, 0U);
+  EXPECT_EQ(report.served, pulled);
   EXPECT_EQ(report.reneged, 0U);
   // With a free channel on every arrival, nobody waits.
   EXPECT_DOUBLE_EQ(report.wait_minutes.max(), 0.0);
 }
 
 TEST(ScheduledMulticastTest, BatchingSharesStreams) {
-  const auto requests = uniform_requests(5.0, 1000.0, 4, 7);
+  auto requests = uniform_requests(5.0, 1000.0, 4, 7);
   MulticastConfig config;
   config.channels = 6;
   config.horizon = core::Minutes{1200.0};
@@ -94,23 +103,29 @@ TEST(ScheduledMulticastTest, MqlBeatsFcfsOnThroughputWithReneging) {
   // al.): with impatient subscribers and skewed demand, MQL spends each
   // freed channel on the longest queue before its members renege, while
   // FCFS spends streams on near-empty cold queues.
-  workload::RequestGenerator gen(workload::zipf_probabilities(20), 6.0,
-                                 util::Rng(11));
-  const auto requests = gen.generate_until(core::Minutes{1500.0});
+  // Both policies see the same stream: one seed, two feeds.
+  const auto requests = [] {
+    return workload::RequestFeed(
+        workload::RequestGenerator(workload::zipf_probabilities(20), 6.0,
+                                   util::Rng(11)),
+        core::Minutes{1500.0});
+  };
   MulticastConfig config;
   config.channels = 10;
   config.horizon = core::Minutes{1800.0};
   config.mean_patience = core::Minutes{10.0};
+  auto mql_requests = requests();
   const auto mql =
-      simulate_scheduled_multicast(MqlPolicy(), requests, 20, config);
+      simulate_scheduled_multicast(MqlPolicy(), mql_requests, 20, config);
+  auto fcfs_requests = requests();
   const auto fcfs =
-      simulate_scheduled_multicast(FcfsPolicy(), requests, 20, config);
+      simulate_scheduled_multicast(FcfsPolicy(), fcfs_requests, 20, config);
   EXPECT_GT(mql.served, fcfs.served);
   EXPECT_LT(mql.reneged, fcfs.reneged);
 }
 
 TEST(ScheduledMulticastTest, RenegingDropsImpatientClients) {
-  const auto requests = uniform_requests(6.0, 1000.0, 10, 13);
+  auto requests = uniform_requests(6.0, 1000.0, 10, 13);
   MulticastConfig config;
   config.channels = 4;
   config.horizon = core::Minutes{1200.0};
@@ -123,7 +138,7 @@ TEST(ScheduledMulticastTest, RenegingDropsImpatientClients) {
 }
 
 TEST(ScheduledMulticastTest, UtilizationWithinBounds) {
-  const auto requests = uniform_requests(2.0, 800.0, 5, 17);
+  auto requests = uniform_requests(2.0, 800.0, 5, 17);
   MulticastConfig config;
   config.channels = 10;
   config.horizon = core::Minutes{1000.0};
@@ -136,14 +151,33 @@ TEST(ScheduledMulticastTest, UtilizationWithinBounds) {
 TEST(ScheduledMulticastTest, RejectsBadConfig) {
   MulticastConfig config;
   config.channels = 0;
-  EXPECT_THROW((void)simulate_scheduled_multicast(MqlPolicy(), {}, 3, config),
-               util::ContractViolation);
+  auto requests = uniform_requests(0.2, 50.0, 3, 3);
+  EXPECT_THROW(
+      (void)simulate_scheduled_multicast(MqlPolicy(), requests, 3, config),
+      util::ContractViolation);
 }
 
 TEST(ScheduledMulticastTest, RejectsOutOfRangeVideoIds) {
   MulticastConfig config;
-  std::vector<workload::Request> requests{
-      {.arrival = core::Minutes{1.0}, .video = 9}};
+  auto requests =
+      uniform_requests(0.2, 50.0, 3, 3, [](workload::Request& request) {
+        request.video = 9;
+        return true;
+      });
+  EXPECT_THROW(
+      (void)simulate_scheduled_multicast(MqlPolicy(), requests, 3, config),
+      util::ContractViolation);
+}
+
+TEST(ScheduledMulticastTest, RejectsArrivalsOutOfTimeOrder) {
+  // Mirrored arrival times run backwards; the engine's merge checks the
+  // order as each request is pulled.
+  MulticastConfig config;
+  auto requests =
+      uniform_requests(0.2, 50.0, 3, 3, [](workload::Request& request) {
+        request.arrival = core::Minutes{50.0 - request.arrival.v};
+        return true;
+      });
   EXPECT_THROW(
       (void)simulate_scheduled_multicast(MqlPolicy(), requests, 3, config),
       util::ContractViolation);

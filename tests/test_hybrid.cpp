@@ -116,6 +116,14 @@ TEST(HybridTest, HotSetEqualToCatalogIsStillValid) {
   config.hot_titles = 10;
   const auto report = evaluate_hybrid(MqlPolicy(), config);
   EXPECT_EQ(report.hot_titles, 10u);
+  // The idle tail still names its policy (the CLI prints it).
+  EXPECT_EQ(report.multicast.policy, "MQL");
+  EXPECT_EQ(report.multicast.served, 0U);
+  // Every request was counted hot: with no cold waits the combined mean is
+  // the hot side's, half the guaranteed worst wait (0 had none counted).
+  EXPECT_DOUBLE_EQ(report.combined_mean_wait_minutes,
+                   report.broadcast_worst_latency.v / 2.0);
+  EXPECT_GT(report.combined_mean_wait_minutes, 0.0);
 }
 
 }  // namespace

@@ -227,6 +227,19 @@ std::uint64_t digest(const batching::MulticastReport& r) {
       .value();
 }
 
+std::uint64_t digest(const batching::HybridReport& r) {
+  return Fnv()
+      .add(static_cast<std::uint64_t>(r.hot_titles))
+      .add(r.hot_demand_fraction)
+      .add(r.broadcast_worst_latency.v)
+      .add(r.broadcast_bandwidth.v)
+      .add(static_cast<std::uint64_t>(r.multicast_channels))
+      .add(r.multicast.policy)
+      .add(digest(r.multicast))
+      .add(r.combined_mean_wait_minutes)
+      .value();
+}
+
 std::uint64_t digest(const metro::FederationReport& r) {
   Fnv f;
   f.add(r.arrivals)
@@ -363,16 +376,22 @@ TEST(EngineReportPinTest, AdaptiveWithServerEventsAtArrivalTimes) {
   EXPECT_EQ(sink.metrics.counter("sim.event_queue.fired").value(), 3979U);
 }
 
+/// A Zipf stream over 20 titles at 2 arrivals/min, its arrival times
+/// floored to whole minutes as they are pulled.
+workload::RequestFeed whole_minute_requests() {
+  return workload::RequestFeed(
+      workload::RequestGenerator(workload::zipf_probabilities(20), 2.0,
+                                 util::Rng(5)),
+      core::Minutes{600.0}, [](workload::Request& request) {
+        request.arrival = core::Minutes{std::floor(request.arrival.v)};
+        return true;
+      });
+}
+
 // Arrivals on whole minutes tie with each other and with batch completions
 // (30-minute streams), so dispatch order depends on the tie rule; patience
 // makes waiters renege.
 TEST(EngineReportPinTest, ScheduledMulticastFcfsAndMqlWithReneges) {
-  workload::RequestGenerator generator(workload::zipf_probabilities(20), 2.0,
-                                       util::Rng(5));
-  auto requests = generator.generate_until(core::Minutes{600.0});
-  for (auto& request : requests) {
-    request.arrival = core::Minutes{std::floor(request.arrival.v)};
-  }
   batching::MulticastConfig config;
   config.channels = 4;
   config.video_length = core::Minutes{30.0};
@@ -380,21 +399,63 @@ TEST(EngineReportPinTest, ScheduledMulticastFcfsAndMqlWithReneges) {
   config.mean_patience = core::Minutes{10.0};
   config.seed = 9;
 
+  auto fcfs_requests = whole_minute_requests();
   const auto fcfs = batching::simulate_scheduled_multicast(
-      batching::FcfsPolicy(), requests, 20, config);
+      batching::FcfsPolicy(), fcfs_requests, 20, config);
   EXPECT_EQ(fcfs.served, 286U);
   EXPECT_EQ(fcfs.reneged, 923U);
   EXPECT_EQ(fcfs.streams_started, 82U);
   EXPECT_BITS(fcfs.wait_minutes.mean(), 0x1.3p+3);
   EXPECT_DIGEST(digest(fcfs), 0x16296c2f9763dfa9);
 
+  auto mql_requests = whole_minute_requests();
   const auto mql = batching::simulate_scheduled_multicast(
-      batching::MqlPolicy(), requests, 20, config);
+      batching::MqlPolicy(), mql_requests, 20, config);
   EXPECT_EQ(mql.served, 308U);
   EXPECT_EQ(mql.reneged, 902U);
   EXPECT_EQ(mql.streams_started, 82U);
   EXPECT_BITS(mql.wait_minutes.mean(), 0x1.009f959c427e5p+3);
   EXPECT_DIGEST(digest(mql), 0xb6a8fc78ecd8560a);
+}
+
+// The hybrid splits one Zipf stream: hot requests only weigh the combined
+// mean, cold ones queue for the tail under ids rebased onto the tail
+// catalog. Patience makes waiters renege and the sample cap folds the
+// tail's wait distribution mid-run.
+TEST(EngineReportPinTest, EvaluateHybridWithReneges) {
+  batching::HybridConfig config;
+  config.total_bandwidth = core::MbitPerSec{90.0};  // 12 tail channels
+  config.catalog_size = 60;
+  config.hot_titles = 8;
+  config.broadcast_channels_per_video = 6;
+  config.arrivals_per_minute = 6.0;
+  config.horizon = core::Minutes{1200.0};
+  config.mean_patience = core::Minutes{20.0};
+  config.seed = 13;
+  config.stats_sample_cap = 128;
+  const batching::FcfsPolicy fcfs;
+  const batching::MqlPolicy mql;
+  const struct {
+    const batching::BatchingPolicy& policy;
+    std::uint64_t served, reneged, digest;
+  } cases[] = {{fcfs, 197, 1697, 0x7b5a3432d650ffb7},
+               {mql, 229, 1665, 0x7d2943485b1efbf5}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.policy.name());
+    obs::Sink sink;
+    config.sink = &sink;
+    const auto report = batching::evaluate_hybrid(c.policy, config);
+    EXPECT_EQ(report.multicast_channels, 12);
+    EXPECT_TRUE(report.multicast.wait_minutes.folded());
+    EXPECT_EQ(report.multicast.served, c.served);
+    EXPECT_EQ(report.multicast.reneged, c.reneged);
+    const auto hot = sink.metrics.counter("hybrid.hot_requests").value();
+    const auto cold = sink.metrics.counter("hybrid.cold_requests").value();
+    EXPECT_EQ(hot, 5161U);
+    EXPECT_EQ(cold, 1931U);
+    EXPECT_DIGEST(Fnv().add(digest(report)).add(hot).add(cold).value(),
+                  c.digest);
+  }
 }
 
 // 1000 arrivals/min over 300 min: about 300k arrivals, several times the
@@ -553,12 +614,7 @@ TEST(SessionSpanPinTest, Simulate) {
 }
 
 TEST(SessionSpanPinTest, ScheduledMulticastFcfsWithReneges) {
-  workload::RequestGenerator generator(workload::zipf_probabilities(20), 2.0,
-                                       util::Rng(5));
-  auto requests = generator.generate_until(core::Minutes{600.0});
-  for (auto& request : requests) {
-    request.arrival = core::Minutes{std::floor(request.arrival.v)};
-  }
+  auto requests = whole_minute_requests();
   batching::MulticastConfig config;
   config.channels = 4;
   config.video_length = core::Minutes{30.0};

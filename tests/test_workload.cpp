@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "util/contracts.hpp"
 #include "workload/arrivals.hpp"
@@ -147,6 +150,92 @@ TEST(RequestFeedTest, RejectsNonFiniteHorizonsAndRates) {
                                util::Rng(1)),
                            core::Minutes{60.0}),
                util::ContractViolation);
+}
+
+/// Every request `feed` hands out, in order.
+std::vector<Request> drain(RequestFeed& feed) {
+  std::vector<Request> out;
+  while (std::isfinite(feed.next_at())) {
+    const double at = feed.next_at();
+    out.push_back(feed.pop());
+    EXPECT_EQ(out.back().arrival.v, at);
+  }
+  return out;
+}
+
+bool same(const std::vector<Request>& a, const std::vector<Request>& b) {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(),
+                    [](const Request& x, const Request& y) {
+                      return x.arrival.v == y.arrival.v && x.video == y.video;
+                    });
+}
+
+TEST(RequestFeedTest, UnfilteredFeedPopsGenerateUntilsStream) {
+  for (const std::uint64_t seed : {1U, 7U, 42U}) {
+    for (const double horizon : {0.25, 30.0, 600.0}) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " horizon "
+                                      << horizon);
+      RequestGenerator twin(zipf_probabilities(12), 3.0, util::Rng(seed));
+      const auto expected = twin.generate_until(core::Minutes{horizon});
+      RequestFeed feed(RequestGenerator(zipf_probabilities(12), 3.0,
+                                        util::Rng(seed)),
+                       core::Minutes{horizon});
+      EXPECT_TRUE(same(drain(feed), expected));
+    }
+  }
+}
+
+TEST(RequestFeedTest, FilterSeesEachDrawBeforeTheHorizonOnceInOrder) {
+  RequestGenerator twin(zipf_probabilities(12), 3.0, util::Rng(9));
+  const auto expected = twin.generate_until(core::Minutes{200.0});
+  ASSERT_GT(expected.size(), 100U);
+  std::vector<Request> seen;
+  RequestFeed feed(
+      RequestGenerator(zipf_probabilities(12), 3.0, util::Rng(9)),
+      core::Minutes{200.0}, [&seen](Request& request) {
+        EXPECT_LT(request.arrival.v, 200.0);  // never the ending draw
+        seen.push_back(request);
+        return seen.size() % 2 == 0;  // keep every other draw
+      });
+  const auto kept = drain(feed);
+  EXPECT_TRUE(same(seen, expected));
+  std::vector<Request> every_other;
+  for (std::size_t i = 1; i < expected.size(); i += 2) {
+    every_other.push_back(expected[i]);
+  }
+  EXPECT_TRUE(same(kept, every_other));
+}
+
+TEST(RequestFeedTest, DropAllFilterExhaustsTheFeedOnConstruction) {
+  RequestGenerator twin(zipf_probabilities(12), 3.0, util::Rng(4));
+  const auto expected = twin.generate_until(core::Minutes{100.0});
+  std::size_t calls = 0;
+  const RequestFeed feed(
+      RequestGenerator(zipf_probabilities(12), 3.0, util::Rng(4)),
+      core::Minutes{100.0}, [&calls](Request&) {
+        ++calls;
+        return false;
+      });
+  EXPECT_EQ(feed.next_at(), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(calls, expected.size());
+}
+
+TEST(RequestFeedTest, PopReturnsTheRewrittenRequests) {
+  RequestGenerator twin(zipf_probabilities(12), 3.0, util::Rng(6));
+  auto expected = twin.generate_until(core::Minutes{100.0});
+  const auto rewrite = [](Request& request) {
+    request.arrival = core::Minutes{std::floor(request.arrival.v)};
+    request.video += 100;
+    return true;
+  };
+  for (auto& request : expected) {
+    rewrite(request);
+  }
+  RequestFeed feed(RequestGenerator(zipf_probabilities(12), 3.0,
+                                    util::Rng(6)),
+                   core::Minutes{100.0}, rewrite);
+  EXPECT_TRUE(same(drain(feed), expected));
 }
 
 TEST(RequestGeneratorTest, VideosFollowPopularity) {

@@ -477,6 +477,18 @@ int cmd_hybrid_adaptive(const util::ArgParser& args) {
   if (args.has("popularity-flip") || args.has("flip-at")) {
     config.flip_at =
         core::Minutes{args.get_double("flip-at", config.horizon.v / 2.0)};
+    // Outside [0, horizon) the engine never flips: a later flip would be
+    // reported as not re-converged, a negative one silently ignored. (A bad
+    // horizon is the engine's to reject.)
+    if (config.horizon.v > 0.0 &&
+        (config.flip_at.v < 0.0 || config.flip_at.v >= config.horizon.v)) {
+      char message[128];
+      std::snprintf(message, sizeof message,
+                    "--flip-at must be >= 0 and below the horizon (%g min), "
+                    "got %g",
+                    config.horizon.v, config.flip_at.v);
+      throw std::invalid_argument(message);
+    }
   }
   // Fault channels key hot titles as title id + 1; size the plan so
   // generated outages land on plausible hot titles.
