@@ -14,7 +14,9 @@
 # tools/trace_check --max-loaders 1 --realloc), a metro federation
 # self-check (a seeded 4-region vodbcast metro run must conserve arrivals
 # across served-local/rerouted/rejected under tools/metrics_check and
-# reproduce its stdout and metrics byte for byte at --threads 4), a
+# reproduce its stdout and metrics byte for byte at --threads 4, and a
+# five-window run, with and without a dark region, at --threads 2, 3
+# and 4), a
 # replication self-check (simulate --reps 4, hybrid --reps 3 and
 # hybrid --adaptive --reps 3 must give byte-identical stdout and span
 # exports at --threads 1 and --threads 4), an O(live state) self-check
@@ -238,6 +240,33 @@ build/tools/vodbcast metro "${fed_args[@]}" --dark 0 \
 build/tools/metrics_check "$om_dir/fed_dark.txt" \
   'sum(metro_served_local_total{region=*}) + sum(metro_rerouted_total{region=*}) + sum(metro_rejected_total{region=*}) == metro_arrivals_total' \
   --verbose
+# The runs above fit in one 2^15-arrival window. At --horizon 1500 (about
+# 150k arrivals, five windows) the pipelined window loop routes one window
+# while the pool generates the next and accounts the previous one; every
+# pool size must reproduce the serial stdout and metrics dump, with all
+# regions up and with region 0 dark (the failover and spill paths).
+fed_long_args=(--regions 40,30,20,10 --channels 120 --horizon 1500 --seed 7
+               --replicate-top 8)
+for fed_dark in up dark; do
+  fed_extra=()
+  if [[ $fed_dark == dark ]]; then
+    fed_extra=(--dark 0)
+  fi
+  for threads in 1 2 3 4; do
+    build/tools/vodbcast metro "${fed_long_args[@]}" "${fed_extra[@]}" \
+      --threads "$threads" --metrics-format openmetrics \
+      --metrics-out "$om_dir/fed_${fed_dark}_t$threads.txt" \
+      > "$om_dir/fed_${fed_dark}_t$threads.out"
+  done
+  grep -Eq 'arrivals *: *1[0-9]{5}' "$om_dir/fed_${fed_dark}_t1.out" || {
+    echo "metro pipeline self-check: expected >=100k arrivals" >&2
+    exit 1
+  }
+  for threads in 2 3 4; do
+    diff "$om_dir/fed_${fed_dark}_t1.out" "$om_dir/fed_${fed_dark}_t$threads.out"
+    diff "$om_dir/fed_${fed_dark}_t1.txt" "$om_dir/fed_${fed_dark}_t$threads.txt"
+  done
+done
 
 echo "== replication self-check =="
 # Replicated runs go through one driver (sim::replicate): seeds, folds and

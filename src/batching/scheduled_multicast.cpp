@@ -101,7 +101,11 @@ struct MulticastSim {
   std::vector<double> channel_busy_minutes;
 
   /// Drops expired waiters and keeps the report and metrics in step.
+  /// Without patience nobody reneges, so there is nothing to scan for.
   void clean(double now) {
+    if (config.mean_patience.v <= 0.0) {
+      return;
+    }
     const auto expired = clean_expired(queues, now, sink, renege_by_title,
                                        &next_span_client);
     report.reneged += expired;

@@ -1,6 +1,7 @@
 #include "metro/federation.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -57,14 +58,24 @@ std::uint64_t mbits_to_bytes(double mbits) {
   return static_cast<std::uint64_t>(std::llround(mbits * 125000.0));
 }
 
-/// Arrivals per window at the federation's aggregate rate (2^16): the
-/// request and decision buffers hold one window, not the whole campaign.
-constexpr double kWindowArrivals = 65536.0;
+/// Arrivals per window at the federation's aggregate rate (2^15). Two
+/// windows are in flight, one routed while the next is generated, so the
+/// request and decision buffers hold 2^16 arrivals, not the whole campaign.
+constexpr double kWindowArrivals = 32768.0;
+
+/// State a pool task writes once per arrival starts on a cache line of its
+/// own, so no two tasks running at the same time write to one line.
+constexpr std::size_t kCacheLine = 64;
+
+/// Region g's request feed, which its phase-A task advances.
+struct alignas(kCacheLine) RegionFeed {
+  workload::RequestFeed feed;
+};
 
 /// Region g's phase-C state, carried across arrival windows: its report,
 /// its private sink with the instrument handles resolved on it, and the
 /// ordinal of the last arrival it accounted.
-struct RegionLedger {
+struct alignas(kCacheLine) RegionLedger {
   RegionReport report;
   std::unique_ptr<obs::Sink> sink;
   obs::Counter* arrivals_total = nullptr;
@@ -208,14 +219,14 @@ FederationReport simulate_federation(const Topology& topology,
   // (g+1)-th output of SplitMix64(config.seed), derived up front so the
   // schedule does not depend on execution order.
   util::SplitMix64 seed_stream(config.seed);
-  std::vector<workload::RequestFeed> feeds;
+  std::vector<RegionFeed> feeds;
   feeds.reserve(n);
   for (std::size_t g = 0; g < n; ++g) {
-    feeds.emplace_back(
+    feeds.push_back({workload::RequestFeed(
         workload::RequestGenerator(solver.popularity(),
                                    topology.region(g).arrivals_per_minute,
                                    util::Rng(seed_stream.next())),
-        config.horizon);
+        config.horizon)});
   }
 
   RouterConfig router_config;
@@ -231,71 +242,102 @@ FederationReport simulate_federation(const Topology& topology,
     ledgers.emplace_back(g, config);
   }
 
-  // Phases A-C run over consecutive time windows of about kWindowArrivals
-  // arrivals each. Windows partition time, so their merges concatenate to
-  // the merge over the whole horizon; the feeds, the router and the
-  // ledgers carry their state from one window to the next.
+  // Phases A-C run as a three-stage pipeline over consecutive time windows
+  // of about kWindowArrivals arrivals each: step w routes window w on the
+  // calling thread (B) while the pool generates window w+1 (A) and accounts
+  // window w-1 (C). Window w's requests and decisions live in slot w % 2,
+  // so the three stages touch disjoint buffers, and the feeds are read only
+  // between steps. Windows partition time, so their merges concatenate to
+  // the merge over the whole horizon; the feeds, the router and the ledgers
+  // carry their state from one window to the next.
   const double window_min =
       kWindowArrivals / topology.total_arrivals_per_minute();
   const auto arrivals_left = [&feeds] {
-    return std::any_of(feeds.begin(), feeds.end(), [](const auto& feed) {
-      return feed.next_at() != std::numeric_limits<double>::infinity();
+    return std::any_of(feeds.begin(), feeds.end(), [](const auto& region) {
+      return region.feed.next_at() != std::numeric_limits<double>::infinity();
     });
   };
-  std::vector<std::vector<workload::Request>> streams(n);
-  std::vector<std::vector<RouteDecision>> per_origin(n);
+  using Streams = std::vector<std::vector<workload::Request>>;
+  using Decisions = std::vector<std::vector<RouteDecision>>;
+  std::array<Streams, 2> streams{Streams(n), Streams(n)};
+  std::array<Decisions, 2> per_origin{Decisions(n), Decisions(n)};
   std::vector<std::uint64_t> rerouted_in(n, 0);
-  for (std::size_t window = 1; arrivals_left(); ++window) {
-    const double window_end = static_cast<double>(window) * window_min;
-
-    // Phase A — per-region workload (parallel): region g pulls its
-    // arrivals before window_end.
-    util::parallel_for_each(pool, n, [&](std::size_t g) {
-      streams[g].clear();
-      while (feeds[g].next_at() < window_end) {
-        streams[g].push_back(feeds[g].pop());
-      }
-    });
-
-    // Phase B — serial routing over the k-way time-ordered merge (ties
-    // break on the lower region index). The router's link/slot state is
-    // the one genuinely shared structure, so it gets exactly one writer.
-    std::vector<std::size_t> cursor(n, 0);
-    for (auto& decisions : per_origin) {
-      decisions.clear();
+  bool routing = false;     // window w was generated in step w-1
+  bool accounting = false;  // window w-1 was routed in step w-1
+  for (std::size_t w = 0;; ++w) {
+    const bool generating = arrivals_left();
+    if (!generating && !routing && !accounting) {
+      break;
     }
-    for (;;) {
-      std::size_t next = n;
-      double best = 0.0;
-      for (std::size_t g = 0; g < n; ++g) {
-        if (cursor[g] >= streams[g].size()) {
-          continue;
-        }
-        const double at = streams[g][cursor[g]].arrival.v;
-        if (next == n || at < best) {
-          next = g;
-          best = at;
-        }
-      }
-      if (next == n) {
-        break;
-      }
-      const auto& req = streams[next][cursor[next]++];
-      const RouteDecision d = router.route(
-          Arrival{req.arrival, req.video, static_cast<std::uint32_t>(next)});
-      if (d.kind == RouteKind::kRerouted) {
-        ++rerouted_in[d.served_by];
-      }
-      per_origin[next].push_back(d);
-    }
-
-    // Phase C — per-region accounting into private sinks/distributions
-    // (parallel).
-    util::parallel_for_each(pool, n, [&](std::size_t g) {
-      for (const auto& d : per_origin[g]) {
-        ledgers[g].account(d, config, d1);
-      }
-    });
+    // Windows w+1 and w-1 share the slot that window w does not use.
+    auto& generated = streams[(w + 1) % 2];
+    const auto& routed = per_origin[(w + 1) % 2];
+    const std::size_t generate_tasks = generating ? n : 0;
+    const double generated_end = static_cast<double>(w + 1) * window_min;
+    util::parallel_for_each_alongside(
+        pool, generate_tasks + (accounting ? n : 0),
+        [&](std::size_t task) {
+          if (task < generate_tasks) {
+            // Phase A — region `task` pulls window w+1's arrivals into a
+            // local vector and publishes it with one swap.
+            auto& feed = feeds[task].feed;
+            std::vector<workload::Request> pulled;
+            pulled.swap(generated[task]);
+            pulled.clear();
+            while (feed.next_at() < generated_end) {
+              pulled.push_back(feed.pop());
+            }
+            pulled.swap(generated[task]);
+            return;
+          }
+          // Phase C — region g accounts window w-1 into its private sink
+          // and distribution.
+          const std::size_t g = task - generate_tasks;
+          for (const auto& d : routed[g]) {
+            ledgers[g].account(d, config, d1);
+          }
+        },
+        [&] {
+          if (!routing) {
+            return;
+          }
+          // Phase B — serial routing over the k-way time-ordered merge of
+          // window w (ties break on the lower region index). The router's
+          // link/slot state is the one genuinely shared structure, so it
+          // gets exactly one writer.
+          const auto& stream = streams[w % 2];
+          auto& decisions = per_origin[w % 2];
+          for (auto& origin : decisions) {
+            origin.clear();
+          }
+          std::vector<std::size_t> cursor(n, 0);
+          for (;;) {
+            std::size_t next = n;
+            double best = 0.0;
+            for (std::size_t g = 0; g < n; ++g) {
+              if (cursor[g] >= stream[g].size()) {
+                continue;
+              }
+              const double at = stream[g][cursor[g]].arrival.v;
+              if (next == n || at < best) {
+                next = g;
+                best = at;
+              }
+            }
+            if (next == n) {
+              break;
+            }
+            const auto& req = stream[next][cursor[next]++];
+            const RouteDecision d = router.route(Arrival{
+                req.arrival, req.video, static_cast<std::uint32_t>(next)});
+            if (d.kind == RouteKind::kRerouted) {
+              ++rerouted_in[d.served_by];
+            }
+            decisions[next].push_back(d);
+          }
+        });
+    accounting = routing;
+    routing = generating;
   }
 
   // Phase D — fold in region index order.

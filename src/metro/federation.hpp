@@ -19,13 +19,17 @@
 //      obs::Sink::merge_from and per-region distributions merge metro-wide,
 //      all in region index order.
 //
-// Phases A-C repeat over consecutive time windows of about 2^16 arrivals
-// (the width follows from the regions' total rate), carrying the request
-// generators, the router and the per-region reports and sinks from one
-// window to the next. Windows partition time, so the result equals one
-// pass over the whole horizon while the request and decision buffers hold
-// a single window. The result is bit-identical at any thread count,
-// including none.
+// Phases A-C run over consecutive time windows of about 2^15 arrivals
+// (the width follows from the regions' total rate) as a three-stage
+// pipeline (util::parallel_for_each_alongside): the calling thread routes
+// window w (B) while the pool generates window w+1 (A) and accounts window
+// w-1 (C), each stage in its own buffers. The request generators, the
+// router and the per-region reports and sinks carry over from one window
+// to the next. Windows partition time, so the result equals one pass over
+// the whole horizon while the request and decision buffers hold two
+// windows. Each region's feed and ledger, which A and C write once per
+// arrival, sit on cache lines of their own. The result is bit-identical
+// at any thread count, including none.
 //
 // Observability (docs/OBSERVABILITY.md): the unlabeled counter
 // `metro.arrivals` plus {region}-labeled families `metro.region_arrivals`,

@@ -38,20 +38,32 @@ Router::Router(const Topology& topology, const Placement& placement,
   }
   pending_.assign(n, std::vector<double>(placement.home.size(), kNoPending));
   busy_.assign(n * n, {});
-  order_.resize(n);
-  for (std::size_t o = 0; o < n; ++o) {
-    for (std::size_t s = 0; s < n; ++s) {
-      if (s != o) {
-        order_[o].push_back(static_cast<std::uint32_t>(s));
+  substitutes_.reserve(n * n * (n - 1));
+  for (std::size_t h = 0; h < n; ++h) {
+    for (std::size_t o = 0; o < n; ++o) {
+      const auto row = static_cast<std::ptrdiff_t>(substitutes_.size());
+      for (std::uint32_t s = 0; s < n; ++s) {
+        if (s != h) {
+          substitutes_.push_back(s);
+        }
       }
+      const auto cost = [&](std::uint32_t s) {
+        return topology.hops(h, s) + topology.hops(s, o);
+      };
+      std::sort(substitutes_.begin() + row, substitutes_.end(),
+                [&](std::uint32_t a, std::uint32_t b) {
+                  const int ca = cost(a);
+                  const int cb = cost(b);
+                  return ca != cb ? ca < cb : a < b;
+                });
     }
-    std::sort(order_[o].begin(), order_[o].end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                const int ha = topology.hops(o, a);
-                const int hb = topology.hops(o, b);
-                return ha != hb ? ha < hb : a < b;
-              });
   }
+}
+
+std::span<const std::uint32_t> Router::substitutes(std::size_t home,
+                                                   std::size_t origin) const {
+  const std::size_t n = topology_->size();
+  return {substitutes_.data() + (home * n + origin) * (n - 1), n - 1};
 }
 
 bool Router::dark(std::size_t region, double t) const {
@@ -119,7 +131,7 @@ RouteDecision Router::route(const Arrival& arrival) {
       return d;  // kLocal: tune into the origin region's own broadcast
     }
     // Failover: cheapest non-dark neighbor whose delivery link has room.
-    for (const std::uint32_t s : order_[o]) {
+    for (const std::uint32_t s : substitutes(o, o)) {
       if (dark(s, t) || !link_free(s, o, t)) {
         continue;
       }
@@ -167,19 +179,7 @@ RouteDecision Router::route(const Arrival& arrival) {
   // Saturated home (or its delivery link is full): spill to the cheapest
   // substitute that has a free slot now — it fetches the title from the
   // home region over one link and streams to the subscriber over another.
-  std::vector<std::uint32_t> candidates;
-  for (std::uint32_t s = 0; s < topology_->size(); ++s) {
-    if (s != h) {
-      candidates.push_back(s);
-    }
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              const int ca = topology_->hops(h, a) + topology_->hops(a, o);
-              const int cb = topology_->hops(h, b) + topology_->hops(b, o);
-              return ca != cb ? ca < cb : a < b;
-            });
-  for (const std::uint32_t s : candidates) {
+  for (const std::uint32_t s : substitutes(h, o)) {
     if (dark(s, t) || slots_[s].empty() || slots_[s].top() > t) {
       continue;
     }

@@ -22,16 +22,18 @@
 //
 // Everything is deterministic: arrivals are processed in time order (the
 // caller breaks ties by origin region index), candidate neighbors are
-// ordered by ring-hop cost with index tie-breaks, and link/slot state
-// evolves only through this ordered stream — so the decision sequence is a
-// pure function of (topology, placement, config, arrivals) and
-// conservation holds by construction:
+// ordered by ring-hop cost with index tie-breaks (tabulated once per
+// (home, origin) pair in the constructor, so route() never sorts or
+// allocates), and link/slot state evolves only through this ordered
+// stream — so the decision sequence is a pure function of (topology,
+// placement, config, arrivals) and conservation holds by construction:
 //
 //   served_local + rerouted + rejected == arrivals.
 #pragma once
 
 #include <cstdint>
 #include <queue>
+#include <span>
 #include <vector>
 
 #include "core/video.hpp"
@@ -105,6 +107,12 @@ class Router {
   using SlotQueue =
       std::priority_queue<double, std::vector<double>, std::greater<>>;
 
+  /// Every region but `home`, sorted by (hops(home, s) + hops(s, origin),
+  /// s): the spill order for a tail title homed at `home` and requested
+  /// from `origin`. substitutes(o, o) is the broadcast failover order of
+  /// origin o, by (hops(o, s), s).
+  [[nodiscard]] std::span<const std::uint32_t> substitutes(
+      std::size_t home, std::size_t origin) const;
   [[nodiscard]] bool link_free(std::size_t from, std::size_t to, double t);
   void occupy_link(std::size_t from, std::size_t to, double until);
   RouteDecision serve_tail_local(RouteDecision d, std::size_t home,
@@ -117,9 +125,9 @@ class Router {
   std::vector<std::vector<double>> pending_;  ///< region x title: batch start
   /// busy_[from * N + to]: release times of occupied link streams.
   std::vector<std::vector<double>> busy_;
-  /// order_[o]: other regions sorted by (hops(o, s), s) — the broadcast
-  /// failover preference.
-  std::vector<std::vector<std::uint32_t>> order_;
+  /// The substitutes() rows, (home * N + origin) * (N - 1) onward:
+  /// N * N * (N - 1) entries.
+  std::vector<std::uint32_t> substitutes_;
 };
 
 }  // namespace vodbcast::metro

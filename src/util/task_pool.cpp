@@ -81,10 +81,8 @@ void TaskPool::worker_loop() {
 }
 
 void TaskPool::run_indexed(std::size_t n,
-                           const std::function<void(std::size_t)>& fn) {
-  if (n == 0) {
-    return;
-  }
+                           const std::function<void(std::size_t)>& fn,
+                           const std::function<void()>& serial) {
   auto state = std::make_shared<BatchState>();
   state->remaining = n;
   for (std::size_t i = 0; i < n; ++i) {
@@ -104,6 +102,16 @@ void TaskPool::run_indexed(std::size_t n,
       }
     });
   }
+  // The tasks reference fn and the caller's state, so a throwing serial()
+  // must not unwind this frame before the batch has finished.
+  std::exception_ptr serial_error;
+  if (serial) {
+    try {
+      serial();
+    } catch (...) {
+      serial_error = std::current_exception();
+    }
+  }
   // Move the error out under the lock: the last task lambda to be destroyed
   // releases the final BatchState reference on a *worker* thread, and that
   // teardown must not also release the exception object the caller is busy
@@ -113,6 +121,9 @@ void TaskPool::run_indexed(std::size_t n,
     std::unique_lock lock(state->mutex);
     state->done.wait(lock, [&state] { return state->remaining == 0; });
     error = std::move(state->error);
+  }
+  if (serial_error != nullptr) {
+    std::rethrow_exception(serial_error);
   }
   if (error != nullptr) {
     std::rethrow_exception(error);

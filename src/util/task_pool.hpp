@@ -15,6 +15,11 @@
 //   util::parallel_for_each(&pool, n, [&](std::size_t i) {
 //     out[i] = expensive(i);
 //   });
+//
+// `parallel_for_each_alongside` is the pipeline step: the calling thread
+// runs a serial stage while the workers run the batch, so a loop whose
+// stages touch disjoint state keeps every core busy and still has one
+// code path for the serial and the pooled run.
 #pragma once
 
 #include <condition_variable>
@@ -59,7 +64,13 @@ class TaskPool {
   /// finished. If any invocation throws, the batch still runs to
   /// completion, then the first exception (by completion time) is
   /// rethrown here. Reusable: call again for the next batch.
-  void run_indexed(std::size_t n, const std::function<void(std::size_t)>& fn);
+  ///
+  /// A non-empty `serial` runs on the calling thread once every task is
+  /// queued, beside the batch. The call still returns or throws only after
+  /// every task finished, and an exception from serial() is rethrown in
+  /// preference to the batch's.
+  void run_indexed(std::size_t n, const std::function<void(std::size_t)>& fn,
+                   const std::function<void()>& serial = {});
 
   /// max(1, std::thread::hardware_concurrency()).
   [[nodiscard]] static unsigned hardware_threads() noexcept;
@@ -90,6 +101,27 @@ void parallel_for_each(TaskPool* pool, std::size_t n, Fn&& fn) {
     return;
   }
   pool->run_indexed(n, std::function<void(std::size_t)>(std::forward<Fn>(fn)));
+}
+
+/// serial() on the calling thread while fn(i) for every i in [0, n) runs on
+/// the pool's workers — one worker is enough for the overlap. Returns once
+/// serial() and every fn(i) finished; if any of them threw, serial()'s
+/// exception is rethrown, otherwise the batch's first (by completion time).
+/// serial() and the batch must touch disjoint state. A null pool runs
+/// serial(), then fn(0) .. fn(n-1) in index order, so the pooled and the
+/// serial run share one loop and produce the same effects.
+template <typename Fn, typename Serial>
+void parallel_for_each_alongside(TaskPool* pool, std::size_t n, Fn&& fn,
+                                 Serial&& serial) {
+  if (pool == nullptr) {
+    serial();
+    for (std::size_t i = 0; i < n; ++i) {
+      fn(i);
+    }
+    return;
+  }
+  pool->run_indexed(n, std::function<void(std::size_t)>(std::forward<Fn>(fn)),
+                    std::function<void()>(std::forward<Serial>(serial)));
 }
 
 /// Maps i -> fn(i) into a pre-sized vector; slot i is written only by

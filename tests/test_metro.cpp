@@ -204,6 +204,70 @@ TEST(RouterTest, TailBatchesAndSpillsWhenSaturated) {
   EXPECT_DOUBLE_EQ(queued.queue_wait_min, 29.0);  // slot frees at 31
 }
 
+// The spill order is tabulated per (home, origin) pair when the router is
+// built. On a 6-region ring the substitutes for home h and origin o rank
+// by hops(h, s) + hops(s, o), lowest index on ties. Each region has one
+// tail slot: the home is saturated first, then the first k substitutes in
+// that order, and the spill must land on the (k+1)-th.
+TEST(RouterTest, SpillFollowsTheHopCostOrderOnASixRegionRing) {
+  const Topology topo({{10.0, 20}, {10.0, 20}, {10.0, 20}, {10.0, 20},
+                       {10.0, 20}, {10.0, 20}},
+                      8, core::Minutes{0.5});
+  const PlacementSolver solver(60, workload::kPaperSkew);
+  const auto placement = solver.solve(topo, 0);  // everything is tail
+  RouterConfig rc;
+  rc.video = core::VideoParams{core::Minutes{30.0}, core::MbitPerSec{1.5}};
+  rc.patience = core::Minutes{40.0};
+  rc.spill_wait = core::Minutes{2.0};
+  // The first title homed at `region`.
+  const auto homed_at = [&](std::size_t region) {
+    for (core::VideoId v = 0; v < 60; ++v) {
+      if (placement.home[v] == static_cast<int>(region)) {
+        return v;
+      }
+    }
+    ADD_FAILURE() << "no title homed at region " << region;
+    return core::VideoId{0};
+  };
+  const struct {
+    std::size_t home, origin;
+    std::vector<std::uint32_t> order;
+  } pairs[] = {
+      // Costs 2, 2, 4, 4, 4: regions 1 and 2 tie on cost.
+      {0, 2, {1, 2, 3, 4, 5}},
+      // Costs 1 (the origin), 3, 3, 5, 5: index order would put 1 first.
+      {5, 4, {4, 0, 3, 1, 2}},
+  };
+  for (const auto& pair : pairs) {
+    for (std::size_t k = 0; k + 1 < pair.order.size(); ++k) {
+      SCOPED_TRACE(::testing::Message() << "home " << pair.home << " origin "
+                                        << pair.origin << " busy " << k);
+      Router router(topo, placement, std::vector<int>(6, 1), rc);
+      const core::VideoId title = homed_at(pair.home);
+      ASSERT_EQ(router.route({core::Minutes{0.0}, title,
+                              static_cast<std::uint32_t>(pair.home)})
+                    .kind,
+                RouteKind::kLocal);
+      for (std::size_t i = 0; i < k; ++i) {
+        const std::uint32_t busy = pair.order[i];
+        ASSERT_EQ(
+            router.route({core::Minutes{0.0}, homed_at(busy), busy}).kind,
+            RouteKind::kLocal);
+      }
+      // The home's stream for `title` has started, so this request cannot
+      // join it and must spill.
+      const auto spill = router.route(
+          {core::Minutes{1.0}, title, static_cast<std::uint32_t>(pair.origin)});
+      const std::uint32_t expected = pair.order[k];
+      EXPECT_EQ(spill.kind, RouteKind::kRerouted);
+      EXPECT_EQ(spill.served_by, expected);
+      EXPECT_DOUBLE_EQ(spill.transit_min,
+                       topo.transit(pair.home, expected).v +
+                           topo.transit(expected, pair.origin).v);
+    }
+  }
+}
+
 TEST(RouterTest, TailRenegesBeyondPatience) {
   const Topology topo({{10.0, 20}, {10.0, 20}}, 8, core::Minutes{0.5});
   const PlacementSolver solver(10, workload::kPaperSkew);

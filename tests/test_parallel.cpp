@@ -6,6 +6,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/experiments.hpp"
@@ -19,6 +21,7 @@
 #include "schemes/registry.hpp"
 #include "sim/replicate.hpp"
 #include "sim/simulator.hpp"
+#include "sim/stats.hpp"
 #include "util/rng.hpp"
 #include "util/task_pool.hpp"
 
@@ -525,6 +528,88 @@ TEST(MetroFederationTest, FederationBitIdenticalAtAnyThreadCount) {
             pooled_sink->metrics.to_openmetrics());
   EXPECT_EQ(serial_sink->spans.to_jsonl(), pooled_sink->spans.to_jsonl());
   EXPECT_EQ(serial_sink->trace.to_jsonl(), pooled_sink->trace.to_jsonl());
+}
+
+/// Every observable of a (possibly folded) distribution, exactly.
+void expect_same_distribution(const sim::Distribution& a,
+                              const sim::Distribution& b) {
+  ASSERT_EQ(a.count(), b.count());
+  EXPECT_EQ(a.folded(), b.folded());
+  EXPECT_EQ(a.samples_folded(), b.samples_folded());
+  EXPECT_EQ(a.samples(), b.samples());
+  if (a.empty()) {
+    return;
+  }
+  EXPECT_EQ(a.mean(), b.mean());
+  EXPECT_EQ(a.min(), b.min());
+  EXPECT_EQ(a.max(), b.max());
+  EXPECT_EQ(a.stddev(), b.stddev());
+  for (const double q : {0.1, 0.5, 0.9, 0.99}) {
+    EXPECT_EQ(a.quantile(q), b.quantile(q)) << q;
+  }
+}
+
+// The federation pipelines its 2^15-arrival windows: the caller routes
+// window w while the pool generates w+1 and accounts w-1. About 300k
+// arrivals make nine windows, so every step has all three stages in
+// flight; region 1's outage crosses window boundaries (failover and spill
+// paths) and the sample cap folds every distribution mid-run. Every pool
+// size, one worker included, must reproduce the serial run and its sink.
+TEST(MetroFederationTest, PipelinedWindowsBitIdenticalAtAnyThreadCount) {
+  const metro::Topology topology(
+      {{400.0, 120}, {300.0, 120}, {200.0, 120}, {100.0, 120}}, 8,
+      core::Minutes{0.5});
+  metro::FederationConfig config;
+  config.catalog_size = 40;
+  config.replicate_top = 6;
+  config.horizon = core::Minutes{300.0};
+  config.seed = 11;
+  config.stats_sample_cap = 1024;
+  config.fault_plans.assign(4, {});
+  config.fault_plans[1] = fault::Plan(
+      {fault::Episode{fault::EpisodeKind::kChannelOutage, 50.0, 150.0, -1,
+                      {}}},
+      1);
+  const auto run = [&](util::TaskPool* pool) {
+    auto sink = std::make_unique<obs::Sink>(16384, 16384);
+    auto observed = config;
+    observed.sink = sink.get();
+    auto report = metro::simulate_federation(topology, observed, pool);
+    return std::pair(std::move(sink), std::move(report));
+  };
+
+  const auto [serial_sink, serial] = run(nullptr);
+  ASSERT_GE(serial.arrivals, 8U * 32768U);
+  ASSERT_GT(serial.rerouted, 0U);
+  ASSERT_TRUE(serial.wait_minutes.folded());
+  const std::string serial_metrics = serial_sink->metrics.to_openmetrics();
+  const std::string serial_spans = serial_sink->spans.to_jsonl();
+  for (const unsigned workers : {1U, 2U, 3U, 4U}) {
+    SCOPED_TRACE(workers);
+    util::TaskPool pool(workers);
+    const auto [pooled_sink, pooled] = run(&pool);
+    EXPECT_EQ(serial.arrivals, pooled.arrivals);
+    EXPECT_EQ(serial.served_local, pooled.served_local);
+    EXPECT_EQ(serial.rerouted, pooled.rerouted);
+    EXPECT_EQ(serial.rejected, pooled.rejected);
+    EXPECT_EQ(serial.link_mbits, pooled.link_mbits);
+    expect_same_distribution(serial.wait_minutes, pooled.wait_minutes);
+    ASSERT_EQ(serial.regions.size(), pooled.regions.size());
+    for (std::size_t r = 0; r < serial.regions.size(); ++r) {
+      SCOPED_TRACE(r);
+      const auto& a = serial.regions[r];
+      const auto& b = pooled.regions[r];
+      EXPECT_EQ(a.arrivals, b.arrivals);
+      EXPECT_EQ(a.served_local, b.served_local);
+      EXPECT_EQ(a.rerouted_out, b.rerouted_out);
+      EXPECT_EQ(a.rerouted_in, b.rerouted_in);
+      EXPECT_EQ(a.rejected, b.rejected);
+      EXPECT_EQ(a.link_mbits, b.link_mbits);
+      expect_same_distribution(a.wait_minutes, b.wait_minutes);
+    }
+    EXPECT_EQ(serial_metrics, pooled_sink->metrics.to_openmetrics());
+    EXPECT_EQ(serial_spans, pooled_sink->spans.to_jsonl());
+  }
 }
 
 // Satellite of the federation PR: the serial-vs-pool pins above are special

@@ -418,6 +418,46 @@ TEST(EngineReportPinTest, ScheduledMulticastFcfsAndMqlWithReneges) {
   EXPECT_DIGEST(digest(mql), 0xb6a8fc78ecd8560a);
 }
 
+// The same tied stream without patience: nobody reneges, waiters pile up
+// until a channel frees, and the run ends with requests still queued. The
+// sample cap folds the wait and batch-size distributions mid-run, and the
+// sink records every served session and every batch fire.
+TEST(EngineReportPinTest, ScheduledMulticastWithoutReneges) {
+  batching::MulticastConfig config;
+  config.channels = 4;
+  config.video_length = core::Minutes{30.0};
+  config.horizon = core::Minutes{600.0};
+  config.seed = 9;
+  config.stats_sample_cap = 64;
+  const batching::FcfsPolicy fcfs;
+  const batching::MqlPolicy mql;
+  const struct {
+    const batching::BatchingPolicy& policy;
+    std::uint64_t digest;
+  } cases[] = {{fcfs, 0x1f5a312777b3e86d}, {mql, 0xb4e17d6920e8fb04}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.policy.name());
+    obs::Sink sink(1U << 17, 1U << 17);
+    config.sink = &sink;
+    auto requests = whole_minute_requests();
+    const auto report = batching::simulate_scheduled_multicast(
+        c.policy, requests, 20, config);
+    EXPECT_EQ(report.reneged, 0U);
+    EXPECT_EQ(sink.metrics.counter("batching.reneged").value(), 0U);
+    EXPECT_TRUE(report.wait_minutes.folded());
+    EXPECT_EQ(sink.spans.dropped(), 0U);
+    EXPECT_EQ(sink.trace.dropped(), 0U);
+    const std::string spans = sink.spans.to_jsonl();
+    const std::string trace = sink.trace.to_jsonl();
+    EXPECT_DIGEST(Fnv()
+                      .add(digest(report))
+                      .add(std::string_view(spans))
+                      .add(std::string_view(trace))
+                      .value(),
+                  c.digest);
+  }
+}
+
 // The hybrid splits one Zipf stream: hot requests only weigh the combined
 // mean, cold ones queue for the tail under ids rebased onto the tail
 // catalog. Patience makes waiters renege and the sample cap folds the

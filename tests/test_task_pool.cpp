@@ -127,6 +127,135 @@ TEST(ParallelMapTest, NullPoolMatchesPooledResult) {
             parallel_map<double>(&pool, 9, fn));
 }
 
+/// Spins until `flag` is set or ten seconds pass; false on the timeout, so
+/// an implementation that serializes the two sides fails instead of
+/// hanging.
+bool await(const std::atomic<bool>& flag) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!flag.load()) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      return false;
+    }
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+/// A pool that finishes one more batch after a failed one.
+void expect_reusable(TaskPool& pool) {
+  std::atomic<int> ran{0};
+  parallel_for_each_alongside(
+      &pool, 6, [&ran](std::size_t) { ran.fetch_add(1); },
+      [&ran] { ran.fetch_add(10); });
+  EXPECT_EQ(ran.load(), 16);
+}
+
+// A handshake that only concurrency completes: every task announces that
+// it started and then waits for serial() to set `go`, and serial() waits
+// for a started task before it sets `go`. Run one side after the other and
+// the first side's bounded wait fails the test. One worker is enough.
+TEST(ParallelForEachAlongsideTest, BatchRunsWhileSerialRuns) {
+  for (const unsigned workers : {1U, 2U, 4U}) {
+    SCOPED_TRACE(workers);
+    TaskPool pool(workers);
+    std::atomic<bool> started{false};
+    std::atomic<bool> go{false};
+    std::atomic<int> saw_go{0};
+    bool serial_saw_start = false;
+    const auto caller = std::this_thread::get_id();
+    std::thread::id serial_thread;
+    std::atomic<int> tasks_on_caller{0};
+    parallel_for_each_alongside(
+        &pool, 5,
+        [&](std::size_t) {
+          if (std::this_thread::get_id() == caller) {
+            tasks_on_caller.fetch_add(1);
+          }
+          started.store(true);
+          if (await(go)) {
+            saw_go.fetch_add(1);
+          }
+        },
+        [&] {
+          serial_thread = std::this_thread::get_id();
+          serial_saw_start = await(started);
+          go.store(true);
+        });
+    EXPECT_TRUE(serial_saw_start);
+    EXPECT_EQ(saw_go.load(), 5);
+    EXPECT_EQ(serial_thread, caller);
+    EXPECT_EQ(tasks_on_caller.load(), 0);
+    expect_reusable(pool);
+  }
+}
+
+TEST(ParallelForEachAlongsideTest, SerialExceptionWinsOnceEveryTaskRan) {
+  TaskPool pool(2);
+  std::atomic<int> ran{0};
+  try {
+    parallel_for_each_alongside(
+        &pool, 8,
+        [&ran](std::size_t i) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+          ran.fetch_add(1);
+          if (i == 3) {
+            throw std::runtime_error("task 3");
+          }
+        },
+        [] { throw std::logic_error("serial"); });
+    FAIL() << "expected serial()'s exception";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(), "serial");
+    EXPECT_EQ(ran.load(), 8);  // rethrown only after the whole batch
+  }
+  expect_reusable(pool);
+}
+
+TEST(ParallelForEachAlongsideTest, LoneTaskExceptionIsRethrown) {
+  TaskPool pool(3);
+  std::atomic<int> ran{0};
+  bool serial_ran = false;
+  try {
+    parallel_for_each_alongside(
+        &pool, 12,
+        [&ran](std::size_t i) {
+          ran.fetch_add(1);
+          if (i == 7) {
+            throw std::runtime_error("task 7");
+          }
+        },
+        [&serial_ran] { serial_ran = true; });
+    FAIL() << "expected the task's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "task 7");
+    EXPECT_EQ(ran.load(), 12);
+  }
+  EXPECT_TRUE(serial_ran);
+  expect_reusable(pool);
+}
+
+TEST(ParallelForEachAlongsideTest, NullPoolRunsSerialThenTasksInOrder) {
+  std::vector<int> order;
+  parallel_for_each_alongside(
+      nullptr, 4,
+      [&order](std::size_t i) { order.push_back(static_cast<int>(i)); },
+      [&order] { order.push_back(-1); });
+  EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 3}));
+}
+
+TEST(ParallelForEachAlongsideTest, EmptyBatchRunsOnlySerial) {
+  TaskPool pool(2);
+  for (TaskPool* p : {static_cast<TaskPool*>(nullptr), &pool}) {
+    int serial_calls = 0;
+    parallel_for_each_alongside(
+        p, 0, [](std::size_t) { FAIL() << "must not run"; },
+        [&serial_calls] { ++serial_calls; });
+    EXPECT_EQ(serial_calls, 1);
+  }
+  expect_reusable(pool);
+}
+
 TEST(TaskPoolTest, HardwareThreadsIsPositive) {
   EXPECT_GE(TaskPool::hardware_threads(), 1U);
 }
