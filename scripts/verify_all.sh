@@ -6,12 +6,15 @@
 # must lint clean under tools/metrics_check, including the per-title wait
 # sketch vs clients-served invariant), a span capture self-check (a seeded
 # simulate --spans-out run must reconcile against its own --metrics-out dump
-# under tools/trace_analyze --check), a fault-injection self-check (a
-# seeded simulate --fault-plan trace must satisfy the hit = repair +
-# degraded contract under tools/trace_check --faults), a control-plane
-# self-check (a seeded hybrid --adaptive run with a popularity flip must
-# keep one download per loader and drain before every reallocation under
-# tools/trace_check --max-loaders 1 --realloc), a metro federation
+# under tools/trace_analyze --check, keep two loaders and a bounded buffer
+# per client, and record no jitter), a fault-injection self-check (a
+# seeded simulate --fault-plan span capture must satisfy the hit = repair +
+# degraded contract under tools/trace_analyze, with no jitter), a
+# control-plane self-check (a seeded hybrid --adaptive run with a
+# popularity flip must keep one download per loader and drain before every
+# reallocation under tools/trace_analyze --max-loaders 1), one mutated
+# copy of a real capture per trace_analyze contract (each must exit 1
+# naming its violation), a metro federation
 # self-check (a seeded 4-region vodbcast metro run must conserve arrivals
 # across served-local/rerouted/rejected under tools/metrics_check and
 # reproduce its stdout and metrics byte for byte at --threads 4, and a
@@ -27,10 +30,10 @@
 # naming the path; a negative --fault-retries, an unknown --policy,
 # --reps 0, a nan or non-positive --horizon, a negative
 # --reject-penalty and a --flip-at outside [0, horizon) must exit 1 naming
-# the bound), a quick pass of the bench
-# suite to
-# prove every binary still writes a valid BENCH_*.json that bench_diff can
-# read back, and (opt-in) the mechanical perf gate against the committed
+# the bound; --trace-out outside simulate must exit 2 naming the flag), a
+# quick pass of the bench suite to prove every binary still writes a valid
+# BENCH_*.json that bench_diff can read back and that names the checked-out
+# commit, and (opt-in) the mechanical perf gate against the committed
 # trajectory.
 #
 #   scripts/verify_all.sh [--skip-sanitize] [--perf-gate]
@@ -189,19 +192,46 @@ expect_flat_rss 600 metro --regions 700,500,300,200 \
   --channels 400,300,200,140
 
 echo "== span capture self-check =="
-build/tools/vodbcast simulate --scheme SB:W=52 --bandwidth 300 \
-  --horizon 120 --arrivals 4 --seed 42 \
+# trace_analyze reconciles the spans with the run's own metrics and checks
+# the paper's client invariants on every session: at most two loaders and
+# a buffer that never runs dry. Jitter has no span, so its counter must
+# read 0 in the same seeded run's exposition.
+span_args=(--scheme SB:W=52 --bandwidth 300 --horizon 120 --arrivals 4
+           --seed 42)
+build/tools/vodbcast simulate "${span_args[@]}" \
   --metrics-out "$om_dir/metrics.json" \
   --spans-out "$om_dir/spans.jsonl" --spans-limit 131072
+build/tools/vodbcast simulate "${span_args[@]}" \
+  --metrics-format openmetrics --metrics-out "$om_dir/spans_metrics.txt"
+build/tools/metrics_check "$om_dir/spans_metrics.txt" \
+  'sim_jitter_events_total == 0'
 build/tools/trace_analyze "$om_dir/spans.jsonl" \
-  --check --metrics "$om_dir/metrics.json"
+  --check --metrics "$om_dir/metrics.json" | tee "$om_dir/spans_analysis.txt"
+# The observed buffer peak is a cap the capture meets exactly.
+peak_units=$(grep -o 'peak [0-9.]* units' "$om_dir/spans_analysis.txt" \
+  | awk '{printf "%d", $2}')
+build/tools/trace_analyze "$om_dir/spans.jsonl" --max-units "$peak_units" \
+  > /dev/null
 
 echo "== fault-injection self-check =="
+# Injected damage never becomes silent: no jitter, and every fault_hit
+# span on a (client, segment) is matched by a repair or a fault_degraded.
 build/tools/vodbcast simulate --scheme SB:W=12 --bandwidth 300 \
   --horizon 240 --arrivals 4 --seed 42 \
   --fault-plan outages=2,bursts=2,stalls=1,restart=1 --fault-seed 7 \
-  --trace-out "$om_dir/faults.jsonl" --trace-limit 262144
-build/tools/trace_check "$om_dir/faults.jsonl" --faults
+  --spans-out "$om_dir/faults.jsonl" --spans-limit 262144 \
+  --metrics-format openmetrics --metrics-out "$om_dir/faults_metrics.txt" \
+  > /dev/null
+build/tools/metrics_check "$om_dir/faults_metrics.txt" \
+  'sim_jitter_events_total == 0' \
+  'sum(fault_hits_total{kind=*}) == fault_repairs_total + fault_degraded_total'
+build/tools/trace_analyze "$om_dir/faults.jsonl" \
+  | tee "$om_dir/faults_analysis.txt"
+grep -Eq 'fault contract checked: [0-9]+ episode\(s\), [1-9][0-9]* hit' \
+  "$om_dir/faults_analysis.txt" || {
+  echo "fault self-check: the capture holds no fault hit to check" >&2
+  exit 1
+}
 
 echo "== control plane self-check =="
 # hybrid --adaptive is the event engine's main heap user: epochs, drains,
@@ -210,8 +240,71 @@ echo "== control plane self-check =="
 build/tools/vodbcast hybrid --adaptive --bandwidth 120 --catalog 50 \
   --hot 10 --channels 6 --duration 60 --arrivals 6 --horizon 1200 \
   --epoch-minutes 60 --min-tail 8 --popularity-flip \
-  --trace-out "$om_dir/adaptive.jsonl" > /dev/null
-build/tools/trace_check "$om_dir/adaptive.jsonl" --max-loaders 1 --realloc
+  --spans-out "$om_dir/adaptive.jsonl" --spans-limit 262144 > /dev/null
+build/tools/trace_analyze "$om_dir/adaptive.jsonl" --max-loaders 1 \
+  | tee "$om_dir/adaptive_analysis.txt"
+grep -Eq 'drain contract checked over [1-9][0-9]* handoff' \
+  "$om_dir/adaptive_analysis.txt" || {
+  echo "control plane self-check: the capture holds no drain to check" >&2
+  exit 1
+}
+
+echo "== trace_analyze contract mutations =="
+# Each contract must fail on a copy of a real capture broken in its one
+# way: exit 1, naming the violation.
+# expect_violation TEXT ARGS...: `trace_analyze ARGS...` must exit 1 and
+# print TEXT.
+expect_violation() {
+  local text=$1
+  shift
+  local rc=0
+  build/tools/trace_analyze "$@" > "$om_dir/mutant.txt" 2>&1 || rc=$?
+  if [[ $rc -ne 1 ]] || ! grep -qF -- "$text" "$om_dir/mutant.txt"; then
+    echo "contract mutation: expected 'trace_analyze $*' to exit 1" \
+         "naming \"$text\", got $rc:" >&2
+    cat "$om_dir/mutant.txt" >&2
+    exit 1
+  fi
+}
+# Fault: one repair deleted leaves its hit unresolved.
+awk '!cut && /"phase":"repair"/ { cut = 1; next } 1' \
+  "$om_dir/faults.jsonl" > "$om_dir/mutant_faults.jsonl"
+expect_violation 'fault hit(s) minus repair(s) and degraded = 1' \
+  "$om_dir/mutant_faults.jsonl"
+# Drain: one broadcast playback moved across its title's drain end.
+python3 - "$om_dir/adaptive.jsonl" "$om_dir/mutant_drain.jsonl" <<'MUTATE'
+import json
+import sys
+
+spans = [json.loads(line) for line in open(sys.argv[1])]
+by_id = {s["id"]: s for s in spans}
+tuned = {s["parent"] for s in spans if s["phase"] == "tune"}
+drain_ends = {}
+for s in spans:
+    if s["phase"] == "drain":
+        drain_ends.setdefault(s["video"], s["end"])
+for s in spans:
+    session = by_id.get(s["parent"], {})
+    epoch = by_id.get(session.get("parent"), {}).get("phase") == "epoch"
+    if (s["phase"] == "playback" and s["video"] in drain_ends
+            and (s["parent"] in tuned or epoch)):
+        half = (s["end"] - s["start"]) / 2
+        s["start"] = drain_ends[s["video"]] - half
+        s["end"] = drain_ends[s["video"]] + half
+        break
+else:
+    sys.exit("no broadcast playback of a drained title to move")
+with open(sys.argv[2], "w") as out:
+    for s in spans:
+        out.write(json.dumps(s, separators=(",", ":")) + "\n")
+MUTATE
+expect_violation 'spans the drain handoff' "$om_dir/mutant_drain.jsonl"
+# Loader cap: the SB client runs two loaders, so a cap of one must fail.
+expect_violation 'concurrent downloads (cap 1)' "$om_dir/spans.jsonl" \
+  --max-loaders 1
+# Buffer: one unit below the observed peak.
+expect_violation "units (cap $((peak_units - 1)))" "$om_dir/spans.jsonl" \
+  --max-units "$((peak_units - 1))"
 
 echo "== metro federation self-check =="
 # A seeded 4-region federation. Every arrival must be accounted for by
@@ -332,6 +425,11 @@ expect_cli_error 1 'config.horizon.v > 0.0' simulate --horizon -5
 expect_cli_error 1 'config.horizon.v > 0.0' hybrid --horizon -1
 expect_cli_error 1 'reject_penalty must be finite and non-negative' \
   metro --reject-penalty -30 --horizon 10
+# Only simulate records trace events; the other engines record spans, so
+# --trace-out there would write an empty file.
+expect_cli_error 2 '--trace-out' metro --trace-out "$om_dir/x.json"
+expect_cli_error 2 '--trace-out' hybrid --adaptive \
+  --trace-out "$om_dir/x.jsonl"
 # Outside [0, horizon) the engine never flips: a later flip would be
 # reported as "NOT re-converged", a negative one silently ignored.
 expect_cli_error 1 \
@@ -360,6 +458,18 @@ suite_dir=$(mktemp -d)
 trap 'rm -rf "$om_dir" "$suite_dir"' EXIT
 scripts/run_bench_suite.sh --quick --out "$suite_dir"
 build/tools/bench_diff "$suite_dir" "$suite_dir"
+# Every result names the checked-out commit: the build re-configures when
+# HEAD moves, so a commit on top of a configured tree cannot leave a stale
+# stamp behind.
+want_sha=${VODBCAST_GIT_SHA:-$(git rev-parse --short=12 HEAD 2> /dev/null \
+  || echo unknown)}
+for result in "$suite_dir"/BENCH_*.json; do
+  if ! grep -qF "\"git_sha\":\"$want_sha\"" "$result"; then
+    echo "bench provenance: $(basename "$result") names" \
+         "$(grep -o '"git_sha":"[^"]*"' "$result"), not $want_sha" >&2
+    exit 1
+  fi
+done
 
 if [[ $perf_gate -eq 1 ]]; then
   echo "== perf gate: committed trajectory vs fresh A/B pair =="

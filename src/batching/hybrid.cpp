@@ -130,4 +130,36 @@ HybridReport evaluate_hybrid(const BatchingPolicy& policy,
   return report;
 }
 
+sim::Replicated<HybridReport> evaluate_hybrid_replicated(
+    const BatchingPolicy& policy, const HybridConfig& config,
+    std::size_t reps, util::TaskPool* pool) {
+  auto replicated = sim::replicate<HybridReport>(
+      config.seed, reps, pool, config.sink, sim::PoolUse::kAcrossReplications,
+      [&](std::uint64_t seed, obs::Sink* sink, util::TaskPool*) {
+        HybridConfig rep_config = config;
+        rep_config.seed = seed;
+        rep_config.sampler = nullptr;
+        rep_config.sink = sink;
+        return evaluate_hybrid(policy, rep_config);
+      },
+      [](HybridReport& into, const HybridReport& rep, std::size_t r) {
+        if (r == 0) {
+          into = rep;
+          return;
+        }
+        auto& tail = into.multicast;
+        tail.wait_minutes.merge(rep.multicast.wait_minutes);
+        tail.batch_size.merge(rep.multicast.batch_size);
+        tail.served += rep.multicast.served;
+        tail.reneged += rep.multicast.reneged;
+        tail.streams_started += rep.multicast.streams_started;
+        tail.channel_utilization += rep.multicast.channel_utilization;
+      },
+      &HybridReport::combined_mean_wait_minutes);
+  auto& merged = replicated.merged;
+  merged.multicast.channel_utilization /= static_cast<double>(reps);
+  merged.combined_mean_wait_minutes = replicated.replication_means.mean();
+  return replicated;
+}
+
 }  // namespace vodbcast::batching

@@ -15,6 +15,8 @@
 #include "batching/scheduled_multicast.hpp"
 #include "core/video.hpp"
 #include "schemes/skyscraper.hpp"
+#include "sim/replicate.hpp"
+#include "util/task_pool.hpp"
 
 namespace vodbcast::batching {
 
@@ -58,5 +60,16 @@ struct HybridReport {
 /// least one whole channel of bandwidth for the scheduled-multicast tail.
 [[nodiscard]] HybridReport evaluate_hybrid(const BatchingPolicy& policy,
                                            const HybridConfig& config);
+
+/// R replications of evaluate_hybrid through sim::replicate (its header has
+/// the seed, fold and CI rules), side by side on `pool` (null = serial) into
+/// private shards of config.sink. The fold copies replication 0 and adds the
+/// tail's waits, batch sizes and counts; the tail's channel utilization and
+/// the combined mean wait are the means over the replications (every
+/// replication has the same capacity), and the replication means are the
+/// per-replication combined mean waits. config.sampler is not forwarded.
+[[nodiscard]] sim::Replicated<HybridReport> evaluate_hybrid_replicated(
+    const BatchingPolicy& policy, const HybridConfig& config,
+    std::size_t reps, util::TaskPool* pool = nullptr);
 
 }  // namespace vodbcast::batching

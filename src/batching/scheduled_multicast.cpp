@@ -40,20 +40,8 @@ std::uint64_t clean_expired(WaitQueues& queues, double now, obs::Sink* sink,
           return r.renege_at.v < now;
         });
     const auto lost = static_cast<std::uint64_t>(queue.end() - kept);
-    if (lost > 0) {
-      if (!renege_by_title.empty()) {
-        renege_by_title[video]->add(lost);
-      }
-      if (sink != nullptr) {
-        sink->trace.record(obs::TraceEvent{
-            .sim_time_min = now,
-            .kind = obs::EventKind::kRenege,
-            .channel = 0,
-            .video = video,
-            .client = 0,
-            .value = static_cast<double>(lost),
-        });
-      }
+    if (lost > 0 && !renege_by_title.empty()) {
+      renege_by_title[video]->add(lost);
     }
     reneged += lost;
     queue.erase(kept, queue.end());
@@ -169,14 +157,6 @@ struct MulticastSim {
       batches_counter->add();
       served_counter->add(batch);
       batch_hist->observe(static_cast<double>(batch));
-      sink->trace.record(obs::TraceEvent{
-          .sim_time_min = now,
-          .kind = obs::EventKind::kBatchFire,
-          .channel = config.channels - free_channels,
-          .video = *video,
-          .client = 0,
-          .value = static_cast<double>(batch),
-      });
     }
     events.schedule(now + config.video_length.v, [this, channel] {
       ++free_channels;

@@ -34,7 +34,9 @@ struct MulticastConfig {
   /// sketch past the cap (sim::Distribution::set_sample_cap).
   std::size_t stats_sample_cap = 0;
   /// Optional observability attachment (not owned): "batching.*" metrics,
-  /// batch-fire / renege trace events, and event-queue instrumentation.
+  /// a session span tree per served or reneged client (a batch is the
+  /// playback spans that start together on one channel), and event-queue
+  /// instrumentation.
   obs::Sink* sink = nullptr;
   /// Optional time-series sampler (not owned). When set, the run registers
   /// "batching.queue_depth", "batching.busy_channels" and

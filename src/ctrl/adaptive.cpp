@@ -45,8 +45,8 @@ std::vector<core::VideoId> flip_permutation(std::size_t n,
 }
 
 /// The whole per-run state; event callbacks capture one pointer (plus at
-/// most a title and a time). Only the drain callback, which needs all
-/// three, outgrows std::function's local buffer.
+/// most a title or an episode index), so each fits std::function's local
+/// buffer.
 struct AdaptiveSim {
   const batching::BatchingPolicy& policy;
   const AdaptiveConfig& config;
@@ -108,16 +108,21 @@ struct AdaptiveSim {
     }
   }
 
-  void trace(obs::EventKind kind, double t, std::uint64_t video,
-             std::uint64_t client, double value, std::int32_t channel = 0) {
+  /// Records an instant span (start == end == now) under the current epoch:
+  /// promotions, restarts and outage-forced demotions.
+  void instant(obs::SpanPhase phase, double now, std::uint64_t video,
+               double value, std::int32_t channel) {
     if (sink != nullptr) {
-      sink->trace.record(obs::TraceEvent{
-          .sim_time_min = t,
-          .kind = kind,
+      sink->spans.record(obs::Span{
+          .parent = epoch_span,
+          .start_min = now,
+          .end_min = now,
+          .phase = phase,
           .channel = channel,
           .video = video,
-          .client = client,
+          .client = 0,
           .value = value,
+          .label = {},
       });
     }
   }
@@ -139,10 +144,6 @@ struct AdaptiveSim {
     const double finish = tune_at + config.video.duration.v;
     state.active_until = std::max(state.active_until, finish);
     const std::uint64_t client = ++next_client;
-    trace(obs::EventKind::kClientArrival, now, video, client, 0.0);
-    trace(obs::EventKind::kTuneIn, tune_at, video, client, wait);
-    trace(obs::EventKind::kSegmentDownloadStart, tune_at, video, client,
-          config.video.duration.v);
     if (sink != nullptr) {
       obs::record_session(sink->spans,
                           {.video = video,
@@ -183,8 +184,6 @@ struct AdaptiveSim {
       report.served_tail += batch;
       queue.clear();
       ++tail_busy;
-      trace(obs::EventKind::kBatchFire, now, *video, 0,
-            static_cast<double>(batch), tail_busy);
       events.schedule(now + config.video.duration.v, [this] {
         --tail_busy;
         try_dispatch();
@@ -222,8 +221,8 @@ struct AdaptiveSim {
     if (!promote_by_title.empty()) {
       promote_by_title[video]->add();
     }
-    trace(obs::EventKind::kPromote, now, video, 0,
-          static_cast<double>(channels_per_video));
+    instant(obs::SpanPhase::kPromote, now, video,
+            static_cast<double>(channels_per_video), 0);
     auto& queue = queues[video];
     if (!queue.empty()) {
       for (const auto& r : queue) {
@@ -232,9 +231,6 @@ struct AdaptiveSim {
         report.hot_wait_minutes.add(wait);
         ++report.served_hot;
         const std::uint64_t client = ++next_client;
-        trace(obs::EventKind::kTuneIn, now, video, client, wait);
-        trace(obs::EventKind::kSegmentDownloadStart, now, video, client,
-              config.video.duration.v);
         if (sink != nullptr) {
           // The promotion itself ended these waits: parent the absorbed
           // sessions onto the epoch span that triggered it.
@@ -256,7 +252,8 @@ struct AdaptiveSim {
 
   /// Demotes `video`: new arrivals route to the tail immediately, but the
   /// channels stay allocated until every tuned-in client finishes on the
-  /// old plan; only then does drain_complete hand the bandwidth over.
+  /// old plan; only then does finish_drain hand the bandwidth over (the
+  /// drain span's end).
   void demote(std::size_t video, double now) {
     mode[video] = TitleMode::kDraining;
     const double held = channel_rate() * hot[video].channels;
@@ -267,7 +264,6 @@ struct AdaptiveSim {
     if (!demote_by_title.empty()) {
       demote_by_title[video]->add();
     }
-    trace(obs::EventKind::kDemote, now, video, 0, drain_at - now);
     if (sink != nullptr) {
       sink->spans.record(obs::Span{
           .parent = epoch_span,
@@ -281,14 +277,11 @@ struct AdaptiveSim {
           .label = {},
       });
     }
-    events.schedule(drain_at, [this, video, now] {
-      finish_drain(video, now);
-    });
+    events.schedule(drain_at, [this, video] { finish_drain(video); });
   }
 
-  void finish_drain(std::size_t video, double demoted_at) {
+  void finish_drain(std::size_t video) {
     VB_ASSERT(mode[video] == TitleMode::kDraining);
-    const double now = events.now();
     mode[video] = TitleMode::kTail;
     reserved_bandwidth -= channel_rate() * hot[video].channels;
     hot[video] = HotState{};
@@ -299,7 +292,6 @@ struct AdaptiveSim {
     if (!drain_by_title.empty()) {
       drain_by_title[video]->add();
     }
-    trace(obs::EventKind::kDrainComplete, now, video, 0, now - demoted_at);
     refresh_tail_capacity();
     try_dispatch();
   }
@@ -333,8 +325,8 @@ struct AdaptiveSim {
     if (sink != nullptr) {
       sink->metrics.counter("fault.restarts").add();
     }
-    trace(obs::EventKind::kFaultHit, now, 0, 0,
-          static_cast<double>(episode), -1);
+    instant(obs::SpanPhase::kFaultHit, now, 0, static_cast<double>(episode),
+            -1);
   }
 
   /// Graceful degradation: a sustained channel outage on a hot title makes
@@ -357,8 +349,8 @@ struct AdaptiveSim {
       if (sink != nullptr) {
         sink->metrics.counter("fault.forced_demotions").add();
       }
-      trace(obs::EventKind::kFaultDegraded, now, v, 0, dark,
-            static_cast<int>(v) + 1);
+      instant(obs::SpanPhase::kFaultDegraded, now, v, dark,
+              static_cast<int>(v) + 1);
     }
   }
 
@@ -427,8 +419,6 @@ struct AdaptiveSim {
       degraded_gauge->set(degraded_now ? 1.0 : 0.0);
       channels_gauge->set(static_cast<double>(alloc.channels_per_video));
     }
-    trace(obs::EventKind::kRealloc, now, 0, 0,
-          static_cast<double>(alloc.hot.size()), alloc.channels_per_video);
     force_outage_demotions(now);
     refresh_tail_capacity();
     check_convergence(alloc.hot);
@@ -622,9 +612,6 @@ AdaptiveReport simulate_adaptive(const batching::BatchingPolicy& policy,
       state.channels_gauge->set(
           static_cast<double>(capacity.channels_per_video));
     }
-    state.trace(obs::EventKind::kRealloc, 0.0, 0, 0,
-                static_cast<double>(alloc.hot.size()),
-                capacity.channels_per_video);
     if (config.sink != nullptr) {
       // The initial allocation opens the first control interval.
       const double first_end =

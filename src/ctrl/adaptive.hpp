@@ -15,8 +15,8 @@
 //     finished receiving on the old plan ("drain"); only then is the
 //     bandwidth handed to the tail. New arrivals during the drain are routed
 //     to the tail, so every client always sees one consistent plan and no
-//     loader ever spans a channel retune (tools/trace_check --realloc
-//     verifies this from the trace);
+//     loader ever spans a channel retune (tools/trace_analyze checks this
+//     drain contract on a --spans-out capture);
 //   * when the budget cannot cover the hot set, the allocator degrades
 //     (fewer channels per title, then fewer hot titles) instead of rejecting
 //     requests; the "ctrl.degraded" gauge records the choice.
@@ -76,8 +76,9 @@ struct AdaptiveConfig {
   /// wait; a positive cap folds past it into a bounded quantile sketch.
   std::size_t stats_sample_cap = 0;
   /// Optional observability attachment (not owned): "ctrl.*" metrics and
-  /// realloc/promote/demote/drain_complete trace events, plus the client
-  /// arrival/tune-in/download events trace_check replays.
+  /// spans — an epoch per control interval with its drains and instant
+  /// promote / fault_hit / fault_degraded children, and a session tree per
+  /// served client, which tools/trace_analyze checks.
   obs::Sink* sink = nullptr;
   /// Optional time-series sampler (not owned): "ctrl.hot_titles",
   /// "ctrl.tail_channels", "ctrl.draining_titles", "ctrl.queue_depth".

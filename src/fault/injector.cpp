@@ -154,14 +154,6 @@ void trace_plan(obs::Sink& sink, const Plan& plan) {
   for (std::size_t i = 0; i < plan.episodes().size(); ++i) {
     const auto& e = plan.episodes()[i];
     episodes_family.with_ids({static_cast<std::uint64_t>(e.kind)}).add();
-    sink.trace.record(obs::TraceEvent{
-        .sim_time_min = e.start_min,
-        .kind = obs::EventKind::kFaultEpisode,
-        .channel = e.channel,
-        .video = 0,
-        .client = 0,
-        .value = static_cast<double>(i),
-    });
     sink.spans.record(obs::Span{
         .start_min = e.start_min,
         .end_min = e.end_min,

@@ -93,11 +93,11 @@ struct DownloadDamage {
                                              int channel, double period_min,
                                              std::uint64_t draw_key);
 
-/// Registers a fault plan with the sink: one `fault_episode` trace event
-/// and one root `fault_episode` span per episode (value = episode index,
-/// the key every hit/repair/degradation event refers back to), plus the
-/// `fault.episodes{kind}` counter family. Shared by every layer that runs
-/// under an injector so the evidence is uniform across sim, net and ctrl.
+/// Registers a fault plan with the sink: one root `fault_episode` span per
+/// episode (value = episode index, the key every fault_hit, repair and
+/// fault_degraded span refers back to), plus the `fault.episodes{kind}`
+/// counter family. Shared by every layer that runs under an injector so the
+/// evidence is uniform across sim, net and ctrl.
 void trace_plan(obs::Sink& sink, const Plan& plan);
 
 }  // namespace vodbcast::fault

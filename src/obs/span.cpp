@@ -61,6 +61,12 @@ const char* to_string(SpanPhase phase) noexcept {
       return "region_session";
     case SpanPhase::kReroute:
       return "reroute";
+    case SpanPhase::kPromote:
+      return "promote";
+    case SpanPhase::kFaultHit:
+      return "fault_hit";
+    case SpanPhase::kFaultDegraded:
+      return "fault_degraded";
   }
   return "unknown";
 }

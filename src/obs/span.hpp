@@ -1,13 +1,16 @@
 // Causal span tracing: parent-linked, sim-time intervals with typed phases.
 //
-// Where the Tracer records *instants* (a client arrived, a batch fired), the
-// SpanTracer records *intervals* and their causal structure: a `session` span
-// covers a client's whole stay, with `queue_wait` / `tune` /
+// The SpanTracer records *intervals* and their causal structure: a `session`
+// span covers a client's whole stay, with `queue_wait` / `tune` /
 // `segment_download` / `playback` children tiling it, plus `retransmit` and
 // `disk_stall` children hanging off the delivery path and `epoch` / `drain`
-// spans parenting the sessions a control-plane reallocation touched. The
-// tree is what lets tools/trace_analyze walk a per-session critical path and
-// attribute each reported wait minute to a phase.
+// spans parenting the sessions a control-plane reallocation touched. Three
+// phases are instants (start == end): `promote` under its epoch, and
+// `fault_hit` / `fault_degraded` under the session whose download the fault
+// damaged (or under the epoch, with client 0, for the control plane's
+// restarts and forced demotions). The tree is what lets tools/trace_analyze
+// walk a per-session critical path, attribute each reported wait minute to
+// a phase, and check the client, drain and fault contracts.
 //
 // Storage mirrors Tracer: a bounded ring overwritten oldest-first, with
 // `dropped()` counting the loss, so span capture stays on for arbitrarily
@@ -45,6 +48,10 @@ enum class SpanPhase : std::uint8_t {
   kRepair,           ///< damage → heal window; value = wait penalty, minutes
   kRegionSession,    ///< a metro request's stay; value = penalized wait, min
   kReroute,          ///< cross-region spill hop; value = transit, minutes
+  kPromote,          ///< instant: title entered broadcast; value = channels
+  kFaultHit,         ///< instant: a download met an episode; value = episode
+  kFaultDegraded,    ///< instant: damage became degradation; value =
+                     ///< episode (ctrl's forced demotion: dark minutes)
 };
 
 [[nodiscard]] const char* to_string(SpanPhase phase) noexcept;

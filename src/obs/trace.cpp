@@ -32,26 +32,6 @@ const char* to_string(EventKind kind) noexcept {
       return "jitter";
     case EventKind::kChannelSlotStart:
       return "channel_slot_start";
-    case EventKind::kBatchFire:
-      return "batch_fire";
-    case EventKind::kRenege:
-      return "renege";
-    case EventKind::kRealloc:
-      return "realloc";
-    case EventKind::kPromote:
-      return "promote";
-    case EventKind::kDemote:
-      return "demote";
-    case EventKind::kDrainComplete:
-      return "drain_complete";
-    case EventKind::kFaultEpisode:
-      return "fault_episode";
-    case EventKind::kFaultHit:
-      return "fault_hit";
-    case EventKind::kRepair:
-      return "repair";
-    case EventKind::kFaultDegraded:
-      return "fault_degraded";
   }
   return "unknown";
 }

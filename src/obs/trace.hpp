@@ -1,10 +1,12 @@
 // Structured event tracer: a bounded ring buffer of typed simulation events.
 //
-// The simulator and batching substrate record what happened (client arrived,
-// tuned in, download started, channel slot fired, batch dispatched) as fixed
-// -size PODs; nothing is formatted until export. When the ring fills, the
-// oldest events are overwritten and `dropped()` counts the loss, so tracing
-// can stay on for arbitrarily long runs with bounded memory.
+// sim::simulate records its arrival path here (client arrived, tuned in,
+// download started and ended, jitter, channel slot fired) as fixed-size
+// PODs; nothing is formatted until export. It is the tracer's only writer:
+// the control plane, the batching server and the fault path record spans
+// (obs/span.hpp) only. When the ring fills, the oldest events are
+// overwritten and `dropped()` counts the loss, so tracing can stay on for
+// arbitrarily long runs with bounded memory.
 //
 // Exports:
 //   * JSONL — one JSON object per line, ordered by simulation time
@@ -12,8 +14,8 @@
 //   * Chrome trace-event JSON — loads in chrome://tracing / Perfetto.
 //     One simulated minute is rendered as one second of trace time.
 //
-// The tracer is single-writer: the discrete-event simulations that feed it
-// are single-threaded. (Metrics, by contrast, are thread-safe.)
+// The tracer is single-writer: the discrete-event simulation that feeds it
+// is single-threaded. (Metrics, by contrast, are thread-safe.)
 #pragma once
 
 #include <cstdint>
@@ -29,16 +31,6 @@ enum class EventKind : std::uint8_t {
   kSegmentDownloadEnd,
   kJitter,                 ///< a reception plan missed a deadline
   kChannelSlotStart,       ///< a periodic broadcast transmission began
-  kBatchFire,              ///< scheduled multicast dispatched; value = batch size
-  kRenege,                 ///< a waiting subscriber abandoned the queue
-  kRealloc,                ///< control epoch re-solved; value = hot-set size
-  kPromote,                ///< title entered periodic broadcast
-  kDemote,                 ///< title left broadcast; its channels start draining
-  kDrainComplete,          ///< drained channels handed to the tail; value = drain minutes
-  kFaultEpisode,           ///< injected fault episode began; value = episode index
-  kFaultHit,               ///< a session's download overlapped an episode; value = episode index
-  kRepair,                 ///< damage healed (FEC / catch-up); value = wait penalty, minutes
-  kFaultDegraded,          ///< damage survived the retry budget; value = episode index
 };
 
 [[nodiscard]] const char* to_string(EventKind kind) noexcept;

@@ -1,9 +1,10 @@
 // The replication driver: R independently seeded replications of a run,
 // folded into one report, plus the between-replication spread one run
 // cannot give. sim::simulate_replicated, ctrl::simulate_adaptive_replicated,
-// metro::simulate_federation_replicated and `vodbcast hybrid --reps` all
-// call sim::replicate, which owns the rules that make their numbers
-// comparable and thread-count independent:
+// batching::evaluate_hybrid_replicated and
+// metro::simulate_federation_replicated all call sim::replicate, which owns
+// the rules that make their numbers comparable and thread-count
+// independent:
 //
 //   * seeds: replication r runs with the (r+1)-th output of
 //     util::SplitMix64(seed), a pure function of (seed, r);

@@ -345,6 +345,21 @@ SimulationReport simulate(const schemes::BroadcastScheme& scheme,
           }
           ++report.fault_hits;
           const auto episode = static_cast<double>(damage.episode);
+          // fault_hit and fault_degraded are instants under the session; a
+          // repair runs from the damaged window's end to the heal. Every
+          // hit resolves to exactly one repair or fault_degraded.
+          const auto record_fault = [&](obs::SpanPhase phase, double from,
+                                        double to, double value) {
+            sink->spans.record(obs::Span{.parent = session_span,
+                                         .start_min = from,
+                                         .end_min = to,
+                                         .phase = phase,
+                                         .channel = d.segment,
+                                         .video = request.video,
+                                         .client = report.clients_served,
+                                         .value = value,
+                                         .label = {}});
+          };
           if (sink != nullptr) {
             sink->metrics.counter_family("fault.hits", {"kind"})
                 .with_ids({static_cast<std::uint64_t>(
@@ -352,14 +367,7 @@ SimulationReport simulate(const schemes::BroadcastScheme& scheme,
                         .episodes()[damage.episode]
                         .kind)})
                 .add();
-            sink->trace.record(obs::TraceEvent{
-                .sim_time_min = w_end,
-                .kind = obs::EventKind::kFaultHit,
-                .channel = d.segment,
-                .video = request.video,
-                .client = report.clients_served,
-                .value = episode,
-            });
+            record_fault(obs::SpanPhase::kFaultHit, w_end, w_end, episode);
           }
           if (damage.repaired) {
             ++report.fault_repairs;
@@ -376,39 +384,17 @@ SimulationReport simulate(const schemes::BroadcastScheme& scheme,
               sink->metrics.counter("fault.repairs").add();
               sink->metrics.sketch("fault.repair_penalty_min")
                   .observe(penalty);
-              sink->trace.record(obs::TraceEvent{
-                  .sim_time_min = damage.repaired_at_min,
-                  .kind = obs::EventKind::kRepair,
-                  .channel = d.segment,
-                  .video = request.video,
-                  .client = report.clients_served,
-                  .value = penalty,
-              });
-              sink->spans.record(obs::Span{
-                  .parent = session_span,
-                  .start_min = w_end,
-                  .end_min = damage.repaired_at_min,
-                  .phase = obs::SpanPhase::kRepair,
-                  .channel = d.segment,
-                  .video = request.video,
-                  .client = report.clients_served,
-                  .value = penalty,
-                  .label = {},
-              });
+              record_fault(obs::SpanPhase::kRepair, w_end,
+                           damage.repaired_at_min, penalty);
             }
           } else {
             ++report.fault_degraded;
             if (sink != nullptr) {
               sink->metrics.counter("fault.degraded").add();
-              sink->trace.record(obs::TraceEvent{
-                  .sim_time_min =
-                      w_end + static_cast<double>(damage.retries) * period_min,
-                  .kind = obs::EventKind::kFaultDegraded,
-                  .channel = d.segment,
-                  .video = request.video,
-                  .client = report.clients_served,
-                  .value = episode,
-              });
+              const double given_up =
+                  w_end + static_cast<double>(damage.retries) * period_min;
+              record_fault(obs::SpanPhase::kFaultDegraded, given_up, given_up,
+                           episode);
             }
           }
         }

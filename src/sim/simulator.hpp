@@ -47,8 +47,10 @@ struct SimulationConfig {
   /// report memory stays O(1) in clients. See Distribution::set_sample_cap.
   std::size_t stats_sample_cap = 0;
   /// Optional observability attachment (not owned). When set, the run
-  /// records "sim.*" / "client.*" metrics and traces client arrival,
-  /// tune-in, download, jitter and channel-slot events. Null (the default)
+  /// records "sim.*" / "client.*" metrics, traces client arrival,
+  /// tune-in, download, jitter and channel-slot events, and records a
+  /// session span tree per client (with fault_episode, repair, fault_hit
+  /// and fault_degraded spans under a fault plan). Null (the default)
   /// costs one pointer test per instrumented site.
   obs::Sink* sink = nullptr;
   /// Optional time-series sampler (not owned). When set, the run registers

@@ -1,5 +1,5 @@
 // Minimal JSON reader for the tooling side of the repo: bench_diff parses
-// BENCH_*.json result files, trace_check replays --trace-out JSONL, and the
+// BENCH_*.json result files, trace_analyze reads --spans-out JSONL, and the
 // round-trip tests verify what the bench harness wrote.
 //
 // Scope is deliberately small — parse a complete document into an immutable

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <set>
 #include <stdexcept>
 #include <vector>
 
@@ -274,37 +276,71 @@ TEST(AdaptiveSimTest, DrainsCompleteBeforeBandwidthMoves) {
   const auto report = ctrl::simulate_adaptive(policy, config);
   ASSERT_GT(report.demotions, 0u);
 
-  const auto events = sink.trace.events();
-  // Pair every demote with its drain_complete and assert no download of the
-  // demoted title straddles the handoff instant (trace_check --realloc
-  // replays the same invariant from the exported JSONL).
+  ASSERT_EQ(sink.spans.dropped(), 0u);
+  const auto spans = sink.spans.spans();
+  // Each demotion records a drain span from the demotion to the handoff,
+  // which fires in the run when it falls within the horizon. No
+  // broadcast-served playback (its session has a tune child or an epoch
+  // parent) of the demoted title may straddle the handoff instant
+  // (trace_analyze replays the same drain contract from the exported JSONL).
+  std::map<std::uint64_t, const obs::Span*> by_id;
+  std::set<std::uint64_t> tuned_sessions;
+  for (const auto& s : spans) {
+    by_id[s.id] = &s;
+    if (s.phase == obs::SpanPhase::kTune) {
+      tuned_sessions.insert(s.parent);
+    }
+  }
+  const auto phase_of = [&by_id](std::uint64_t id) {
+    return by_id.at(id)->phase;
+  };
   struct Download {
     double start;
     double end;
   };
   std::vector<std::vector<Download>> downloads(config.catalog_size);
-  for (const auto& e : events) {
-    if (e.kind == obs::EventKind::kSegmentDownloadStart) {
-      downloads[e.video].push_back(
-          Download{e.sim_time_min, e.sim_time_min + e.value});
+  std::uint64_t promotes = 0;
+  for (const auto& s : spans) {
+    if (s.phase == obs::SpanPhase::kPromote) {
+      ++promotes;
+      EXPECT_EQ(phase_of(s.parent), obs::SpanPhase::kEpoch);
+      EXPECT_EQ(s.start_min, s.end_min);
+    }
+    if (s.phase != obs::SpanPhase::kPlayback) {
+      continue;
+    }
+    const auto session = s.parent;
+    const auto epoch = by_id.at(session)->parent;
+    if (tuned_sessions.count(session) != 0 ||
+        (epoch != 0 && phase_of(epoch) == obs::SpanPhase::kEpoch)) {
+      downloads[s.video].push_back(Download{s.start_min, s.end_min});
     }
   }
+  EXPECT_EQ(promotes, report.promotions);
   std::uint64_t drains_seen = 0;
-  for (const auto& e : events) {
-    if (e.kind != obs::EventKind::kDrainComplete) {
+  std::uint64_t handoffs = 0;
+  std::uint64_t checked = 0;
+  for (const auto& drain : spans) {
+    if (drain.phase != obs::SpanPhase::kDrain) {
       continue;
     }
     ++drains_seen;
-    const double handoff = e.sim_time_min;
-    EXPECT_GE(e.value, -1e-9);  // drain duration is never negative
-    for (const auto& d : downloads[e.video]) {
-      const bool spans = d.start < handoff - 1e-6 && d.end > handoff + 1e-6;
-      EXPECT_FALSE(spans) << "download of video " << e.video << " ["
-                          << d.start << ", " << d.end
-                          << "] spans the drain handoff at " << handoff;
+    const double handoff = drain.end_min;
+    handoffs += handoff <= config.horizon.v ? 1 : 0;
+    EXPECT_GE(drain.value, -1e-9);  // drain duration is never negative
+    EXPECT_EQ(drain.value, drain.end_min - drain.start_min);
+    for (const auto& d : downloads[drain.video]) {
+      ++checked;
+      const bool straddles =
+          d.start < handoff - 1e-6 && d.end > handoff + 1e-6;
+      EXPECT_FALSE(straddles) << "download of video " << drain.video << " ["
+                              << d.start << ", " << d.end
+                              << "] spans the drain handoff at " << handoff;
     }
   }
-  EXPECT_EQ(drains_seen, report.drains_completed);
+  EXPECT_GT(checked, 0u);
+  EXPECT_EQ(drains_seen, report.demotions);
+  EXPECT_EQ(handoffs, report.drains_completed);
   EXPECT_LE(report.drains_completed, report.demotions);
 
   // The ctrl.* instruments recorded the same story.
@@ -386,7 +422,8 @@ TEST(AdaptiveSimTest, ReplicatedBitIdenticalSerialVsParallel) {
   const auto mp = pooled_sink.metrics.snapshot();
   EXPECT_EQ(ms.counters, mp.counters);
   EXPECT_EQ(ms.gauges, mp.gauges);
-  EXPECT_EQ(serial_sink.trace.to_jsonl(), pooled_sink.trace.to_jsonl());
+  EXPECT_GT(serial_sink.spans.recorded(), 0u);
+  EXPECT_EQ(serial_sink.spans.to_jsonl(), pooled_sink.spans.to_jsonl());
 }
 
 TEST(AdaptiveSimTest, ReplicationsDifferButSeedsReproduce) {

@@ -421,7 +421,9 @@ TEST(EngineReportPinTest, ScheduledMulticastFcfsAndMqlWithReneges) {
 // The same tied stream without patience: nobody reneges, waiters pile up
 // until a channel frees, and the run ends with requests still queued. The
 // sample cap folds the wait and batch-size distributions mid-run, and the
-// sink records every served session and every batch fire.
+// sink records every served session as a span tree; a batch is the
+// playbacks that start together on one channel, and the event trace, which
+// the batching server no longer writes, stays empty.
 TEST(EngineReportPinTest, ScheduledMulticastWithoutReneges) {
   batching::MulticastConfig config;
   config.channels = 4;
@@ -434,7 +436,7 @@ TEST(EngineReportPinTest, ScheduledMulticastWithoutReneges) {
   const struct {
     const batching::BatchingPolicy& policy;
     std::uint64_t digest;
-  } cases[] = {{fcfs, 0x1f5a312777b3e86d}, {mql, 0xb4e17d6920e8fb04}};
+  } cases[] = {{fcfs, 0x64af30e9776712ad}, {mql, 0x81945aecf9e8f3b7}};
   for (const auto& c : cases) {
     SCOPED_TRACE(c.policy.name());
     obs::Sink sink(1U << 17, 1U << 17);
@@ -446,7 +448,7 @@ TEST(EngineReportPinTest, ScheduledMulticastWithoutReneges) {
     EXPECT_EQ(sink.metrics.counter("batching.reneged").value(), 0U);
     EXPECT_TRUE(report.wait_minutes.folded());
     EXPECT_EQ(sink.spans.dropped(), 0U);
-    EXPECT_EQ(sink.trace.dropped(), 0U);
+    EXPECT_EQ(sink.trace.recorded(), 0U);
     const std::string spans = sink.spans.to_jsonl();
     const std::string trace = sink.trace.to_jsonl();
     EXPECT_DIGEST(Fnv()
@@ -544,7 +546,11 @@ TEST(EngineReportPinTest, FederationWithDarkRegionAndStatsCap) {
 // (obs::record_session); both moves had to leave each value unchanged.
 // ctrl's confidence interval is the one exception — it switched from the
 // population to the sample standard deviation — so it is not pinned here;
-// test_ctrl checks it against the formula.
+// test_ctrl checks it against the formula. The ctrl span exports were
+// re-captured once more when the control plane's promotions, restarts and
+// forced demotions moved from trace events onto instant spans; with those
+// spans removed and the ids renumbered, each export is byte-identical to
+// the one pinned before.
 
 std::uint64_t text_digest(const std::string& text) {
   return Fnv().add(std::string_view(text)).value();
@@ -602,8 +608,42 @@ TEST(ReplicationPinTest, AdaptiveReplicatedWithSink) {
   EXPECT_DIGEST(digest(replicated.merged), 0x407b69663e4ab8dd);
   EXPECT_DIGEST(Fnv().add(replicated.replication_means).value(),
                 0xcdead6d141e54e96);
-  EXPECT_DIGEST(text_digest(sink.spans.to_jsonl()), 0xc371a9c5e2ad400b);
-  EXPECT_DIGEST(text_digest(sink.trace.to_jsonl()), 0x681376578d6d4f71);
+  // The spans carry ctrl's promotions as instant spans; the control plane
+  // writes no trace event, so the trace export is empty.
+  EXPECT_DIGEST(text_digest(sink.spans.to_jsonl()), 0x5f94fbde115e87d0);
+  EXPECT_DIGEST(text_digest(sink.trace.to_jsonl()), 0xcbf29ce484222325);
+}
+
+// The replicated hybrid's fold used to live in the CLI; it moved beside the
+// other engines' replicated entry points. Everything it folds is pinned as
+// the CLI computed it, except the tail's channel utilization, which is now
+// the mean over the replications instead of replication 0's.
+TEST(ReplicationPinTest, HybridReplicatedWithSink) {
+  batching::HybridConfig config;
+  config.catalog_size = 60;
+  config.hot_titles = 8;
+  config.arrivals_per_minute = 3.0;
+  config.horizon = core::Minutes{600.0};
+  config.mean_patience = core::Minutes{20.0};
+  config.seed = 11;
+  config.stats_sample_cap = 64;
+  obs::Sink sink(1U << 17, 1U << 17);
+  config.sink = &sink;
+  util::TaskPool pool(4);
+  const auto replicated = batching::evaluate_hybrid_replicated(
+      batching::MqlPolicy(), config, 3, &pool);
+  EXPECT_EQ(replicated.replications, 3U);
+  EXPECT_TRUE(replicated.merged.multicast.wait_minutes.folded());
+  EXPECT_BITS(replicated.merged.multicast.channel_utilization,
+              0x1.1f9cb3f9cb3fap-2);
+  EXPECT_BITS(replicated.merged.combined_mean_wait_minutes,
+              replicated.replication_means.mean());
+  EXPECT_DIGEST(digest(replicated.merged), 0x4e683335509eafe4);
+  EXPECT_DIGEST(Fnv().add(replicated.replication_means).value(),
+                0x268b8ab33f2afee6);
+  EXPECT_BITS(replicated.mean_ci95, 0x1.8674d765c6d94p-6);
+  EXPECT_DIGEST(text_digest(sink.spans.to_jsonl()), 0xe34995d5a4fae926);
+  EXPECT_EQ(sink.trace.recorded(), 0U);
 }
 
 TEST(ReplicationPinTest, FederationReplicatedWithSink) {
@@ -703,7 +743,7 @@ TEST(SessionSpanPinTest, AdaptiveWithFlipRestartAndAbsorbedQueues) {
   EXPECT_GT(report.promotions, 0U);
   EXPECT_GT(parented_sessions(sink.spans), 0U);
   EXPECT_EQ(sink.spans.dropped(), 0U);
-  EXPECT_DIGEST(text_digest(sink.spans.to_jsonl()), 0x6e52bb7ff83492df);
+  EXPECT_DIGEST(text_digest(sink.spans.to_jsonl()), 0xade458def89e3c08);
 }
 
 

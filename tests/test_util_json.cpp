@@ -1,5 +1,5 @@
 // util::json — the minimal parser/printer behind BENCH_*.json, bench_diff
-// and trace_check.
+// and trace_analyze.
 #include "util/json.hpp"
 
 #include <gtest/gtest.h>

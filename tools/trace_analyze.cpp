@@ -1,9 +1,10 @@
-// trace_analyze: critical-path latency attribution over a --spans-out JSONL
-// capture.
+// trace_analyze: critical-path latency attribution and contract checks over
+// a --spans-out JSONL capture.
 //
 // Reads the causal span tree (session → queue_wait / tune /
 // segment_download / playback, with retransmit / disk_stall / epoch / drain
-// relatives) and answers *why* sessions waited, not just that they did:
+// / fault relatives) and answers *why* sessions waited, not just that they
+// did:
 //
 //   1. per-session critical-path decomposition — walk the longest dependent
 //      chain through each session's children and attribute every minute of
@@ -19,20 +20,38 @@
 //      --sessions-metric counter, per-title critical-path wait sums must
 //      match the --wait-family sketch sums within --rel-tol, and each
 //      session's critical path must attribute >= 95% (--attribution-tol) of
-//      its reported wait to enumerated phases.
+//      its reported wait to enumerated phases;
+//   5. the client, drain and fault contracts, each run whenever the capture
+//      holds the spans it needs:
+//      * loader cap — no session runs more than --max-loaders concurrent
+//        segment_download children (the paper's two-loader client, Section
+//        4); a session without any counts its playback as its one download;
+//      * buffer — for sessions with a tune child, content fetched minus
+//        content played from the tune end, in units of D1 (the shortest
+//        download in the capture), never goes negative and, with
+//        --max-units, never exceeds the cap (60*b*D1*(W-1) in units);
+//      * drain — no broadcast-served playback (a session with a tune child
+//        or an epoch parent) of a title spans one of that title's drain
+//        span ends: a demoted title's channels drain before they retune;
+//      * fault — for every (client, channel) with client != 0, the
+//        fault_hit count equals repair plus fault_degraded: injected damage
+//        is either healed or surfaced, never lost.
+//      Jitter has no span; metrics_check gates sim_jitter_events_total.
 //
 //   trace_analyze SPANS.jsonl [--top N] [--check] [--metrics METRICS.json]
 //                 [--sessions-metric sim.clients_served]
 //                 [--wait-family sb.client.wait] [--rel-tol 1e-9]
-//                 [--attribution-tol 0.05]
+//                 [--attribution-tol 0.05] [--max-loaders 2]
+//                 [--max-units N]
 //
-// Exit status: 0 = analysis ok (and all checks pass), 1 = check violation,
-// 2 = usage/IO error.
+// Exit status: 0 = analysis ok (and all checks pass), 1 = check or contract
+// violation, 2 = usage/IO error.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <unordered_map>
@@ -52,6 +71,7 @@ struct SpanRec {
   double start = 0.0;
   double end = 0.0;
   std::string phase;
+  std::int32_t channel = 0;
   std::uint64_t video = 0;
   std::uint64_t client = 0;
   double value = 0.0;
@@ -125,6 +145,208 @@ struct Analyzer {
   }
 };
 
+/// The client, drain and fault contracts (see the header). Prints one
+/// VIOLATION line per breach and one summary line per contract that ran;
+/// returns the number of violations.
+std::uint64_t check_contracts(const Analyzer& an, std::int64_t max_loaders,
+                              const std::optional<std::int64_t>& max_units) {
+  // Edges within kTimeEps count as simultaneous: a download's end and the
+  // next one's start are different slot products and can differ in the
+  // last bits.
+  constexpr double kTimeEps = 1e-5;
+  struct Interval {
+    double start;
+    double end;
+  };
+  struct SessionRow {
+    const SpanRec* session;
+    const SpanRec* tune = nullptr;
+    const SpanRec* playback = nullptr;
+    bool broadcast = false;
+    std::vector<Interval> downloads;
+  };
+  std::vector<SessionRow> rows;
+  std::map<std::uint64_t, std::vector<double>> drain_ends;  // by title
+  std::size_t handoffs = 0;
+  // Per (client, channel): fault hits minus their repairs and degradations.
+  std::map<std::pair<std::uint64_t, std::int32_t>, std::int64_t> unresolved;
+  std::uint64_t episodes = 0;
+  std::uint64_t hits = 0;
+  std::uint64_t repairs = 0;
+  std::uint64_t degraded = 0;
+  double d1 = 0.0;
+  for (const auto& span : an.spans) {
+    if (span.phase == "drain") {
+      drain_ends[span.video].push_back(span.end);
+      ++handoffs;
+    } else if (span.phase == "fault_episode") {
+      ++episodes;
+    } else if (span.client != 0 && span.phase == "fault_hit") {
+      ++hits;
+      ++unresolved[{span.client, span.channel}];
+    } else if (span.client != 0 &&
+               (span.phase == "repair" || span.phase == "fault_degraded")) {
+      ++(span.phase == "repair" ? repairs : degraded);
+      --unresolved[{span.client, span.channel}];
+    }
+    if (span.phase != "session") {
+      continue;
+    }
+    const auto parent = an.index_of.find(span.parent);
+    SessionRow row{.session = &span,
+                   .broadcast = parent != an.index_of.end() &&
+                                an.spans[parent->second].phase == "epoch",
+                   .downloads = {}};
+    if (const auto kids = an.children.find(span.id);
+        kids != an.children.end()) {
+      for (const auto ci : kids->second) {
+        const auto& kid = an.spans[ci];
+        if (kid.phase == "segment_download") {
+          row.downloads.push_back({kid.start, kid.end});
+        } else if (kid.phase == "tune") {
+          row.tune = &kid;
+          row.broadcast = true;
+        } else if (kid.phase == "playback") {
+          row.playback = &kid;
+        }
+      }
+    }
+    if (row.downloads.empty() && row.playback != nullptr) {
+      row.downloads.push_back({row.playback->start, row.playback->end});
+    }
+    for (const auto& d : row.downloads) {
+      const double length = d.end - d.start;
+      if (length > 0.0 && (d1 == 0.0 || length < d1)) {
+        d1 = length;
+      }
+    }
+    rows.push_back(std::move(row));
+  }
+
+  std::uint64_t violations = 0;
+  const auto violation = [&violations](const SpanRec& s) {
+    ++violations;
+    std::printf("VIOLATION session %llu (client %llu, video %llu): ",
+                static_cast<unsigned long long>(s.id),
+                static_cast<unsigned long long>(s.client),
+                static_cast<unsigned long long>(s.video));
+  };
+  int peak_loaders = 0;
+  double peak_units = 0.0;
+  std::size_t buffer_sessions = 0;
+  for (const auto& row : rows) {
+    // Loader cap: sweep start/end edges, a finishing loader releasing
+    // before the next admission at the same instant.
+    std::vector<std::pair<double, int>> edges;
+    for (const auto& d : row.downloads) {
+      edges.emplace_back(d.start, +1);
+      edges.emplace_back(d.end, -1);
+    }
+    std::sort(edges.begin(), edges.end());
+    int live = 0;
+    int loaders = 0;
+    for (std::size_t i = 0; i < edges.size();) {
+      std::size_t j = i;
+      while (j < edges.size() && edges[j].first - edges[i].first <= kTimeEps) {
+        live += edges[j].second == -1 ? -1 : 0;
+        ++j;
+      }
+      for (std::size_t k = i; k < j; ++k) {
+        live += edges[k].second == +1 ? +1 : 0;
+      }
+      loaders = std::max(loaders, live);
+      i = j;
+    }
+    peak_loaders = std::max(peak_loaders, loaders);
+    if (loaders > max_loaders) {
+      violation(*row.session);
+      std::printf("%d concurrent downloads (cap %lld)\n", loaders,
+                  static_cast<long long>(max_loaders));
+    }
+    // Buffer: fetched minus played at every edge; playback runs at unit
+    // rate from the tune end until the fetched total is drained.
+    if (row.tune == nullptr || d1 <= 0.0) {
+      continue;
+    }
+    ++buffer_sessions;
+    double total = 0.0;
+    for (const auto& d : row.downloads) {
+      total += d.end - d.start;
+    }
+    double most = 0.0;
+    double least = 0.0;
+    for (const auto& [t, delta] : edges) {
+      (void)delta;
+      double fetched = 0.0;
+      for (const auto& d : row.downloads) {
+        fetched += std::clamp(t - d.start, 0.0, d.end - d.start);
+      }
+      const double units =
+          (fetched - std::clamp(t - row.tune->end, 0.0, total)) / d1;
+      most = std::max(most, units);
+      least = std::min(least, units);
+    }
+    peak_units = std::max(peak_units, most);
+    if (least < -1e-6) {  // occupancy is integral in D1; float noise only
+      violation(*row.session);
+      std::printf("buffer underrun of %.3f units\n", -least);
+    }
+    if (max_units.has_value() &&
+        most > static_cast<double>(*max_units) + 1e-6) {
+      violation(*row.session);
+      std::printf("peak buffer %.3f units (cap %lld)\n", most,
+                  static_cast<long long>(*max_units));
+    }
+  }
+  std::printf("contracts: %zu session(s), peak loaders %d (cap %lld); "
+              "buffer over %zu tuned session(s), peak %.2f units (cap %s)\n",
+              rows.size(), peak_loaders, static_cast<long long>(max_loaders),
+              buffer_sessions, peak_units,
+              max_units.has_value() ? std::to_string(*max_units).c_str()
+                                    : "none");
+
+  if (!drain_ends.empty()) {
+    for (const auto& row : rows) {
+      const auto it = drain_ends.find(row.session->video);
+      if (!row.broadcast || row.playback == nullptr ||
+          it == drain_ends.end()) {
+        continue;
+      }
+      for (const double handoff : it->second) {
+        if (row.playback->start < handoff - kTimeEps &&
+            row.playback->end > handoff + kTimeEps) {
+          violation(*row.session);
+          std::printf("playback [%.5f, %.5f] spans the drain handoff at "
+                      "%.5f\n",
+                      row.playback->start, row.playback->end, handoff);
+        }
+      }
+    }
+    std::printf("contracts: drain contract checked over %zu handoff(s) on "
+                "%zu title(s)\n",
+                handoffs, drain_ends.size());
+  }
+
+  if (episodes > 0 || !unresolved.empty()) {
+    for (const auto& [key, balance] : unresolved) {
+      if (balance != 0) {
+        ++violations;
+        std::printf("VIOLATION client %llu channel %d: fault hit(s) minus "
+                    "repair(s) and degraded = %lld\n",
+                    static_cast<unsigned long long>(key.first), key.second,
+                    static_cast<long long>(balance));
+      }
+    }
+    std::printf("contracts: fault contract checked: %llu episode(s), %llu "
+                "hit(s) = %llu repair(s) + %llu degraded\n",
+                static_cast<unsigned long long>(episodes),
+                static_cast<unsigned long long>(hits),
+                static_cast<unsigned long long>(repairs),
+                static_cast<unsigned long long>(degraded));
+  }
+  return violations;
+}
+
 int usage() {
   std::fputs(
       "usage: trace_analyze SPANS.jsonl [--top N] [--check]\n"
@@ -141,7 +363,11 @@ int usage() {
       "  --rel-tol X          relative tolerance for sum agreement\n"
       "                       (default 1e-9)\n"
       "  --attribution-tol X  max unexplained fraction of a session's\n"
-      "                       reported wait (default 0.05)\n",
+      "                       reported wait (default 0.05)\n"
+      "  --max-loaders N      concurrent-download cap per session\n"
+      "                       (default 2)\n"
+      "  --max-units N        peak buffer cap in units of D1 (default: only\n"
+      "                       check the buffer never goes negative)\n",
       stderr);
   return 2;
 }
@@ -155,7 +381,7 @@ int main(int argc, char** argv) {
   }
   if (const auto flag = args.unknown_flag(
           {"top", "check", "metrics", "sessions-metric", "wait-family",
-           "rel-tol", "attribution-tol"})) {
+           "rel-tol", "attribution-tol", "max-loaders", "max-units"})) {
     std::fprintf(stderr, "trace_analyze: unknown flag --%s\n", flag->c_str());
     return usage();
   }
@@ -167,6 +393,11 @@ int main(int argc, char** argv) {
       args.get_string("sessions-metric", "sim.clients_served");
   const std::string wait_family =
       args.get_string("wait-family", "sb.client.wait");
+  const auto max_loaders = args.get_int("max-loaders", 2);
+  const auto max_units =
+      args.has("max-units")
+          ? std::optional<std::int64_t>(args.get_int("max-units", 0))
+          : std::nullopt;
   if (check && !args.has("metrics")) {
     std::fputs("trace_analyze: --check requires --metrics\n", stderr);
     return usage();
@@ -201,6 +432,7 @@ int main(int argc, char** argv) {
           .start = line.at("start").as_number(),
           .end = line.at("end").as_number(),
           .phase = line.at("phase").as_string(),
+          .channel = static_cast<std::int32_t>(line.number_or("channel", 0.0)),
           .video = static_cast<std::uint64_t>(line.number_or("video", 0.0)),
           .client =
               static_cast<std::uint64_t>(line.number_or("client", 0.0)),
@@ -326,7 +558,9 @@ int main(int argc, char** argv) {
               " (%zu session(s) beyond tolerance %.2g)\n",
               worst_unattributed, attribution_violations, attribution_tol);
 
+  std::printf("\n");
   std::uint64_t violations = attribution_violations > 0 ? 1u : 0u;
+  violations += check_contracts(an, max_loaders, max_units);
   if (check) {
     const auto metrics_path = *args.get("metrics");
     std::string metrics_text;

@@ -21,6 +21,9 @@
 //                     [--promote-ratio 1.2] [--demote-ratio 0.8]
 //                     [--min-tail 1] [--popularity-flip] [--flip-at MIN]
 //                     [--fault-plan ...] [--fault-seed N] [--fault-retries 1]
+//                     [--seed 11] [--reps R] [--threads T]
+//                     [--metrics-out ...] [--spans-out ...]
+//                     [--series-out ...]
 //   vodbcast metro    [--regions 200,150,100,50] [--channels 120]
 //                     [--replicate-top 10] [--link-capacity 32]
 //                     [--link-latency 0.5] [--catalog 100] [--theta 0.271]
@@ -32,7 +35,9 @@
 //   vodbcast help
 //
 // Each subcommand accepts only the flags it reads: anything else exits 2
-// with a message naming the flag.
+// with a message naming the flag. --trace-out and --trace-limit belong to
+// simulate alone: it is the one engine that records trace events; hybrid
+// and metro record spans (--spans-out) only.
 #include <cstdio>
 #include <initializer_list>
 #include <memory>
@@ -52,7 +57,6 @@
 #include "obs/sink.hpp"
 #include "schemes/registry.hpp"
 #include "schemes/skyscraper.hpp"
-#include "sim/replicate.hpp"
 #include "sim/simulator.hpp"
 #include "util/args.hpp"
 #include "util/contracts.hpp"
@@ -497,8 +501,7 @@ int cmd_hybrid_adaptive(const util::ArgParser& args) {
                     static_cast<int>(config.hot_titles), config.seed);
   config.injector = injector.get();
 
-  obs::Sink sink(static_cast<std::size_t>(
-      args.get_uint("trace-limit", 65536)), spans_limit(args));
+  obs::Sink sink(1, spans_limit(args));  // spans only: no trace events
   if (wants_observability(args)) {
     config.sink = &sink;
   }
@@ -599,8 +602,7 @@ int cmd_hybrid(const util::ArgParser& args) {
   config.seed = args.get_uint("seed", 11);
   config.stats_sample_cap =
       static_cast<std::size_t>(args.get_uint("stats-cap", 0));
-  obs::Sink sink(static_cast<std::size_t>(
-      args.get_uint("trace-limit", 65536)), spans_limit(args));
+  obs::Sink sink(1, spans_limit(args));  // spans only: no trace events
   if (wants_observability(args)) {
     config.sink = &sink;
   }
@@ -614,34 +616,10 @@ int cmd_hybrid(const util::ArgParser& args) {
       std::fprintf(stderr,
                    "note: --series-out is ignored when --reps > 1\n");
     }
-    // The tail's reports fold; the combined mean is the replications' mean.
     const auto pool = make_pool(args);
-    const auto replicated = sim::replicate<batching::HybridReport>(
-        config.seed, reps, pool.get(), config.sink,
-        sim::PoolUse::kAcrossReplications,
-        [&](std::uint64_t seed, obs::Sink* rep_sink, util::TaskPool*) {
-          batching::HybridConfig rep_config = config;
-          rep_config.seed = seed;
-          rep_config.sampler = nullptr;
-          rep_config.sink = rep_sink;
-          return batching::evaluate_hybrid(policy, rep_config);
-        },
-        [](batching::HybridReport& into, const batching::HybridReport& rep,
-           std::size_t r) {
-          if (r == 0) {
-            into = rep;
-            return;
-          }
-          auto& tail = into.multicast;
-          tail.wait_minutes.merge(rep.multicast.wait_minutes);
-          tail.batch_size.merge(rep.multicast.batch_size);
-          tail.served += rep.multicast.served;
-          tail.reneged += rep.multicast.reneged;
-          tail.streams_started += rep.multicast.streams_started;
-        },
-        &batching::HybridReport::combined_mean_wait_minutes);
-    report = replicated.merged;
-    report.combined_mean_wait_minutes = replicated.replication_means.mean();
+    report = batching::evaluate_hybrid_replicated(policy, config, reps,
+                                                  pool.get())
+                 .merged;
     std::printf("replications      : %zu\n", reps);
   } else {
     report = batching::evaluate_hybrid(policy, config);
@@ -732,9 +710,7 @@ int cmd_metro(const util::ArgParser& args) {
     }
   }
 
-  obs::Sink sink(
-      static_cast<std::size_t>(args.get_uint("trace-limit", 65536)),
-      spans_limit(args));
+  obs::Sink sink(1, spans_limit(args));  // spans only: no trace events
   if (wants_observability(args)) {
     config.sink = &sink;
   }
@@ -820,9 +796,8 @@ std::optional<FlagList> known_flags(const std::string& command,
   const FlagList input = {"bandwidth", "videos", "duration", "rate"};
   const FlagList run = {"seed", "reps", "threads"};
   const FlagList fault = {"fault-plan", "fault-seed", "fault-retries"};
-  const FlagList obs = {"metrics-out", "metrics-format", "trace-out",
-                        "trace-limit", "spans-out", "spans-limit",
-                        "spans-format"};
+  const FlagList obs = {"metrics-out", "metrics-format", "spans-out",
+                        "spans-limit", "spans-format"};
   const FlagList series = {"series-out", "series-interval", "series-limit"};
   const FlagList hybrid = {"adaptive", "bandwidth", "catalog", "hot",
                            "channels", "width", "arrivals", "horizon",
@@ -841,7 +816,7 @@ std::optional<FlagList> known_flags(const std::string& command,
   }
   if (command == "simulate") {
     return concat({{"scheme", "horizon", "arrivals", "plan-cache",
-                    "stats-cap"},
+                    "stats-cap", "trace-out", "trace-limit"},
                    input, run, fault, obs, series});
   }
   if (command == "width") {
@@ -883,16 +858,17 @@ int cmd_help() {
       "           95% CI on the mean wait; identical output at any T\n"
       "           [--metrics-out m.json] [--metrics-format json|openmetrics]\n"
       "           (openmetrics without --metrics-out prints to stdout)\n"
-      "           [--trace-out run.json|run.jsonl]\n"
-      "           [--trace-limit N] [--series-out s.jsonl]\n"
+      "           [--trace-out run.json|run.jsonl] [--trace-limit N]\n"
+      "           arrival-path events (simulate only)\n"
+      "           [--series-out s.jsonl]\n"
       "           [--series-interval MIN] [--series-limit N]\n"
       "           [--spans-out spans.jsonl] [--spans-limit N]\n"
       "           [--spans-format jsonl|chrome|folded]  causal span tree\n"
-      "           (analyze with tools/trace_analyze; hybrid accepts the\n"
-      "           same flags)\n"
+      "           (analyze and contract-check with tools/trace_analyze;\n"
+      "           hybrid takes them all but --trace-out and --trace-limit)\n"
       "           [--fault-plan outages=2,bursts=1,stalls=1,restart=1,...]\n"
       "           [--fault-seed N] [--fault-retries 1]  seeded failure\n"
-      "           episodes + recovery (check with trace_check --faults)\n"
+      "           episodes + recovery (trace_analyze checks the spans)\n"
       "           [--plan-cache 0|1]  phase-keyed reception-plan cache\n"
       "           (default on; identical output, metro-scale speed)\n"
       "           [--stats-cap N]  fold wait samples into a quantile sketch\n"
