@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks for the library's hot paths: series
-// generation, reception planning, the exhaustive phase sweep and the
-// end-to-end simulator inner loop.
+// generation, reception planning, the exhaustive phase sweep, the
+// simulator's per-arrival tune-in and stats steps, and the end-to-end
+// simulator inner loop.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -15,8 +16,13 @@
 #include "schemes/registry.hpp"
 #include "schemes/skyscraper.hpp"
 #include "series/broadcast_series.hpp"
+#include "sim/broadcast_server.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
+#include "sim/stats.hpp"
+#include "util/rng.hpp"
+#include "workload/request.hpp"
+#include "workload/zipf.hpp"
 
 #include "harness/gbench_bridge.hpp"
 
@@ -170,6 +176,55 @@ void BM_EventQueueFeed(benchmark::State& state) {
   benchmark::DoNotOptimize(acc);
 }
 BENCHMARK(BM_EventQueueFeed)->Arg(64)->Arg(4096);
+
+// sb_metro's head end: SB:W=52 carrying 20 titles at 2400 Mb/s.
+const schemes::SkyscraperScheme kMetroSb(52);
+const schemes::DesignInput kMetroInput{core::MbitPerSec{2400.0}, 20, kVideo};
+
+// One tune-in lookup per iteration on the metro plan, over a ring of
+// pre-drawn Zipf-skewed arrivals, so the time is the index and the replica
+// walk, not the draw.
+void BM_TuneIn(benchmark::State& state) {
+  const auto design = kMetroSb.design(kMetroInput);
+  const sim::BroadcastServer server(kMetroSb.plan(kMetroInput, *design));
+  workload::RequestGenerator gen(workload::zipf_probabilities(20), 2000.0,
+                                 util::Rng(5));
+  std::vector<workload::Request> ring(4096);
+  for (auto& request : ring) {
+    request = gen.next();
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& request = ring[i++ & 4095];
+    benchmark::DoNotOptimize(
+        server.next_segment_start(request.video, 1, request.arrival));
+  }
+}
+BENCHMARK(BM_TuneIn);
+
+// One add per iteration into a report distribution that already crossed
+// sb_metro's 65536-sample cap, so every add goes to the folded sketch;
+// waits are uniform in [0, D1] of the metro plan, as tune-in waits are.
+void BM_DistributionAddFolded(benchmark::State& state) {
+  const auto design = kMetroSb.design(kMetroInput);
+  const double d1 = kMetroSb.metrics(kMetroInput, *design).access_latency.v;
+  util::Rng rng(9);
+  std::vector<double> ring(4096);
+  for (auto& wait : ring) {
+    wait = rng.next_double() * d1;
+  }
+  sim::Distribution waits;
+  waits.set_sample_cap(65536);
+  std::size_t i = 0;
+  while (!waits.folded()) {
+    waits.add(ring[i++ & 4095]);
+  }
+  for (auto _ : state) {
+    waits.add(ring[i++ & 4095]);
+  }
+  benchmark::DoNotOptimize(waits.count());
+}
+BENCHMARK(BM_DistributionAddFolded);
 
 void BM_SchemeEvaluation(benchmark::State& state) {
   const auto set = schemes::paper_figure_set();

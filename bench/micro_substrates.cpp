@@ -58,14 +58,16 @@ void BM_ZipfProbabilities(benchmark::State& state) {
 }
 BENCHMARK(BM_ZipfProbabilities)->Arg(100)->Arg(10000);
 
+// One draw per iteration from catalogs of 20 titles (sb_metro's) and 100.
 void BM_RequestGeneration(benchmark::State& state) {
-  workload::RequestGenerator gen(workload::zipf_probabilities(100), 10.0,
-                                 util::Rng(3));
+  workload::RequestGenerator gen(
+      workload::zipf_probabilities(static_cast<std::size_t>(state.range(0))),
+      10.0, util::Rng(3));
   for (auto _ : state) {
     benchmark::DoNotOptimize(gen.next());
   }
 }
-BENCHMARK(BM_RequestGeneration);
+BENCHMARK(BM_RequestGeneration)->Arg(20)->Arg(100);
 
 // Each iteration draws its requests as it runs, so the time includes
 // request generation.

@@ -9,8 +9,10 @@
 #               with VCR pause/rejoin and the transition-local accounting,
 #               the packet client and reassembler fuzz, the argument
 #               parser, the workload generators and their feed filters,
-#               the hybrid split and the engine report pins (whose
-#               filters capture locals by reference);
+#               the hybrid split, the engine report pins (whose
+#               filters capture locals by reference) and the broadcast
+#               server's tune-in index (its own offset arithmetic, checked
+#               against every scheme's plan);
 #   build-tsan  TSan over the TaskPool and its parallel adopters, including
 #               the replication driver behind simulate_replicated,
 #               simulate_adaptive_replicated and
@@ -45,7 +47,7 @@ if [[ $mode == all || $mode == asan ]]; then
     test_fault test_metro test_plan_cache test_stats test_reception_plan \
     test_vcr test_transition_local test_reception_properties test_fuzz \
     test_packet_client test_util_args test_workload test_hybrid \
-    test_regressions
+    test_regressions test_broadcast_server test_scheme_consistency
 
   ./build-asan/tests/test_obs_registry
   ./build-asan/tests/test_obs_trace
@@ -77,6 +79,8 @@ if [[ $mode == all || $mode == asan ]]; then
   ./build-asan/tests/test_workload
   ./build-asan/tests/test_hybrid
   ./build-asan/tests/test_regressions
+  ./build-asan/tests/test_broadcast_server
+  ./build-asan/tests/test_scheme_consistency
 fi
 
 if [[ $mode == all || $mode == thread ]]; then

@@ -17,7 +17,7 @@ constexpr std::int64_t kMinSpare = 32;
 
 }  // namespace
 
-QuantileSketch::QuantileSketch(Options options) : options_(options) {
+SketchCore::SketchCore(Options options) : options_(options) {
   VB_EXPECTS(options_.relative_accuracy > 0.0 &&
              options_.relative_accuracy < 1.0);
   VB_EXPECTS(options_.max_buckets >= 2);
@@ -33,43 +33,7 @@ QuantileSketch::QuantileSketch(Options options) : options_(options) {
   max_index_ = index_of(std::numeric_limits<double>::max());
 }
 
-std::int32_t QuantileSketch::index_of(double sample) const noexcept {
-  // sample in (gamma^(i-1), gamma^i] -> bucket i. ceil() puts an exact
-  // power on its own boundary; the +/- noise of log() stays within the
-  // accuracy budget.
-  return static_cast<std::int32_t>(std::ceil(std::log(sample) / log_gamma_));
-}
-
-void QuantileSketch::observe(double sample) {
-  VB_EXPECTS(std::isfinite(sample));
-  const std::scoped_lock lock(mutex_);
-  // Bucket first: growing the window is the only step that can throw
-  // (bad_alloc), and it leaves the sketch untouched when it does.
-  if (sample <= kMinTrackable) {
-    ++zero_count_;
-  } else {
-    const std::int32_t index = index_of(sample);
-    // Hot path: the bucket is already tracked, so one increment. An index
-    // below the window wraps to a huge position and fails the bounds test.
-    const auto pos = static_cast<std::size_t>(std::int64_t{index} - base_);
-    if (pos < counts_.size() && counts_[pos] != 0) {
-      ++counts_[pos];
-    } else {
-      observe_new_bucket(index);
-    }
-  }
-  if (count_ == 0) {
-    min_ = sample;
-    max_ = sample;
-  } else {
-    min_ = std::min(min_, sample);
-    max_ = std::max(max_, sample);
-  }
-  ++count_;
-  sum_ += sample;
-}
-
-void QuantileSketch::observe_new_bucket(std::int32_t index) {
+void SketchCore::observe_new_bucket(std::int32_t index) {
   if (nonzero_ >= options_.max_buckets &&
       std::int64_t{index} < base_ + static_cast<std::int64_t>(lowest_)) {
     // A new lowest bucket at budget would collapse straight into the
@@ -85,7 +49,7 @@ void QuantileSketch::observe_new_bucket(std::int32_t index) {
   collapse_to_budget();
 }
 
-void QuantileSketch::cover(std::int32_t lo_index, std::int32_t hi_index) {
+void SketchCore::cover(std::int32_t lo_index, std::int32_t hi_index) {
   const auto size = static_cast<std::int64_t>(counts_.size());
   if (size != 0 && lo_index >= base_ && hi_index < base_ + size) {
     return;
@@ -118,14 +82,14 @@ void QuantileSketch::cover(std::int32_t lo_index, std::int32_t hi_index) {
   base_ = static_cast<std::int32_t>(lo);
 }
 
-void QuantileSketch::track(std::size_t pos) noexcept {
+void SketchCore::track(std::size_t pos) noexcept {
   if (nonzero_ == 0 || pos < lowest_) {
     lowest_ = pos;
   }
   ++nonzero_;
 }
 
-void QuantileSketch::collapse_to_budget() {
+void SketchCore::collapse_to_budget() {
   // Collapse the two lowest buckets until within budget: low-end resolution
   // degrades first, tail quantiles stay exact to the accuracy bound.
   while (nonzero_ > options_.max_buckets) {
@@ -141,7 +105,7 @@ void QuantileSketch::collapse_to_budget() {
   }
 }
 
-void QuantileSketch::merge_from(const QuantileSketch& other) {
+void SketchCore::merge_from(const SketchCore& other) {
   VB_EXPECTS(&other != this);
   if (options_.relative_accuracy != other.options_.relative_accuracy) {
     throw std::invalid_argument(
@@ -150,7 +114,6 @@ void QuantileSketch::merge_from(const QuantileSketch& other) {
         std::to_string(other.options_.relative_accuracy) +
         "); the bucket grids do not line up");
   }
-  const std::scoped_lock lock(mutex_, other.mutex_);
   if (other.count_ > 0) {
     if (count_ == 0) {
       min_ = other.min_;
@@ -188,9 +151,8 @@ void QuantileSketch::merge_from(const QuantileSketch& other) {
   collapse_to_budget();
 }
 
-double QuantileSketch::quantile(double q) const {
+double SketchCore::quantile(double q) const {
   VB_EXPECTS(q >= 0.0 && q <= 1.0);
-  const std::scoped_lock lock(mutex_);
   if (count_ == 0) {
     return 0.0;
   }
@@ -212,44 +174,8 @@ double QuantileSketch::quantile(double q) const {
   return max_;  // unreachable unless counts desynced; clamp to the max
 }
 
-std::uint64_t QuantileSketch::count() const {
-  const std::scoped_lock lock(mutex_);
-  return count_;
-}
-
-double QuantileSketch::sum() const {
-  const std::scoped_lock lock(mutex_);
-  return sum_;
-}
-
-double QuantileSketch::min() const {
-  const std::scoped_lock lock(mutex_);
-  return count_ == 0 ? 0.0 : min_;
-}
-
-double QuantileSketch::max() const {
-  const std::scoped_lock lock(mutex_);
-  return count_ == 0 ? 0.0 : max_;
-}
-
-std::uint64_t QuantileSketch::zero_count() const {
-  const std::scoped_lock lock(mutex_);
-  return zero_count_;
-}
-
-std::size_t QuantileSketch::bucket_count() const {
-  const std::scoped_lock lock(mutex_);
-  return nonzero_;
-}
-
-std::uint64_t QuantileSketch::collapsed() const {
-  const std::scoped_lock lock(mutex_);
-  return collapsed_;
-}
-
-std::vector<std::pair<std::int32_t, std::uint64_t>> QuantileSketch::buckets()
+std::vector<std::pair<std::int32_t, std::uint64_t>> SketchCore::buckets()
     const {
-  const std::scoped_lock lock(mutex_);
   std::vector<std::pair<std::int32_t, std::uint64_t>> out;
   out.reserve(nonzero_);
   for (std::size_t k = lowest_; k < counts_.size(); ++k) {
@@ -260,13 +186,7 @@ std::vector<std::pair<std::int32_t, std::uint64_t>> QuantileSketch::buckets()
   return out;
 }
 
-std::size_t QuantileSketch::heap_bytes() const {
-  const std::scoped_lock lock(mutex_);
-  return counts_.capacity() * sizeof(std::uint64_t);
-}
-
-void QuantileSketch::clear() {
-  const std::scoped_lock lock(mutex_);
+void SketchCore::clear() {
   counts_ = std::vector<std::uint64_t>();  // releases the storage
   base_ = 0;
   lowest_ = 0;
@@ -277,6 +197,76 @@ void QuantileSketch::clear() {
   min_ = 0.0;
   max_ = 0.0;
   collapsed_ = 0;
+}
+
+void QuantileSketch::observe(double sample) {
+  // Checked before the lock, so a bad sample throws without taking it; the
+  // core's identical check then folds away.
+  VB_EXPECTS(std::isfinite(sample));
+  const std::scoped_lock lock(mutex_);
+  core_.observe(sample);
+}
+
+void QuantileSketch::merge_from(const QuantileSketch& other) {
+  VB_EXPECTS(&other != this);
+  const std::scoped_lock lock(mutex_, other.mutex_);
+  core_.merge_from(other.core_);
+}
+
+double QuantileSketch::quantile(double q) const {
+  const std::scoped_lock lock(mutex_);
+  return core_.quantile(q);
+}
+
+std::uint64_t QuantileSketch::count() const {
+  const std::scoped_lock lock(mutex_);
+  return core_.count();
+}
+
+double QuantileSketch::sum() const {
+  const std::scoped_lock lock(mutex_);
+  return core_.sum();
+}
+
+double QuantileSketch::min() const {
+  const std::scoped_lock lock(mutex_);
+  return core_.min();
+}
+
+double QuantileSketch::max() const {
+  const std::scoped_lock lock(mutex_);
+  return core_.max();
+}
+
+std::uint64_t QuantileSketch::zero_count() const {
+  const std::scoped_lock lock(mutex_);
+  return core_.zero_count();
+}
+
+std::size_t QuantileSketch::bucket_count() const {
+  const std::scoped_lock lock(mutex_);
+  return core_.bucket_count();
+}
+
+std::uint64_t QuantileSketch::collapsed() const {
+  const std::scoped_lock lock(mutex_);
+  return core_.collapsed();
+}
+
+std::size_t QuantileSketch::heap_bytes() const {
+  const std::scoped_lock lock(mutex_);
+  return core_.heap_bytes();
+}
+
+std::vector<std::pair<std::int32_t, std::uint64_t>> QuantileSketch::buckets()
+    const {
+  const std::scoped_lock lock(mutex_);
+  return core_.buckets();
+}
+
+void QuantileSketch::clear() {
+  const std::scoped_lock lock(mutex_);
+  core_.clear();
 }
 
 }  // namespace vodbcast::obs

@@ -23,8 +23,12 @@
 //     (ContractViolation). Finite samples at or below kMinTrackable
 //     (including any negative input) land in a dedicated zero bucket whose
 //     estimate is exactly 0;
-//   * thread-safe — every member takes the sketch's mutex, so Registry
-//     sketches may be observed from any thread.
+//   * two faces, one implementation — SketchCore is the unsynchronized,
+//     copyable bucket state (mapping, dense store, collapse rule, quantile)
+//     for a sketch only its owner can reach (sim::Distribution's fold).
+//     QuantileSketch wraps one core in a mutex and is what the Registry
+//     hands out: every member takes the lock, so Registry sketches may be
+//     observed from any thread.
 //
 // Storage is DDSketch's dense store (Masson et al., VLDB 2019): one 8-byte
 // counter per bucket index in a contiguous window, so observing into a
@@ -37,14 +41,22 @@
 // buckets — a few KB for typical waits.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
+#include <utility>
 #include <vector>
+
+#include "util/contracts.hpp"
 
 namespace vodbcast::obs {
 
-class QuantileSketch {
+/// The sketch's bucket state with no synchronization: copyable, and safe
+/// to use from one thread at a time (or concurrently through const members
+/// only).
+class SketchCore {
  public:
   struct Options {
     /// Relative accuracy `a`: quantile estimates are within a factor
@@ -60,36 +72,70 @@ class QuantileSketch {
   /// Values at or below this threshold count in the zero bucket.
   static constexpr double kMinTrackable = 1e-9;
 
-  QuantileSketch() : QuantileSketch(Options{}) {}
-  explicit QuantileSketch(Options options);
+  SketchCore() : SketchCore(Options{}) {}
+  explicit SketchCore(Options options);
 
-  QuantileSketch(const QuantileSketch&) = delete;
-  QuantileSketch& operator=(const QuantileSketch&) = delete;
-
-  /// Precondition: `sample` is finite.
-  void observe(double sample);
+  /// Precondition: `sample` is finite. Inline: it is the per-arrival step
+  /// of every folded report distribution.
+  void observe(double sample) {
+    VB_EXPECTS(std::isfinite(sample));
+    // Bucket first: growing the window is the only step that can throw
+    // (bad_alloc), and it leaves the sketch untouched when it does.
+    if (sample <= kMinTrackable) {
+      ++zero_count_;
+    } else {
+      const std::int32_t index = index_of(sample);
+      // Hot path: the bucket is already tracked, so one increment. An index
+      // below the window wraps to a huge position and fails the bounds
+      // test.
+      const auto pos = static_cast<std::size_t>(std::int64_t{index} - base_);
+      if (pos < counts_.size() && counts_[pos] != 0) {
+        ++counts_[pos];
+      } else {
+        observe_new_bucket(index);
+      }
+    }
+    if (count_ == 0) {
+      min_ = sample;
+      max_ = sample;
+    } else {
+      min_ = std::min(min_, sample);
+      max_ = std::max(max_, sample);
+    }
+    ++count_;
+    sum_ += sample;
+  }
 
   /// Folds `other` bucket-wise into this sketch, then re-applies the bucket
   /// budget. Throws std::invalid_argument when the relative accuracies
   /// differ (the bucket grids would not line up).
-  void merge_from(const QuantileSketch& other);
+  void merge_from(const SketchCore& other);
 
   /// Quantile estimate for q in [0, 1]; 0 when empty. Within
   /// relative_accuracy() of a true sample value (exact 0 for zero-bucket
   /// mass; collapsed low buckets degrade only the low quantiles).
   [[nodiscard]] double quantile(double q) const;
 
-  [[nodiscard]] std::uint64_t count() const;
-  [[nodiscard]] double sum() const;
-  [[nodiscard]] double min() const;  ///< 0 when empty
-  [[nodiscard]] double max() const;  ///< 0 when empty
-  [[nodiscard]] std::uint64_t zero_count() const;
+  [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
+  [[nodiscard]] double sum() const noexcept { return sum_; }
+  /// The smallest and largest sample; 0 when empty.
+  [[nodiscard]] double min() const noexcept {
+    return count_ == 0 ? 0.0 : min_;
+  }
+  [[nodiscard]] double max() const noexcept {
+    return count_ == 0 ? 0.0 : max_;
+  }
+  [[nodiscard]] std::uint64_t zero_count() const noexcept {
+    return zero_count_;
+  }
   /// Number of tracked (non-zero) buckets, <= max_buckets.
-  [[nodiscard]] std::size_t bucket_count() const;
+  [[nodiscard]] std::size_t bucket_count() const noexcept { return nonzero_; }
   /// Times the bucket budget forced a collapse of the lowest buckets.
-  [[nodiscard]] std::uint64_t collapsed() const;
+  [[nodiscard]] std::uint64_t collapsed() const noexcept { return collapsed_; }
   /// Heap bytes held by the counter array (its capacity, zeros included).
-  [[nodiscard]] std::size_t heap_bytes() const;
+  [[nodiscard]] std::size_t heap_bytes() const noexcept {
+    return counts_.capacity() * sizeof(std::uint64_t);
+  }
 
   [[nodiscard]] double relative_accuracy() const noexcept {
     return options_.relative_accuracy;
@@ -105,7 +151,12 @@ class QuantileSketch {
   void clear();
 
  private:
-  [[nodiscard]] std::int32_t index_of(double sample) const noexcept;
+  [[nodiscard]] std::int32_t index_of(double sample) const noexcept {
+    // sample in (gamma^(i-1), gamma^i] -> bucket i. ceil() puts an exact
+    // power on its own boundary; the +/- noise of log() stays within the
+    // accuracy budget.
+    return static_cast<std::int32_t>(std::ceil(std::log(sample) / log_gamma_));
+  }
   /// Counts one sample whose bucket `index` holds no count yet: into a new
   /// bucket, or into the lowest one when the budget would collapse it.
   void observe_new_bucket(std::int32_t index);
@@ -124,7 +175,6 @@ class QuantileSketch {
   double log_gamma_;
   std::int32_t min_index_ = 0;  ///< no tracked sample has a lower index
   std::int32_t max_index_ = 0;  ///< no finite sample has a higher index
-  mutable std::mutex mutex_;
   /// counts_[k] counts bucket base_ + k; a zero counter is not a tracked
   /// bucket (spare room, or collapsed away).
   std::vector<std::uint64_t> counts_;
@@ -137,6 +187,55 @@ class QuantileSketch {
   double min_ = 0.0;
   double max_ = 0.0;
   std::uint64_t collapsed_ = 0;
+};
+
+/// A SketchCore behind a mutex: the Registry's sketch, safe to observe,
+/// merge and read from any thread. Every member takes the lock and
+/// forwards to the core, so both faces share one bucket implementation.
+class QuantileSketch {
+ public:
+  using Options = SketchCore::Options;
+  static constexpr double kMinTrackable = SketchCore::kMinTrackable;
+
+  QuantileSketch() = default;
+  explicit QuantileSketch(Options options) : core_(options) {}
+
+  QuantileSketch(const QuantileSketch&) = delete;
+  QuantileSketch& operator=(const QuantileSketch&) = delete;
+
+  /// Precondition: `sample` is finite.
+  void observe(double sample);
+
+  /// SketchCore::merge_from under both sketches' locks.
+  void merge_from(const QuantileSketch& other);
+
+  [[nodiscard]] double quantile(double q) const;
+  [[nodiscard]] std::uint64_t count() const;
+  [[nodiscard]] double sum() const;
+  [[nodiscard]] double min() const;  ///< 0 when empty
+  [[nodiscard]] double max() const;  ///< 0 when empty
+  [[nodiscard]] std::uint64_t zero_count() const;
+  [[nodiscard]] std::size_t bucket_count() const;
+  [[nodiscard]] std::uint64_t collapsed() const;
+  [[nodiscard]] std::size_t heap_bytes() const;
+
+  // Fixed at construction, so readable without the lock.
+  [[nodiscard]] double relative_accuracy() const noexcept {
+    return core_.relative_accuracy();
+  }
+  [[nodiscard]] double gamma() const noexcept { return core_.gamma(); }
+  [[nodiscard]] const Options& options() const noexcept {
+    return core_.options();
+  }
+
+  [[nodiscard]] std::vector<std::pair<std::int32_t, std::uint64_t>> buckets()
+      const;
+
+  void clear();
+
+ private:
+  mutable std::mutex mutex_;
+  SketchCore core_;
 };
 
 }  // namespace vodbcast::obs

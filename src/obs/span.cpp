@@ -90,16 +90,20 @@ std::uint64_t SpanTracer::record(Span span) {
 void SpanTracer::merge_from(const SpanTracer& other) {
   // Spans the source ring already overwrote are gone; only its retained
   // window transfers, in start order with source record order breaking ties.
-  // Parents always start no later than their children and are recorded
-  // first, so the old→new map is populated before any child looks it up; a
+  // A child may start before its parent (ctrl parents a queue absorbed at
+  // promotion onto the later epoch), so every transferred span's new id is
+  // assigned before any is recorded: record() hands out consecutive ids. A
   // parent lost to the source's wraparound maps to 0 (root).
+  const auto transferred = other.spans();
   std::unordered_map<std::uint64_t, std::uint64_t> remap;
-  for (auto& span : other.spans()) {
-    Span copy = span;
-    const auto old_id = copy.id;
-    const auto it = remap.find(copy.parent);
-    copy.parent = (it != remap.end()) ? it->second : 0;
-    remap.emplace(old_id, record(std::move(copy)));
+  remap.reserve(transferred.size());
+  for (std::size_t i = 0; i < transferred.size(); ++i) {
+    remap.emplace(transferred[i].id, next_id_ + 1 + i);
+  }
+  for (Span span : transferred) {
+    const auto it = remap.find(span.parent);
+    span.parent = (it != remap.end()) ? it->second : 0;
+    record(std::move(span));
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <vector>
 
 #include "util/contracts.hpp"
@@ -13,33 +14,65 @@ BroadcastServer::BroadcastServer(channel::ChannelPlan plan)
   // Index replicas once: tune-in queries run per client arrival, and a
   // metro plan carries thousands of streams of which only one or two are
   // replicas of the requested (video, segment). Indices (not pointers)
-  // keep the map valid across copies and moves of the server.
-  for (std::size_t i = 0; i < plan_.streams().size(); ++i) {
-    const auto& s = plan_.streams()[i];
-    replicas_[replica_key(s.video, s.segment)].push_back(
-        static_cast<std::uint32_t>(i));
+  // keep the index valid across copies and moves of the server.
+  const auto& streams = plan_.streams();
+  if (streams.empty()) {
+    return;  // an empty range: every key is outside it
+  }
+  const auto videos =
+      std::ranges::minmax(streams, {}, &channel::PeriodicBroadcast::video);
+  const auto segments =
+      std::ranges::minmax(streams, {}, &channel::PeriodicBroadcast::segment);
+  video_base_ = videos.min.video;
+  segment_base_ = segments.min.segment;
+  videos_ = std::uint64_t{videos.max.video} - video_base_ + 1;
+  segments_ = static_cast<std::uint64_t>(
+      std::int64_t{segments.max.segment} - segment_base_ + 1);
+  const auto key_of = [this](const channel::PeriodicBroadcast& s) {
+    return (std::uint64_t{s.video} - video_base_) * segments_ +
+           static_cast<std::uint64_t>(std::int64_t{s.segment} - segment_base_);
+  };
+  // Counting sort: count each key's replicas, prefix-sum the counts into
+  // each key's end, then place streams back to front, so every key's
+  // replicas keep stream order and its offset ends on its first replica.
+  offsets_.assign(videos_ * segments_ + 1, 0);
+  for (const auto& s : streams) {
+    ++offsets_[key_of(s)];
+  }
+  std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
+  replicas_.resize(streams.size());
+  for (std::size_t i = streams.size(); i-- > 0;) {
+    replicas_[--offsets_[key_of(streams[i])]] = static_cast<std::uint32_t>(i);
   }
 }
 
-const std::vector<std::uint32_t>* BroadcastServer::replicas_of(
-    core::VideoId video, int segment) const {
-  const auto it = replicas_.find(replica_key(video, segment));
-  return it == replicas_.end() ? nullptr : &it->second;
+std::span<const std::uint32_t> BroadcastServer::replicas_of(
+    core::VideoId video, int segment) const noexcept {
+  // A value below its base wraps to a huge offset and fails the bounds test.
+  const std::uint64_t v = std::uint64_t{video} - video_base_;
+  const auto s =
+      static_cast<std::uint64_t>(std::int64_t{segment} - segment_base_);
+  if (v >= videos_ || s >= segments_) {
+    return {};
+  }
+  const std::uint64_t key = v * segments_ + s;
+  return {replicas_.data() + offsets_[key],
+          replicas_.data() + offsets_[key + 1]};
 }
 
 std::optional<core::Minutes> BroadcastServer::next_segment_start(
     core::VideoId video, int segment, core::Minutes t) const {
-  const auto* replicas = replicas_of(video, segment);
-  if (replicas == nullptr) {
+  const auto replicas = replicas_of(video, segment);
+  if (replicas.empty()) {
     return std::nullopt;
   }
   // Earliest-encountered wins ties, matching the historical full scan in
   // stream order bit for bit.
-  std::optional<core::Minutes> best;
-  for (const std::uint32_t i : *replicas) {
-    const core::Minutes start =
-        plan_.streams()[i].next_start_at_or_after(t);
-    if (!best.has_value() || start.v < best->v) {
+  const auto& streams = plan_.streams();
+  core::Minutes best = streams[replicas.front()].next_start_at_or_after(t);
+  for (const std::uint32_t i : replicas.subspan(1)) {
+    const core::Minutes start = streams[i].next_start_at_or_after(t);
+    if (start.v < best.v) {
       best = start;
     }
   }
@@ -52,24 +85,18 @@ std::optional<core::Minutes> BroadcastServer::worst_wait(core::VideoId video,
   // union of arithmetic progressions phase_p + n*period (all replicas share
   // one period by construction). The worst wait is the largest gap between
   // consecutive starts within one period.
-  std::vector<const channel::PeriodicBroadcast*> replicas;
-  if (const auto* indices = replicas_of(video, segment)) {
-    for (const std::uint32_t i : *indices) {
-      replicas.push_back(&plan_.streams()[i]);
-    }
-  }
+  const auto replicas = replicas_of(video, segment);
   if (replicas.empty()) {
     return std::nullopt;
   }
-  const double period = replicas.front()->period.v;
-  for (const auto* r : replicas) {
-    VB_EXPECTS_MSG(std::abs(r->period.v - period) < 1e-9 * period,
-                   "replicas of one segment must share a period");
-  }
+  const auto& streams = plan_.streams();
+  const double period = streams[replicas.front()].period.v;
   std::vector<double> phases;
   phases.reserve(replicas.size());
-  for (const auto* r : replicas) {
-    phases.push_back(std::fmod(r->phase.v, period));
+  for (const std::uint32_t i : replicas) {
+    VB_EXPECTS_MSG(std::abs(streams[i].period.v - period) < 1e-9 * period,
+                   "replicas of one segment must share a period");
+    phases.push_back(std::fmod(streams[i].phase.v, period));
   }
   std::sort(phases.begin(), phases.end());
   double worst = phases.front() + period - phases.back();

@@ -8,7 +8,7 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "channel/schedule.hpp"
@@ -41,20 +41,24 @@ class BroadcastServer {
 
  private:
   /// Replica streams of (video, segment) as indices into plan_.streams(),
-  /// in stream order. Tune-in queries are per-arrival in the simulator, so
-  /// they must not scan the whole metro plan (thousands of streams) when
-  /// only a handful of replicas carry the requested segment.
-  [[nodiscard]] const std::vector<std::uint32_t>* replicas_of(
-      core::VideoId video, int segment) const;
-
-  static std::uint64_t replica_key(core::VideoId video,
-                                   int segment) noexcept {
-    return (static_cast<std::uint64_t>(video) << 32) |
-           static_cast<std::uint32_t>(segment);
-  }
+  /// in stream order; empty when the plan does not carry the segment.
+  /// Tune-in queries are per-arrival in the simulator, so they must not
+  /// scan the whole metro plan (thousands of streams) when only a handful
+  /// of replicas carry the requested segment.
+  [[nodiscard]] std::span<const std::uint32_t> replicas_of(
+      core::VideoId video, int segment) const noexcept;
 
   channel::ChannelPlan plan_;
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> replicas_;
+  // CSR index over the plan's dense (video, segment) range
+  // [video_base_, video_base_ + videos_) x [segment_base_, segment_base_ +
+  // segments_): key k = (video - video_base_) * segments_ + (segment -
+  // segment_base_) owns replicas_[offsets_[k], offsets_[k + 1]).
+  core::VideoId video_base_ = 0;
+  int segment_base_ = 0;
+  std::uint64_t videos_ = 0;
+  std::uint64_t segments_ = 0;
+  std::vector<std::uint32_t> offsets_;
+  std::vector<std::uint32_t> replicas_;
 };
 
 }  // namespace vodbcast::sim

@@ -9,31 +9,6 @@
 
 namespace vodbcast::sim {
 
-Distribution::Distribution(const Distribution& other)
-    : samples_(other.samples_),
-      cap_(other.cap_),
-      count_(other.count_),
-      sum_(other.sum_),
-      min_(other.min_),
-      max_(other.max_),
-      welford_mean_(other.welford_mean_),
-      welford_m2_(other.welford_m2_) {
-  if (other.sketch_ != nullptr) {
-    // QuantileSketch is non-copyable; an empty sketch on the same bucket
-    // grid plus a bucket-wise merge reproduces the state exactly.
-    sketch_ = std::make_unique<obs::QuantileSketch>(other.sketch_->options());
-    sketch_->merge_from(*other.sketch_);
-  }
-}
-
-Distribution& Distribution::operator=(const Distribution& other) {
-  if (this != &other) {
-    Distribution copy(other);
-    *this = std::move(copy);
-  }
-  return *this;
-}
-
 void Distribution::add(double sample) {
   VB_EXPECTS(std::isfinite(sample));
   if (count_ == 0) {
@@ -48,7 +23,7 @@ void Distribution::add(double sample) {
   const double delta = sample - welford_mean_;
   welford_mean_ += delta / static_cast<double>(count_);
   welford_m2_ += delta * (sample - welford_mean_);
-  if (sketch_ != nullptr) {
+  if (sketch_.has_value()) {
     sketch_->observe(sample);
     return;
   }
@@ -61,8 +36,8 @@ void Distribution::add(double sample) {
 }
 
 void Distribution::fold_now() {
-  if (sketch_ == nullptr) {
-    sketch_ = std::make_unique<obs::QuantileSketch>();
+  if (!sketch_.has_value()) {
+    sketch_.emplace();
   }
   for (const double s : samples_) {
     sketch_->observe(s);
@@ -93,7 +68,7 @@ void Distribution::merge(const Distribution& other) {
   sum_ += other.sum_;
 
   const bool must_fold =
-      sketch_ != nullptr || other.sketch_ != nullptr ||
+      sketch_.has_value() || other.sketch_.has_value() ||
       (cap_ != 0 && samples_.size() + other.samples_.size() > cap_);
   if (!must_fold) {
     samples_.insert(samples_.end(), other.samples_.begin(),
@@ -104,7 +79,7 @@ void Distribution::merge(const Distribution& other) {
   for (const double s : other.samples_) {
     sketch_->observe(s);
   }
-  if (other.sketch_ != nullptr) {
+  if (other.sketch_.has_value()) {
     sketch_->merge_from(*other.sketch_);
   }
 }
@@ -114,10 +89,6 @@ void Distribution::set_sample_cap(std::size_t cap) {
   if (cap_ != 0 && samples_.size() > cap_) {
     fold_now();
   }
-}
-
-std::uint64_t Distribution::samples_folded() const noexcept {
-  return sketch_ != nullptr ? sketch_->count() : 0;
 }
 
 double Distribution::mean() const {
@@ -144,7 +115,7 @@ std::vector<double> Distribution::sorted_copy() const {
 double Distribution::quantile(double q) const {
   VB_EXPECTS(count_ != 0);
   VB_EXPECTS(q >= 0.0 && q <= 1.0);
-  if (sketch_ != nullptr) {
+  if (sketch_.has_value()) {
     return sketch_->quantile(q);
   }
   // Scratch sort, freed on return: the distribution never retains a second
@@ -157,7 +128,7 @@ double Distribution::stddev() const {
   if (count_ < 2) {
     return 0.0;
   }
-  if (sketch_ != nullptr) {
+  if (sketch_.has_value()) {
     return std::sqrt(welford_m2_ / static_cast<double>(count_));
   }
   // Two-pass: center first, then accumulate squared deviations. The
@@ -174,7 +145,7 @@ double Distribution::stddev() const {
 
 std::size_t Distribution::retained_bytes() const noexcept {
   std::size_t bytes = samples_.capacity() * sizeof(double);
-  if (sketch_ != nullptr) {
+  if (sketch_.has_value()) {
     bytes += sketch_->heap_bytes();
   }
   return bytes;
@@ -183,7 +154,7 @@ std::size_t Distribution::retained_bytes() const noexcept {
 HistogramBins Distribution::histogram(std::size_t bins) const {
   VB_EXPECTS(count_ != 0);
   VB_EXPECTS(bins >= 1);
-  VB_EXPECTS_MSG(sketch_ == nullptr,
+  VB_EXPECTS_MSG(!sketch_.has_value(),
                  "histogram() needs the raw samples; distribution is folded");
   HistogramBins out;
   out.lo = min();
@@ -211,7 +182,7 @@ std::string Distribution::summary() const {
                 count(), mean(), quantile(0.5), quantile(0.95),
                 quantile(0.99), max());
   std::string out = buf;
-  if (sketch_ != nullptr) {
+  if (sketch_.has_value()) {
     out += " folded=" + std::to_string(samples_folded());
   }
   return out;

@@ -3,7 +3,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,7 +25,8 @@ struct HistogramBins {
 ///     interpolate over the sorted samples — bit-for-bit the historical
 ///     behavior;
 ///   * streaming (set_sample_cap(n)): samples are retained exactly up to
-///     the cap; crossing it folds everything into an obs::QuantileSketch
+///     the cap; crossing it folds everything into an obs::SketchCore (the
+///     sketch's bucket state, unlocked: only this distribution reaches it)
 ///     and frees the sample storage, so memory stays bounded by the sketch's
 ///     counter window (a few KB for typical waits, at most ~292 KB at the
 ///     default accuracy) no matter how many samples arrive. Count, sum,
@@ -38,12 +39,6 @@ struct HistogramBins {
 /// scalar moments combine in merge order).
 class Distribution {
  public:
-  Distribution() = default;
-  Distribution(const Distribution& other);
-  Distribution& operator=(const Distribution& other);
-  Distribution(Distribution&&) noexcept = default;
-  Distribution& operator=(Distribution&&) noexcept = default;
-
   /// Precondition: `sample` is finite.
   void add(double sample);
 
@@ -60,9 +55,15 @@ class Distribution {
   [[nodiscard]] std::size_t sample_cap() const noexcept { return cap_; }
   /// True once samples have been folded into the sketch (quantiles are now
   /// sketch-backed estimates; count/sum/mean/min/max remain exact).
-  [[nodiscard]] bool folded() const noexcept { return sketch_ != nullptr; }
+  [[nodiscard]] bool folded() const noexcept { return sketch_.has_value(); }
   /// Samples represented only by the sketch; 0 while exact.
-  [[nodiscard]] std::uint64_t samples_folded() const noexcept;
+  [[nodiscard]] std::uint64_t samples_folded() const noexcept {
+    return sketch_.has_value() ? sketch_->count() : 0;
+  }
+  /// The sketch behind the folded quantiles; nullptr while exact.
+  [[nodiscard]] const obs::SketchCore* sketch() const noexcept {
+    return sketch_.has_value() ? &*sketch_ : nullptr;
+  }
 
   [[nodiscard]] std::size_t count() const noexcept {
     return static_cast<std::size_t>(count_);
@@ -90,7 +91,7 @@ class Distribution {
   [[nodiscard]] double stddev() const;
 
   /// Heap bytes retained by this distribution right now (sample storage
-  /// plus the sketch's counter array, QuantileSketch::heap_bytes). Quantile
+  /// plus the sketch's counter array, SketchCore::heap_bytes). Quantile
   /// calls sort into a scratch copy that is freed before returning, so this
   /// is also the post-query high water.
   [[nodiscard]] std::size_t retained_bytes() const noexcept;
@@ -111,7 +112,7 @@ class Distribution {
 
   std::vector<double> samples_;
   std::size_t cap_ = 0;  ///< 0 = retain everything
-  std::unique_ptr<obs::QuantileSketch> sketch_;
+  std::optional<obs::SketchCore> sketch_;  ///< engaged once folded
   std::uint64_t count_ = 0;
   double sum_ = 0.0;
   double min_ = 0.0;

@@ -1,6 +1,7 @@
 #include "workload/request.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <utility>
 
@@ -8,9 +9,7 @@
 
 namespace vodbcast::workload {
 
-RequestGenerator::RequestGenerator(std::vector<double> popularity,
-                                   double arrivals_per_minute, util::Rng rng)
-    : arrivals_(arrivals_per_minute, rng.fork()), rng_(rng.fork()) {
+TitleCdf::TitleCdf(const std::vector<double>& popularity) {
   VB_EXPECTS(!popularity.empty());
   double total = 0.0;
   cdf_.reserve(popularity.size());
@@ -22,15 +21,42 @@ RequestGenerator::RequestGenerator(std::vector<double> popularity,
   VB_EXPECTS_MSG(std::abs(total - 1.0) < 1e-6,
                  "popularity must be normalized");
   cdf_.back() = 1.0;  // guard against rounding at the top
+  // Entry j is upper_bound's rank of j/m, which is exact for a power-of-two
+  // m. The ranks only grow with j, so one forward walk fills the table, and
+  // it stops in range because cdf_.back() = 1 > j/m.
+  guide_.resize(std::bit_ceil(cdf_.size()));
+  const auto m = static_cast<double>(guide_.size());
+  std::size_t title = 0;
+  for (std::size_t j = 0; j < guide_.size(); ++j) {
+    while (cdf_[title] <= static_cast<double>(j) / m) {
+      ++title;
+    }
+    guide_[j] = static_cast<std::uint32_t>(title);
+  }
 }
+
+std::size_t TitleCdf::rank(double u) const noexcept {
+  // u * m is exact and floor(u * m) / m <= u, so upper_bound's rank of u
+  // lies at or past the entry's rank, and all ranks before the entry have
+  // cdf_ <= u: the forward scan ends exactly on upper_bound's rank, within
+  // the table since cdf_.back() = 1 > u.
+  std::size_t i =
+      guide_[static_cast<std::size_t>(u * static_cast<double>(guide_.size()))];
+  while (cdf_[i] <= u) {
+    ++i;
+  }
+  return std::min(i, cdf_.size() - 1);
+}
+
+RequestGenerator::RequestGenerator(const std::vector<double>& popularity,
+                                   double arrivals_per_minute, util::Rng rng)
+    : arrivals_(arrivals_per_minute, rng.fork()),
+      rng_(rng.fork()),
+      titles_(popularity) {}
 
 Request RequestGenerator::next() {
   const core::Minutes at = arrivals_.next();
-  const double u = rng_.next_double();
-  const auto it = std::upper_bound(cdf_.begin(), cdf_.end(), u);
-  const auto rank = static_cast<std::size_t>(
-      std::min<std::ptrdiff_t>(it - cdf_.begin(),
-                               static_cast<std::ptrdiff_t>(cdf_.size()) - 1));
+  const std::size_t rank = titles_.rank(rng_.next_double());
   return Request{at, static_cast<core::VideoId>(rank)};
 }
 

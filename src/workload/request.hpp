@@ -2,6 +2,8 @@
 // selection.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <vector>
@@ -19,12 +21,39 @@ struct Request {
   core::VideoId video = 0;
 };
 
+/// Inverse-CDF title sampler over normalized popularity, with a guide table
+/// (Chen & Asau, AIIE Trans. 6(2), 1974) so a draw costs O(1) expected
+/// instead of a binary search. The guide has m entries, m the smallest
+/// power of two >= the catalog size; entry j holds the rank of j/m.
+class TitleCdf {
+ public:
+  /// `popularity` must be normalized probabilities per catalog rank.
+  explicit TitleCdf(const std::vector<double>& popularity);
+
+  /// The rank std::upper_bound(cdf(), u) points at, clamped to the last
+  /// title. Precondition: u in [0, 1).
+  [[nodiscard]] std::size_t rank(double u) const noexcept;
+
+  /// Running sums of the popularity; the last entry is exactly 1.
+  [[nodiscard]] const std::vector<double>& cdf() const noexcept {
+    return cdf_;
+  }
+  /// m, the guide table's entry count.
+  [[nodiscard]] std::size_t guide_size() const noexcept {
+    return guide_.size();
+  }
+
+ private:
+  std::vector<double> cdf_;
+  std::vector<std::uint32_t> guide_;
+};
+
 /// Generates the request stream for a catalog.
 class RequestGenerator {
  public:
   /// `popularity` must be normalized probabilities per catalog rank.
-  RequestGenerator(std::vector<double> popularity, double arrivals_per_minute,
-                   util::Rng rng);
+  RequestGenerator(const std::vector<double>& popularity,
+                   double arrivals_per_minute, util::Rng rng);
 
   /// The next request in arrival order.
   Request next();
@@ -33,9 +62,9 @@ class RequestGenerator {
   [[nodiscard]] std::vector<Request> generate_until(core::Minutes horizon);
 
  private:
-  std::vector<double> cdf_;
   PoissonProcess arrivals_;
   util::Rng rng_;
+  TitleCdf titles_;
 };
 
 /// The requests generate_until(horizon) would return, pulled one at a time

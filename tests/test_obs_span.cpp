@@ -115,6 +115,26 @@ TEST(SpanTracerTest, MergeRemapsIdsAndParentLinks) {
   EXPECT_EQ(spans[2].id, 1U);
 }
 
+TEST(SpanTracerTest, MergeKeepsAChildThatStartsBeforeItsParent) {
+  // ctrl's shape: the epoch is recorded first, then a queued session it
+  // absorbed, which arrived (and so starts) before the epoch.
+  SpanTracer src(8);
+  const auto epoch = src.record(at(60.0, 60.0, SpanPhase::kEpoch));
+  src.record(at(10.0, 70.0, SpanPhase::kSession, epoch));
+  SpanTracer dst(8);
+  dst.record(at(5.0, 6.0));  // takes id 1 in the destination
+  dst.merge_from(src);
+  const auto spans = dst.spans();
+  ASSERT_EQ(spans.size(), 3U);
+  // Start order re-records the session before its epoch; the link holds.
+  EXPECT_EQ(spans[1].phase, SpanPhase::kSession);
+  EXPECT_EQ(spans[1].id, 2U);
+  EXPECT_EQ(spans[2].phase, SpanPhase::kEpoch);
+  EXPECT_EQ(spans[2].id, 3U);
+  EXPECT_EQ(spans[1].parent, 3U);
+  EXPECT_EQ(spans[2].parent, 0U);
+}
+
 TEST(SpanTracerTest, MergeTurnsLostParentsIntoRoots) {
   SpanTracer src(1);
   const auto parent = src.record(at(0.0, 10.0));

@@ -597,6 +597,15 @@ TEST(ReplicationPinTest, SimulateReplicatedWithSink) {
   EXPECT_DIGEST(text_digest(sink.trace.to_jsonl()), 0x2b87aa36e52d60cd);
 }
 
+/// Session spans that hang off another span (ctrl's epoch-absorbed ones).
+std::size_t parented_sessions(const obs::SpanTracer& spans) {
+  std::size_t n = 0;
+  for (const auto& span : spans.spans()) {
+    n += span.phase == obs::SpanPhase::kSession && span.parent != 0 ? 1 : 0;
+  }
+  return n;
+}
+
 TEST(ReplicationPinTest, AdaptiveReplicatedWithSink) {
   auto config = pinned_flip_config();
   obs::Sink sink(1U << 17, 1U << 17);
@@ -609,8 +618,11 @@ TEST(ReplicationPinTest, AdaptiveReplicatedWithSink) {
   EXPECT_DIGEST(Fnv().add(replicated.replication_means).value(),
                 0xcdead6d141e54e96);
   // The spans carry ctrl's promotions as instant spans; the control plane
-  // writes no trace event, so the trace export is empty.
-  EXPECT_DIGEST(text_digest(sink.spans.to_jsonl()), 0x5f94fbde115e87d0);
+  // writes no trace event, so the trace export is empty. The 160 sessions
+  // absorbed at promotion start before their epoch and keep that parent
+  // through the replication merge.
+  EXPECT_EQ(parented_sessions(sink.spans), 160U);
+  EXPECT_DIGEST(text_digest(sink.spans.to_jsonl()), 0x9ceb8c6f3c26f355);
   EXPECT_DIGEST(text_digest(sink.trace.to_jsonl()), 0xcbf29ce484222325);
 }
 
@@ -671,15 +683,6 @@ TEST(ReplicationPinTest, FederationReplicatedWithSink) {
   EXPECT_BITS(replicated.mean_ci95, 0x1.e12e533bcc5d5p-5);
   EXPECT_DIGEST(text_digest(sink.spans.to_jsonl()), 0x5106c764c0cb08a3);
   EXPECT_EQ(sink.trace.recorded(), 0U);  // the federation records spans only
-}
-
-/// Session spans that hang off another span (ctrl's epoch-absorbed ones).
-std::size_t parented_sessions(const obs::SpanTracer& spans) {
-  std::size_t n = 0;
-  for (const auto& span : spans.spans()) {
-    n += span.phase == obs::SpanPhase::kSession && span.parent != 0 ? 1 : 0;
-  }
-  return n;
 }
 
 TEST(SessionSpanPinTest, Simulate) {

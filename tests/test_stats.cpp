@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 
 #include "util/contracts.hpp"
+#include "util/rng.hpp"
 
 namespace vodbcast::sim {
 namespace {
@@ -348,17 +350,60 @@ TEST(StreamingDistributionTest, CopyOfFoldedDistributionIsDeep) {
     d.add(static_cast<double>(i));
   }
   ASSERT_TRUE(d.folded());
+  const auto buckets = d.sketch()->buckets();
   Distribution copy = d;
   EXPECT_TRUE(copy.folded());
   EXPECT_EQ(copy.count(), 8U);
+  EXPECT_EQ(copy.sketch()->buckets(), buckets);
   EXPECT_DOUBLE_EQ(copy.quantile(0.5), d.quantile(0.5));
-  copy.add(1000.0);  // must not leak into the original
+  // Must not leak into the original, not even when the copy's counter
+  // window grows at both ends or its zero bucket fills.
+  for (const double v : {1000.0, 1e-6, 0.0}) {
+    copy.add(v);
+  }
   EXPECT_EQ(d.count(), 8U);
   EXPECT_DOUBLE_EQ(d.max(), 8.0);
+  EXPECT_EQ(d.sketch()->buckets(), buckets);
+  EXPECT_EQ(d.sketch()->zero_count(), 0U);
   Distribution assigned;
+  assigned.add(3.0);
   assigned = d;
   EXPECT_EQ(assigned.count(), 8U);
   EXPECT_DOUBLE_EQ(assigned.quantile(0.99), d.quantile(0.99));
+  // Nor does the original reach into its copies.
+  d.add(1e9);
+  EXPECT_EQ(assigned.sketch()->buckets(), buckets);
+  EXPECT_EQ(copy.count(), 11U);
+  EXPECT_EQ(copy.sketch()->zero_count(), 1U);
+}
+
+TEST(StreamingDistributionTest, FoldedBucketsEqualALockedSketch) {
+  // The fold holds the sketch's bucket core without the Registry sketch's
+  // lock; fed the same samples in the same order, both hold the same state.
+  // The samples span about 1500 buckets, so the 512-bucket budget collapses
+  // the low end many times, and every 97th sample lands in the zero bucket.
+  Distribution d;
+  d.set_sample_cap(64);
+  obs::QuantileSketch locked;
+  util::Rng rng(11);
+  for (int i = 0; i < 20000; ++i) {
+    const double v =
+        i % 97 == 0 ? 0.0 : std::exp(30.0 * rng.next_double() - 15.0);
+    d.add(v);
+    locked.observe(v);
+  }
+  ASSERT_TRUE(d.folded());
+  const obs::SketchCore* core = d.sketch();
+  ASSERT_NE(core, nullptr);
+  EXPECT_GT(core->collapsed(), 0U);
+  EXPECT_EQ(core->buckets(), locked.buckets());
+  EXPECT_EQ(core->zero_count(), locked.zero_count());
+  EXPECT_EQ(core->count(), locked.count());
+  EXPECT_EQ(core->collapsed(), locked.collapsed());
+  EXPECT_EQ(core->heap_bytes(), locked.heap_bytes());
+  for (const double q : {0.0, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+    EXPECT_EQ(d.quantile(q), locked.quantile(q)) << q;
+  }
 }
 
 TEST(StreamingDistributionTest, LateCapOnOversizedSetFoldsImmediately) {

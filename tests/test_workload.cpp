@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -267,6 +268,93 @@ TEST(RequestGeneratorTest, RejectsUnnormalizedPopularity) {
   EXPECT_THROW(RequestGenerator({0.5, 0.1}, 1.0, util::Rng(1)),
                util::ContractViolation);
 }
+
+/// The draw as a binary search computes it: std::upper_bound's rank over
+/// the CDF, clamped to the last title. The guide table must match it.
+std::size_t upper_bound_rank(const std::vector<double>& cdf, double u) {
+  const auto it = std::upper_bound(cdf.begin(), cdf.end(), u);
+  return std::min(static_cast<std::size_t>(it - cdf.begin()), cdf.size() - 1);
+}
+
+/// Zipf catalogs of 1, 2, 3, 20, 100 and 4097 titles (4097 makes the guide
+/// twice the catalog), zero-probability titles at the head, the middle and
+/// the tail, and one title holding all the mass.
+std::vector<std::vector<double>> guide_catalogs() {
+  std::vector<std::vector<double>> catalogs;
+  for (const std::size_t n : {1U, 2U, 3U, 20U, 100U, 4097U}) {
+    catalogs.push_back(zipf_probabilities(n));
+  }
+  catalogs.push_back({0.0, 0.5, 0.0, 0.0, 0.25, 0.25, 0.0});
+  catalogs.push_back({0.0, 0.0, 1.0, 0.0, 0.0});
+  return catalogs;
+}
+
+TEST(TitleCdfTest, GuideLookupEqualsUpperBoundAtEveryBoundary) {
+  for (const auto& popularity : guide_catalogs()) {
+    const TitleCdf titles(popularity);
+    const std::size_t m = titles.guide_size();
+    ASSERT_TRUE(std::has_single_bit(m));
+    ASSERT_GE(m, popularity.size());
+    ASSERT_LT(m / 2, popularity.size());
+    // Every guide boundary j/m and the CDF's own steps, each with its two
+    // neighbours, plus both ends of next_double()'s range [0, 1 - 2^-53].
+    std::vector<double> edges{0.0, 1.0 - 0x1.0p-53};
+    for (std::size_t j = 0; j <= m; ++j) {
+      edges.push_back(static_cast<double>(j) / static_cast<double>(m));
+    }
+    edges.insert(edges.end(), titles.cdf().begin(), titles.cdf().end());
+    std::size_t checked = 0;
+    for (const double edge : edges) {
+      for (const double u :
+           {std::nextafter(edge, -1.0), edge, std::nextafter(edge, 2.0)}) {
+        if (u < 0.0 || u >= 1.0) {
+          continue;
+        }
+        ASSERT_EQ(titles.rank(u), upper_bound_rank(titles.cdf(), u))
+            << "u=" << u << " titles=" << popularity.size();
+        ++checked;
+      }
+    }
+    EXPECT_GE(checked, 3 * m);
+  }
+}
+
+TEST(TitleCdfTest, CdfEndsAtExactlyOneAndSkipsEmptyTitles) {
+  const TitleCdf titles({0.0, 0.0, 1.0, 0.0, 0.0});
+  EXPECT_EQ(titles.cdf().back(), 1.0);
+  EXPECT_EQ(titles.guide_size(), 8U);
+  for (const double u : {0.0, 0.5, 1.0 - 0x1.0p-53}) {
+    EXPECT_EQ(titles.rank(u), 2U);
+  }
+  // A head title of zero mass is never drawn, not even at u = 0.
+  EXPECT_EQ(TitleCdf({0.0, 0.5, 0.5}).rank(0.0), 1U);
+}
+
+TEST(RequestGeneratorTest, DrawsMatchABinarySearchReference) {
+  // The generator as it was before the guide table: the same forks of the
+  // seed, the same CDF, and std::upper_bound on every draw.
+  const auto popularity = zipf_probabilities(20);
+  std::vector<double> cdf;
+  double total = 0.0;
+  for (const double p : popularity) {
+    total += p;
+    cdf.push_back(total);
+  }
+  cdf.back() = 1.0;
+  util::Rng seed(424242);
+  PoissonProcess arrivals(2000.0, seed.fork());
+  util::Rng pick = seed.fork();
+
+  RequestGenerator gen(popularity, 2000.0, util::Rng(424242));
+  for (int i = 0; i < 1000000; ++i) {
+    const Request got = gen.next();
+    const core::Minutes at = arrivals.next();
+    const std::size_t rank = upper_bound_rank(cdf, pick.next_double());
+    ASSERT_EQ(got.arrival.v, at.v) << "draw " << i;
+    ASSERT_EQ(got.video, rank) << "draw " << i;
+  }
+}
+
 
 }  // namespace
 }  // namespace vodbcast::workload

@@ -11,7 +11,7 @@
 //      the session to the phase that owned it (a span's self-time is its
 //      interval minus what its chosen children cover);
 //   2. aggregate phase breakdown — total minutes, share, and p50/p95/p99 of
-//      per-session phase time (obs::QuantileSketch, so tails carry the
+//      per-session phase time (obs::SketchCore, so tails carry the
 //      sketch's relative-error guarantee);
 //   3. top-k slowest sessions by reported wait, each with its dominant
 //      wait phase;
@@ -453,7 +453,7 @@ int main(int argc, char** argv) {
   };
   std::vector<SessionRow> sessions;
   std::map<std::string, double> phase_total;
-  std::map<std::string, vodbcast::obs::QuantileSketch> phase_sketch;
+  std::map<std::string, vodbcast::obs::SketchCore> phase_sketch;
   std::map<std::uint64_t, double> title_wait_sum;
   double worst_unattributed = 0.0;
   std::size_t attribution_violations = 0;
