@@ -41,16 +41,33 @@ void BM_SkyscraperSeriesPrefix(benchmark::State& state) {
 }
 BENCHMARK(BM_SkyscraperSeriesPrefix)->Arg(10)->Arg(40)->Arg(80);
 
+// The full planner and the group planner on the same W=52 layouts, t0
+// cycling over the layout's 3900 phases: one iteration of each is one
+// first-visit fill of a PlanCache entry before and after plan_summary
+// (K = 80 is the metro campaign's layout).
 void BM_PlanReception(benchmark::State& state) {
   const series::SkyscraperSeries law;
   const series::SegmentLayout layout(
       law, static_cast<int>(state.range(0)), 52, kVideo);
+  const std::uint64_t period = *client::phase_period(layout, 1 << 16);
   std::uint64_t t0 = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(client::plan_reception(layout, t0++ % 64));
+    benchmark::DoNotOptimize(client::plan_reception(layout, t0++ % period));
   }
 }
-BENCHMARK(BM_PlanReception)->Arg(10)->Arg(20)->Arg(40);
+BENCHMARK(BM_PlanReception)->Arg(10)->Arg(20)->Arg(40)->Arg(80);
+
+void BM_PlanSummary(benchmark::State& state) {
+  const series::SkyscraperSeries law;
+  const series::SegmentLayout layout(
+      law, static_cast<int>(state.range(0)), 52, kVideo);
+  const std::uint64_t period = *client::phase_period(layout, 1 << 16);
+  std::uint64_t t0 = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(client::plan_summary(layout, t0++ % period));
+  }
+}
+BENCHMARK(BM_PlanSummary)->Arg(10)->Arg(20)->Arg(40)->Arg(80);
 
 void BM_WorstCaseSweep(benchmark::State& state) {
   const series::SkyscraperSeries law;

@@ -124,6 +124,25 @@ grep -Eq 'clients served: [0-9]{6,}' "$om_dir/metro_cache_on.txt" || {
   echo "metro smoke: expected >=100k clients served" >&2
   exit 1
 }
+# The same three paths on the layout the metro campaign runs (SB:W=52 at
+# 2400 Mb/s gives each title K = 80 segments). The cached views keep one
+# plan per phase visited, so 3900 entries prove the arrivals visit every
+# phase of the period: the plain run fills its whole summary table through
+# client::plan_summary, and its stdout must match the views' and the
+# uncached run's byte for byte.
+metro80_args=(--scheme SB:W=52 --bandwidth 2400 --videos 20
+              --horizon 360 --arrivals 200 --seed 7 --stats-cap 4096)
+build/tools/vodbcast simulate "${metro80_args[@]}" \
+  --metrics-format openmetrics --metrics-out "$om_dir/metro80.txt" \
+  > "$om_dir/metro80_views.txt"
+build/tools/metrics_check "$om_dir/metro80.txt" \
+  'sim_plan_cache_entries == 3900' --verbose
+build/tools/vodbcast simulate "${metro80_args[@]}" \
+  > "$om_dir/metro80_summary.txt"
+build/tools/vodbcast simulate "${metro80_args[@]}" --plan-cache 0 \
+  > "$om_dir/metro80_off.txt"
+diff "$om_dir/metro80_views.txt" "$om_dir/metro80_summary.txt"
+diff "$om_dir/metro80_views.txt" "$om_dir/metro80_off.txt"
 
 echo "== O(live state) self-check =="
 # Every engine pulls its arrivals from a feed, so its memory follows the

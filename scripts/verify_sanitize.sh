@@ -10,9 +10,11 @@
 #               the packet client and reassembler fuzz, the argument
 #               parser, the workload generators and their feed filters,
 #               the hybrid split, the engine report pins (whose
-#               filters capture locals by reference) and the broadcast
+#               filters capture locals by reference), the broadcast
 #               server's tune-in index (its own offset arithmetic, checked
-#               against every scheme's plan);
+#               against every scheme's plan) and the paper-number and
+#               follow-on phase sweeps (worst_case_over_phases runs
+#               client::plan_summary's unsigned time arithmetic);
 #   build-tsan  TSan over the TaskPool and its parallel adopters, including
 #               the replication driver behind simulate_replicated,
 #               simulate_adaptive_replicated and
@@ -47,7 +49,8 @@ if [[ $mode == all || $mode == asan ]]; then
     test_fault test_metro test_plan_cache test_stats test_reception_plan \
     test_vcr test_transition_local test_reception_properties test_fuzz \
     test_packet_client test_util_args test_workload test_hybrid \
-    test_regressions test_broadcast_server test_scheme_consistency
+    test_regressions test_broadcast_server test_scheme_consistency \
+    test_paper_numbers test_followons
 
   ./build-asan/tests/test_obs_registry
   ./build-asan/tests/test_obs_trace
@@ -81,6 +84,8 @@ if [[ $mode == all || $mode == asan ]]; then
   ./build-asan/tests/test_regressions
   ./build-asan/tests/test_broadcast_server
   ./build-asan/tests/test_scheme_consistency
+  ./build-asan/tests/test_paper_numbers
+  ./build-asan/tests/test_followons
 fi
 
 if [[ $mode == all || $mode == thread ]]; then

@@ -75,7 +75,7 @@ PlanView PlanCache::at(std::uint64_t t0) {
 PlanSummary PlanCache::summary(std::uint64_t t0) {
   if (period_ == 0) {
     ++stats_.misses;
-    return plan_reception(layout_, t0).summary();
+    return plan_summary(layout_, t0);
   }
   const std::uint64_t phase = t0 % period_;
   PlanSummary& entry = summaries_[static_cast<std::size_t>(phase)];
@@ -84,7 +84,7 @@ PlanSummary PlanCache::summary(std::uint64_t t0) {
     return entry;
   }
   ++stats_.misses;
-  entry = plan_reception(layout_, phase).summary();
+  entry = plan_summary(layout_, phase);
   VB_ASSERT(entry.max_concurrent_downloads != 0);
   return entry;
 }

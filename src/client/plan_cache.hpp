@@ -18,9 +18,11 @@
 //
 //   * summary(t0): the three verdicts (a PlanSummary), from one contiguous
 //     table of 16-byte entries indexed by phase. A phase's first visit
-//     runs plan_reception into a transient plan and keeps only the
-//     verdicts, so the table is all the cache retains: 62 KB for SB:W=52's
-//     3900 phases, where a retained plan costs about 5 KB per phase.
+//     runs plan_summary, which plans the verdicts from the layout's
+//     transmission groups without building a plan (about 0.2 us a phase
+//     at K = 80, where plan_reception takes about 8 us), so the table is
+//     all the cache retains: 62 KB for SB:W=52's 3900 phases, where a
+//     retained plan costs about 5 KB per phase.
 //   * at(t0): the phase's canonical plan, retained on first visit and
 //     served as a shifted *view* (no download-vector copy, no trace
 //     rebuild), for callers that walk the downloads: tracing and fault
@@ -119,7 +121,7 @@ class PlanCache {
 
   struct Stats {
     std::uint64_t hits = 0;    ///< lookups of either kind served from storage
-    std::uint64_t misses = 0;  ///< lookups that ran plan_reception
+    std::uint64_t misses = 0;  ///< lookups that planned a phase
     std::size_t entries = 0;   ///< canonical plans retained by at()
     std::size_t bytes = 0;     ///< the summary table plus retained plans
   };
@@ -142,8 +144,8 @@ class PlanCache {
   /// observable field.
   [[nodiscard]] PlanView at(std::uint64_t t0);
 
-  /// plan_reception(layout, t0).summary(), from the phase table. A hit
-  /// once either lookup has planned t0's phase; retains no plan.
+  /// plan_summary(layout, t0), from the phase table. A hit once either
+  /// lookup has planned t0's phase; retains no plan.
   [[nodiscard]] PlanSummary summary(std::uint64_t t0);
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }

@@ -1,6 +1,7 @@
 #include "client/reception_plan.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "util/contracts.hpp"
@@ -37,6 +38,70 @@ std::uint64_t jit_broadcast_start(std::uint64_t earliest,
   return next_broadcast_start(earliest, period);
 }
 
+/// One loader's transmission groups as runs (see plan_summary): the groups
+/// of one parity in file order, each fetched back to back over
+/// [start, start + size * length) from the just-in-time join of its first
+/// segment. The cursor stands on one edge at a time: a run's start, then
+/// its end, then the next run's start.
+class LoaderRuns {
+ public:
+  LoaderRuns(const std::vector<series::TransmissionGroup>& groups,
+             series::GroupParity parity, std::uint64_t t0)
+      : next_(groups.data()),
+        last_(groups.data() + groups.size()),
+        parity_(parity),
+        t0_(t0),
+        end_(t0) {
+    next_run();
+  }
+
+  [[nodiscard]] bool done() const noexcept { return done_; }
+  /// True while the cursor stands on a run's end.
+  [[nodiscard]] bool open() const noexcept { return open_; }
+  [[nodiscard]] std::uint64_t edge() const noexcept {
+    return open_ ? end_ : start_;
+  }
+  /// True once a run started after its first segment's deadline.
+  [[nodiscard]] bool late() const noexcept { return late_; }
+
+  /// Steps past the current edge.
+  void pass() {
+    open_ = !open_;
+    if (!open_) {
+      next_run();
+    }
+  }
+
+ private:
+  void next_run() {
+    for (; next_ != last_ && next_->parity != parity_; ++next_) {
+      offset_ += next_->total_units();
+    }
+    if (next_ == last_) {
+      done_ = true;
+      return;
+    }
+    // The loader is free from the end of its previous run (t0 at first).
+    const std::uint64_t deadline = t0_ + offset_;
+    start_ = jit_broadcast_start(end_, deadline, next_->size);
+    late_ = late_ || start_ > deadline;
+    end_ = start_ + next_->total_units();
+    offset_ += next_->total_units();
+    ++next_;
+  }
+
+  const series::TransmissionGroup* next_;
+  const series::TransmissionGroup* last_;
+  series::GroupParity parity_;
+  std::uint64_t t0_;
+  std::uint64_t offset_ = 0;  ///< playback offset of *next_
+  std::uint64_t start_ = 0;
+  std::uint64_t end_;
+  bool open_ = false;
+  bool late_ = false;
+  bool done_ = false;
+};
+
 int peak_concurrency(const std::vector<SegmentDownload>& downloads) {
   std::vector<std::pair<std::uint64_t, int>> events;
   events.reserve(downloads.size() * 2);
@@ -63,10 +128,10 @@ int peak_concurrency(const std::vector<SegmentDownload>& downloads) {
   return peak;
 }
 
-/// Precondition of both planners and of jit_schedule: every time a plan
-/// holds fits in 64 bits. A download starts by its deadline (at most t0 +
-/// total units) or within one period of its own after its loader frees up,
-/// so no time exceeds t0 + 2 * total units.
+/// Precondition of both planners, plan_summary and jit_schedule: every time
+/// a plan holds fits in 64 bits. A download starts by its deadline (at most
+/// t0 + total units) or within one period of its own after its loader frees
+/// up, so no time exceeds t0 + 2 * total units.
 void expect_plan_fits(const series::SegmentLayout& layout, std::uint64_t t0) {
   const std::uint64_t total = layout.total_units();
   const auto span = util::checked_add(total, total);
@@ -87,8 +152,8 @@ void finalize_plan(ReceptionPlan& plan, const series::SegmentLayout& layout) {
   plan.max_buffer_units = plan.trace.max_level();
 }
 
-/// Sweeps a planner over every distinct client phase (bounded by the lcm of
-/// the channel periods, capped at max_phases).
+/// Sweeps a summary planner over every distinct client phase (bounded by the
+/// lcm of the channel periods, capped at max_phases).
 template <typename Planner>
 WorstCase sweep_phases(const series::SegmentLayout& layout,
                        std::uint64_t max_phases, Planner&& planner) {
@@ -99,7 +164,7 @@ WorstCase sweep_phases(const series::SegmentLayout& layout,
   WorstCase result;
   result.phases_examined = phases;
   for (std::uint64_t t0 = 0; t0 < phases; ++t0) {
-    const PlanSummary plan = planner(layout, t0).summary();
+    const PlanSummary plan = planner(layout, t0);
     if (!plan.jitter_free) {
       result.always_jitter_free = false;
     }
@@ -219,11 +284,65 @@ ReceptionPlan plan_reception(const series::SegmentLayout& layout,
   return plan;
 }
 
+PlanSummary plan_summary(const series::SegmentLayout& layout,
+                         std::uint64_t t0) {
+  expect_plan_fits(layout, t0);
+  LoaderRuns runs[] = {
+      LoaderRuns(layout.groups(), series::GroupParity::kOdd, t0),
+      LoaderRuns(layout.groups(), series::GroupParity::kEven, t0)};
+  // The playback drains at rate 1 over [t0, t0 + total); no download starts
+  // before t0, so t0 is the first edge and the level there is 0.
+  const std::uint64_t playback[] = {t0, t0 + layout.total_units()};
+  int played = 0;  // playback edges passed
+  PlanSummary summary;
+  std::int64_t level = 0;
+  std::int64_t rate = 0;
+  int tuners = 0;
+  std::uint64_t prev = t0;
+  while (played < 2 || !runs[0].done() || !runs[1].done()) {
+    std::uint64_t t = played < 2 ? playback[played]
+                                 : std::numeric_limits<std::uint64_t>::max();
+    for (const auto& run : runs) {
+      if (!run.done()) {
+        t = std::min(t, run.edge());
+      }
+    }
+    level += rate * static_cast<std::int64_t>(t - prev);
+    summary.max_buffer_units = std::max(summary.max_buffer_units, level);
+    prev = t;
+    // Ends before starts: a run that begins as another ends does not
+    // overlap it.
+    for (auto& run : runs) {
+      if (!run.done() && run.open() && run.edge() == t) {
+        run.pass();
+        --tuners;
+        --rate;
+      }
+    }
+    if (played < 2 && playback[played] == t) {
+      rate += played == 0 ? -1 : 1;
+      ++played;
+    }
+    for (auto& run : runs) {
+      if (!run.done() && !run.open() && run.edge() == t) {
+        run.pass();
+        ++tuners;
+        ++rate;
+      }
+    }
+    summary.max_concurrent_downloads =
+        std::max(summary.max_concurrent_downloads, tuners);
+  }
+  VB_ASSERT(rate == 0 && tuners == 0);
+  summary.jitter_free = !runs[0].late() && !runs[1].late();
+  return summary;
+}
+
 WorstCase worst_case_over_phases(const series::SegmentLayout& layout,
                                  std::uint64_t max_phases) {
   // All channel schedules repeat with period lcm(s_1, ..., s_K); beyond it
   // every playback phase t0 behaves identically to t0 mod lcm.
-  return sweep_phases(layout, max_phases, plan_reception);
+  return sweep_phases(layout, max_phases, plan_summary);
 }
 
 ReceptionPlan plan_parallel_reception(const series::SegmentLayout& layout,
@@ -252,7 +371,10 @@ ReceptionPlan plan_parallel_reception(const series::SegmentLayout& layout,
 
 WorstCase parallel_worst_case_over_phases(const series::SegmentLayout& layout,
                                           std::uint64_t max_phases) {
-  return sweep_phases(layout, max_phases, plan_parallel_reception);
+  return sweep_phases(layout, max_phases,
+                      [](const series::SegmentLayout& l, std::uint64_t t0) {
+                        return plan_parallel_reception(l, t0).summary();
+                      });
 }
 
 }  // namespace vodbcast::client

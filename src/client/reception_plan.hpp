@@ -12,6 +12,9 @@
 // are reproduced bit-exactly.
 // VCR pause/rejoin and the transition-local accounting of Figures 1-4
 // reuse its schedule (jit_schedule), phase period and sweep (build_trace).
+// The plan cache's phase table and the worst-case sweep read only the
+// verdicts, which plan_summary computes from the transmission groups
+// without building the schedule.
 #pragma once
 
 #include <cstdint>
@@ -127,6 +130,29 @@ struct PlaybackInterval {
 [[nodiscard]] ReceptionPlan plan_reception(const series::SegmentLayout& layout,
                                            std::uint64_t t0);
 
+/// plan_reception(layout, t0).summary(), planned from the transmission
+/// groups without building the plan: no allocation, no sort, O(groups).
+///
+/// Group lemma: the segments of a group share one size s and their
+/// deadlines step by s, so once a loader joins the group's first segment
+/// at `start`, every later segment of the group joins exactly as its
+/// predecessor ends. The loader fetches the group of L segments back to
+/// back as one run [start, start + s*L), and every segment of it has the
+/// first segment's slack (deadline - start): the group is late iff its
+/// first segment is.
+///
+/// Two cursors walk the groups, one per loader, and one merge of their
+/// runs with the playback interval [t0, t0 + total units) reads the
+/// buffer level at every distinct edge time (the level is linear between
+/// them, so the peak is at one) and the tuner count. As in
+/// plan_reception, ends count before starts at equal times: back-to-back
+/// runs do not overlap.
+///
+/// Precondition: plan_reception's; t0 + 2 * layout.total_units() fits in
+/// 64 bits (ContractViolation otherwise).
+[[nodiscard]] PlanSummary plan_summary(const series::SegmentLayout& layout,
+                                       std::uint64_t t0);
+
 /// Phase period of a layout: lcm of the per-channel slot periods (= the
 /// relative segment sizes). nullopt when the lcm overflows 64 bits or
 /// exceeds `max_period` — then the layout has more distinct phases than the
@@ -138,7 +164,8 @@ struct PlaybackInterval {
 /// periodic with period s_i, so every behaviour repeats with period
 /// lcm(s_1..s_K); sweeping t0 over [0, lcm) (capped at `max_phases`, as the
 /// lcm is bounded by W * (largest odd size) for capped layouts) covers every
-/// reachable scenario.
+/// reachable scenario. worst_case_over_phases plans each phase with
+/// plan_summary.
 struct WorstCase {
   std::int64_t max_buffer_units = 0;
   std::uint64_t worst_phase = 0;   ///< a t0 attaining the buffer peak

@@ -170,6 +170,8 @@ TEST(PlanCacheTest, SummaryMatchesPlannerAtEveryPhase) {
       cases.push_back({k, w, PlanCache::kDefaultMaxEntries});
     }
   }
+  // The metro campaign's layout (SB:W=52 at 2400 Mb/s carries K = 80).
+  cases.push_back({80, 52, PlanCache::kDefaultMaxEntries});
   cases.push_back({10, 52, 100});  // period 3900 > 100: pass-through
   for (const auto& c : cases) {
     SCOPED_TRACE(::testing::Message() << "K=" << c.k << " W=" << c.width

@@ -9,6 +9,7 @@
 
 #include "series/broadcast_series.hpp"
 #include "util/contracts.hpp"
+#include "util/rng.hpp"
 
 namespace vodbcast::client {
 namespace {
@@ -323,6 +324,118 @@ TEST(ReceptionPlanTest, EventSweepTraceMatchesReferenceForParallelPlanner) {
       EXPECT_EQ(plan.trace.points()[i].level, reference.points()[i].level);
     }
   }
+}
+
+// --- plan_summary: the group planner against the full planner ------------
+
+/// Calls fn(layout) for the skyscraper, fast and flat laws at K = 1..20 and
+/// 27, 34, ..., 90, each at W = 1, 2, 3, 12, 52, 200 and uncapped. The
+/// uncapped fast law stops at K = 60 (2^60 - 1 units): longer layouts leave
+/// the 64-bit range the buffer sweep's levels live in.
+template <typename Fn>
+void for_each_summary_layout(Fn&& fn) {
+  static const series::SkyscraperSeries skyscraper;
+  static const series::FastSeries fast;
+  static const series::FlatSeries flat;
+  std::vector<int> ks;
+  for (int k = 1; k <= 20; ++k) {
+    ks.push_back(k);
+  }
+  for (int k = 27; k <= 90; k += 7) {
+    ks.push_back(k);
+  }
+  const series::BroadcastSeries* const laws[] = {&skyscraper, &fast, &flat};
+  const std::uint64_t widths[] = {1, 2, 3, 12, 52, 200, series::kUncapped};
+  for (const series::BroadcastSeries* law : laws) {
+    for (const int k : ks) {
+      for (const std::uint64_t w : widths) {
+        if (law == &fast && w == series::kUncapped && k > 60) {
+          continue;
+        }
+        SCOPED_TRACE(testing::Message() << law->name() << " K=" << k
+                                        << " W=" << w);
+        fn(series::SegmentLayout(
+            *law, k, w,
+            core::VideoParams{core::Minutes{120.0}, core::MbitPerSec{1.5}}));
+      }
+    }
+  }
+}
+
+/// The phases each layout is checked at: every phase below a cap (all of
+/// them when the period is shorter), four random t0 < 2^56, and the four
+/// last t0 plan_reception's precondition allows.
+template <typename Fn>
+void for_each_summary_phase(const series::SegmentLayout& layout,
+                            std::uint64_t cap, util::Rng& rng, Fn&& fn) {
+  const std::uint64_t phases = phase_period(layout, cap).value_or(cap);
+  for (std::uint64_t t0 = 0; t0 < phases; ++t0) {
+    fn(t0);
+  }
+  for (int i = 0; i < 4; ++i) {
+    fn(rng.next_u64() >> 8);
+  }
+  const std::uint64_t last =
+      std::numeric_limits<std::uint64_t>::max() - 2 * layout.total_units();
+  for (std::uint64_t t0 = last - 3; t0 != last + 1; ++t0) {
+    fn(t0);
+  }
+}
+
+// plan_summary plans from the transmission groups alone; it must agree with
+// plan_reception's full plan on every verdict.
+TEST(ReceptionPlanTest, PlanSummaryMatchesPlannerOnEveryLayout) {
+  util::Rng rng(2601);
+  std::uint64_t checked = 0;
+  for_each_summary_layout([&](const series::SegmentLayout& layout) {
+    for_each_summary_phase(layout, 256, rng, [&](std::uint64_t t0) {
+      const PlanSummary expected = plan_reception(layout, t0).summary();
+      const PlanSummary summary = plan_summary(layout, t0);
+      ASSERT_EQ(summary.jitter_free, expected.jitter_free) << "t0 = " << t0;
+      ASSERT_EQ(summary.max_concurrent_downloads,
+                expected.max_concurrent_downloads)
+          << "t0 = " << t0;
+      ASSERT_EQ(summary.max_buffer_units, expected.max_buffer_units)
+          << "t0 = " << t0;
+      ++checked;
+    });
+    // One past the last t0 the 64-bit precondition allows: both planners
+    // refuse it the same way.
+    const std::uint64_t past =
+        std::numeric_limits<std::uint64_t>::max() -
+        2 * layout.total_units() + 1;
+    EXPECT_THROW((void)plan_summary(layout, past), util::ContractViolation);
+    EXPECT_THROW((void)plan_reception(layout, past), util::ContractViolation);
+  });
+  // 630 layouts less the 5 long uncapped fast ones, each at >= 9 phases.
+  EXPECT_GE(checked, 625U * 9U);
+}
+
+// The lemma plan_summary rests on, checked on the full planner: within a
+// transmission group the loader fetches the segments back to back, and
+// every segment has its group's first slack (deadline - start, negative
+// when late), so the group is late iff its first segment is.
+TEST(ReceptionPlanTest, GroupsDownloadBackToBackWithOneSlack) {
+  util::Rng rng(2602);
+  for_each_summary_layout([&](const series::SegmentLayout& layout) {
+    for_each_summary_phase(layout, 16, rng, [&](std::uint64_t t0) {
+      const auto plan = plan_reception(layout, t0);
+      for (const auto& group : layout.groups()) {
+        const auto first = static_cast<std::size_t>(group.first_segment - 1);
+        const SegmentDownload& head = plan.downloads[first];
+        const auto slack =
+            static_cast<std::int64_t>(head.deadline - head.start);
+        for (std::size_t i = first + 1;
+             i < first + static_cast<std::size_t>(group.length); ++i) {
+          const SegmentDownload& d = plan.downloads[i];
+          ASSERT_EQ(d.start, plan.downloads[i - 1].end())
+              << "t0 = " << t0 << " segment " << d.segment;
+          ASSERT_EQ(static_cast<std::int64_t>(d.deadline - d.start), slack)
+              << "t0 = " << t0 << " segment " << d.segment;
+        }
+      }
+    });
+  });
 }
 
 }  // namespace
