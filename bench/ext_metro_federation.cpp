@@ -12,7 +12,10 @@
 //
 // Full size: 4 regions at 700/500/300/200 arrivals/min over 600 min
 // (~1.02M Poisson arrivals); a second sweep holds the metro demand and
-// channel budget constant while splitting them over 2/4/8 head ends.
+// channel budget constant while splitting them over 2/4/8 head ends, and a
+// third times the r=10 campaign on pools of 1, 2 and 4 workers (the wall
+// rungs; the calling thread routes and then helps, so a pool of k workers
+// runs k + 1 threads).
 // VODBCAST_BENCH_QUICK=1 scales the arrival rates down for CI smoke; the
 // >=1M gate applies only to the full-size run. Conservation and the
 // serial-vs-pool bit-identity gates apply at every size.
@@ -95,9 +98,10 @@ int main(int argc, char** argv) {
   // No sink inside the timed region — clean numbers.
   const auto run_case = [&](const std::string& name,
                             const metro::Topology& topology,
-                            const metro::FederationConfig& config) {
+                            const metro::FederationConfig& config,
+                            util::TaskPool* pool) {
     for (int i = 0; i < session.default_warmup(); ++i) {
-      (void)metro::simulate_federation(topology, config, session.pool());
+      (void)metro::simulate_federation(topology, config, pool);
     }
     const int reps = session.default_reps();
     std::vector<double> wall;
@@ -106,8 +110,7 @@ int main(int argc, char** argv) {
     for (int i = 0; i < reps; ++i) {
       const double w0 = bench::Session::wall_now_ns();
       const double c0 = bench::Session::cpu_now_ns();
-      point.report =
-          metro::simulate_federation(topology, config, session.pool());
+      point.report = metro::simulate_federation(topology, config, pool);
       cpu.push_back(bench::Session::cpu_now_ns() - c0);
       wall.push_back(bench::Session::wall_now_ns() - w0);
     }
@@ -158,22 +161,57 @@ int main(int argc, char** argv) {
   std::vector<CasePoint> dark;
   for (const auto top : degrees) {
     normal.push_back(run_case("federation/r" + std::to_string(top),
-                              four_regions, make_config(top, false, 4)));
+                              four_regions, make_config(top, false, 4),
+                              session.pool()));
     add_row("4 regions, r=" + std::to_string(top), 4, top, normal.back());
   }
   for (const auto top : degrees) {
     dark.push_back(run_case("federation/r" + std::to_string(top) + "_dark",
-                            four_regions, make_config(top, true, 4)));
+                            four_regions, make_config(top, true, 4),
+                            session.pool()));
     add_row("region 0 dark, r=" + std::to_string(top), 4, top, dark.back());
   }
 
   // Sweep 2: same metro demand over 2/4/8 head ends at replication 10.
   for (const std::size_t n : {2UL, 4UL, 8UL}) {
     const auto point = run_case("federation/n" + std::to_string(n) + "_r10",
-                                even_topology(n), make_config(10, false, n));
+                                even_topology(n), make_config(10, false, n),
+                                session.pool());
     add_row("even split, N=" + std::to_string(n), n, 10, point);
   }
+
+  // Sweep 3: wall rungs of the r=10 campaign, serial and on pools of 1, 2
+  // and 4 workers; every rung must give the serial report.
+  const auto baseline = run_case("federation/r10_serial", four_regions,
+                                 make_config(10, false, 4), nullptr);
+  add_row("r=10, serial", 4, 10, baseline);
+  std::string rungs =
+      "serial " + util::TextTable::num(baseline.wall_p50_ns / 1e6, 1) + " ms";
+  for (const unsigned workers : {1U, 2U, 4U}) {
+    util::TaskPool pool(workers);
+    const std::string tag = "pool " + std::to_string(workers);
+    const auto point =
+        run_case("federation/r10_pool" + std::to_string(workers),
+                 four_regions, make_config(10, false, 4), &pool);
+    add_row("r=10, " + tag, 4, 10, point);
+    rungs += ", " + tag + " " +
+             util::TextTable::num(point.wall_p50_ns / 1e6, 1) + " ms (" +
+             util::TextTable::num(baseline.wall_p50_ns / point.wall_p50_ns,
+                                  2) +
+             "x)";
+    if (point.report.wait_minutes.samples() !=
+            baseline.report.wait_minutes.samples() ||
+        point.report.served_local != baseline.report.served_local ||
+        point.report.rerouted != baseline.report.rerouted ||
+        point.report.rejected != baseline.report.rejected) {
+      std::printf("FAIL: the r=10 report on %s differs from the serial one\n",
+                  tag.c_str());
+      ok = false;
+    }
+  }
   std::puts(table.render().c_str());
+  std::printf("wall rungs, r=10    : %s on %u host threads\n", rungs.c_str(),
+              util::TaskPool::hardware_threads());
 
   // Headline gauges: mean penalized wait and reroute rate vs replication
   // degree, with and without one region dark.

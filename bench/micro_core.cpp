@@ -1,16 +1,21 @@
 // google-benchmark microbenchmarks for the library's hot paths: series
 // generation, reception planning, the exhaustive phase sweep, the
-// simulator's per-arrival tune-in and stats steps, and the end-to-end
-// simulator inner loop.
+// simulator's per-arrival tune-in and stats steps, the metro federation's
+// router and broadcast tune wait, and the end-to-end simulator inner loop.
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "client/client_session.hpp"
 #include "client/reception_plan.hpp"
+#include "metro/placement.hpp"
+#include "metro/router.hpp"
+#include "metro/topology.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sink.hpp"
 #include "schemes/registry.hpp"
@@ -20,6 +25,7 @@
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
+#include "util/math.hpp"
 #include "util/rng.hpp"
 #include "workload/request.hpp"
 #include "workload/zipf.hpp"
@@ -242,6 +248,95 @@ void BM_DistributionAddFolded(benchmark::State& state) {
   benchmark::DoNotOptimize(waits.count());
 }
 BENCHMARK(BM_DistributionAddFolded);
+
+// The metro_federation campaign: 4 regions at 700/500/300/200 arrivals/min
+// with 400/300/200/140 channels, link capacity 32 at 0.5 min/hop, the top
+// 10 of 100 titles replicated on 6 SB channels each, seed 20260807.
+const metro::Topology kMetroTopology({{700.0, 400},
+                                      {500.0, 300},
+                                      {300.0, 200},
+                                      {200.0, 140}},
+                                     32, core::Minutes{0.5});
+
+// One Router::route call per iteration over the campaign's contended
+// stream: its first 120 minutes of arrivals, drawn and k-way merged as
+// metro::simulate_federation does, less the lit-origin head arrivals the
+// federation never routes. The router starts over (untimed) at the end of
+// the stream, since arrival times must not go back.
+void BM_RouterRoute(benchmark::State& state) {
+  const metro::PlacementSolver solver(100, workload::kPaperSkew);
+  const metro::Placement placement = solver.solve(kMetroTopology, 10);
+  const std::size_t n = kMetroTopology.size();
+  std::vector<int> tail_slots(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    tail_slots[r] = kMetroTopology.region(r).channels - 10 * 6;
+  }
+  util::SplitMix64 seeds(20260807);
+  std::vector<workload::RequestFeed> feeds;
+  for (std::size_t g = 0; g < n; ++g) {
+    feeds.emplace_back(
+        workload::RequestGenerator(solver.popularity(),
+                                   kMetroTopology.region(g).arrivals_per_minute,
+                                   util::Rng(seeds.next())),
+        core::Minutes{120.0});
+  }
+  std::vector<metro::Arrival> stream;
+  for (;;) {
+    std::size_t next = n;
+    for (std::size_t g = 0; g < n; ++g) {
+      if (feeds[g].next_at() < (next == n ? HUGE_VAL : feeds[next].next_at())) {
+        next = g;
+      }
+    }
+    if (next == n) {
+      break;
+    }
+    const auto req = feeds[next].pop();
+    const metro::Arrival arrival{req.arrival, req.video,
+                                 static_cast<std::uint32_t>(next)};
+    if (!metro::uncontended(placement, nullptr, arrival)) {
+      stream.push_back(arrival);
+    }
+  }
+  auto router = std::make_unique<metro::Router>(kMetroTopology, placement,
+                                                tail_slots,
+                                                metro::RouterConfig{});
+  std::size_t i = 0;
+  for (auto _ : state) {
+    if (i == stream.size()) {
+      state.PauseTiming();
+      router = std::make_unique<metro::Router>(kMetroTopology, placement,
+                                               tail_slots,
+                                               metro::RouterConfig{});
+      i = 0;
+      state.ResumeTiming();
+    }
+    benchmark::DoNotOptimize(router->route(stream[i++]));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RouterRoute);
+
+// The federation's broadcast tune wait over the campaign's arrival times
+// (uniform in [0, 1200) min) against its D1: Arg 0 takes the remainder with
+// std::fmod, Arg 1 with util::fmod_nonneg, which returns the same bits.
+void BM_TuneWait(benchmark::State& state) {
+  const double d1 = 120.0 / 27.0;  // SB:W=52 on 6 channels
+  util::Rng rng(7);
+  std::vector<double> ring(4096);
+  for (auto& t : ring) {
+    t = 1200.0 * rng.next_double();
+  }
+  const bool exact = state.range(0) == 1;
+  state.SetLabel(exact ? "util::fmod_nonneg" : "std::fmod");
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const double t = ring[i++ & 4095];
+    const double into = exact ? util::fmod_nonneg(t, d1) : std::fmod(t, d1);
+    benchmark::DoNotOptimize(into == 0.0 ? 0.0 : d1 - into);
+  }
+}
+BENCHMARK(BM_TuneWait)->Arg(0)->Arg(1);
 
 void BM_SchemeEvaluation(benchmark::State& state) {
   const auto set = schemes::paper_figure_set();

@@ -14,6 +14,7 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "schemes/skyscraper.hpp"
+#include "util/math.hpp"
 #include "util/rng.hpp"
 #include "workload/request.hpp"
 
@@ -50,7 +51,7 @@ double broadcast_d1(const FederationConfig& config) {
 
 /// Broadcast tune wait: time to the next segment-1 repetition boundary.
 double tune_wait(double t, double d1) {
-  const double into = std::fmod(t, d1);
+  const double into = util::fmod_nonneg(t, d1);
   return into == 0.0 ? 0.0 : d1 - into;
 }
 
@@ -245,11 +246,12 @@ FederationReport simulate_federation(const Topology& topology,
   // Phases A-C run as a three-stage pipeline over consecutive time windows
   // of about kWindowArrivals arrivals each: step w routes window w on the
   // calling thread (B) while the pool generates window w+1 (A) and accounts
-  // window w-1 (C). Window w's requests and decisions live in slot w % 2,
-  // so the three stages touch disjoint buffers, and the feeds are read only
-  // between steps. Windows partition time, so their merges concatenate to
-  // the merge over the whole horizon; the feeds, the router and the ledgers
-  // carry their state from one window to the next.
+  // window w-1 (C). Window w's full streams live in slot w % 3, its
+  // contended arrivals and their decisions in slot w % 2, so the three
+  // stages touch disjoint buffers, and the feeds are read only between
+  // steps. Windows partition time, so their merges concatenate to the merge
+  // over the whole horizon; the feeds, the router and the ledgers carry
+  // their state from one window to the next.
   const double window_min =
       kWindowArrivals / topology.total_arrivals_per_minute();
   const auto arrivals_left = [&feeds] {
@@ -257,9 +259,14 @@ FederationReport simulate_federation(const Topology& topology,
       return region.feed.next_at() != std::numeric_limits<double>::infinity();
     });
   };
+  const auto arrival = [](const workload::Request& req, std::size_t origin) {
+    return Arrival{req.arrival, req.video, static_cast<std::uint32_t>(origin)};
+  };
+  const auto* const fault_plans = &config.fault_plans;
   using Streams = std::vector<std::vector<workload::Request>>;
   using Decisions = std::vector<std::vector<RouteDecision>>;
-  std::array<Streams, 2> streams{Streams(n), Streams(n)};
+  std::array<Streams, 3> streams{Streams(n), Streams(n), Streams(n)};
+  std::array<Streams, 2> contended{Streams(n), Streams(n)};
   std::array<Decisions, 2> per_origin{Decisions(n), Decisions(n)};
   std::vector<std::uint64_t> rerouted_in(n, 0);
   bool routing = false;     // window w was generated in step w-1
@@ -269,32 +276,48 @@ FederationReport simulate_federation(const Topology& topology,
     if (!generating && !routing && !accounting) {
       break;
     }
-    // Windows w+1 and w-1 share the slot that window w does not use.
-    auto& generated = streams[(w + 1) % 2];
-    const auto& routed = per_origin[(w + 1) % 2];
+    auto& generated = streams[(w + 1) % 3];
+    auto& generated_contended = contended[(w + 1) % 2];
+    const auto& accounted = streams[(w + 2) % 3];  // window w-1
+    const auto& routed = per_origin[(w + 1) % 2];   // window w-1
     const std::size_t generate_tasks = generating ? n : 0;
     const double generated_end = static_cast<double>(w + 1) * window_min;
     util::parallel_for_each_alongside(
         pool, generate_tasks + (accounting ? n : 0),
         [&](std::size_t task) {
           if (task < generate_tasks) {
-            // Phase A — region `task` pulls window w+1's arrivals into a
-            // local vector and publishes it with one swap.
+            // Phase A — region `task` pulls window w+1's arrivals into
+            // local vectors, the full stream and its contended
+            // subsequence, and publishes each with one swap.
             auto& feed = feeds[task].feed;
-            std::vector<workload::Request> pulled;
-            pulled.swap(generated[task]);
-            pulled.clear();
+            std::vector<workload::Request> full;
+            std::vector<workload::Request> routable;
+            full.swap(generated[task]);
+            routable.swap(generated_contended[task]);
+            full.clear();
+            routable.clear();
             while (feed.next_at() < generated_end) {
-              pulled.push_back(feed.pop());
+              const workload::Request req = feed.pop();
+              full.push_back(req);
+              if (!uncontended(placement, fault_plans, arrival(req, task))) {
+                routable.push_back(req);
+              }
             }
-            pulled.swap(generated[task]);
+            full.swap(generated[task]);
+            routable.swap(generated_contended[task]);
             return;
           }
-          // Phase C — region g accounts window w-1 into its private sink
-          // and distribution.
+          // Phase C — region g accounts window w-1 in arrival order into
+          // its private sink and distribution: an uncontended arrival's
+          // decision is built here, the others come from phase B in order.
           const std::size_t g = task - generate_tasks;
-          for (const auto& d : routed[g]) {
-            ledgers[g].account(d, config, d1);
+          auto next = routed[g].begin();
+          for (const auto& req : accounted[g]) {
+            const Arrival a = arrival(req, g);
+            ledgers[g].account(uncontended(placement, fault_plans, a)
+                                   ? local_broadcast(a)
+                                   : *next++,
+                               config, d1);
           }
         },
         [&] {
@@ -302,10 +325,11 @@ FederationReport simulate_federation(const Topology& topology,
             return;
           }
           // Phase B — serial routing over the k-way time-ordered merge of
-          // window w (ties break on the lower region index). The router's
-          // link/slot state is the one genuinely shared structure, so it
-          // gets exactly one writer.
-          const auto& stream = streams[w % 2];
+          // window w's contended arrivals (ties break on the lower region
+          // index). The router's link/slot state is the one genuinely
+          // shared structure, so it gets exactly one writer; the arrivals
+          // it cannot affect never reach it.
+          const auto& stream = contended[w % 2];
           auto& decisions = per_origin[w % 2];
           for (auto& origin : decisions) {
             origin.clear();
@@ -327,9 +351,8 @@ FederationReport simulate_federation(const Topology& topology,
             if (next == n) {
               break;
             }
-            const auto& req = stream[next][cursor[next]++];
-            const RouteDecision d = router.route(Arrival{
-                req.arrival, req.video, static_cast<std::uint32_t>(next)});
+            const RouteDecision d =
+                router.route(arrival(stream[next][cursor[next]++], next));
             if (d.kind == RouteKind::kRerouted) {
               ++rerouted_in[d.served_by];
             }

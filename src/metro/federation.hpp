@@ -5,16 +5,22 @@
 //
 //   A. per-region workload (parallel, one region per util::TaskPool slot):
 //      region g pulls its Poisson/Zipf request stream from a private Rng
-//      seeded with the (g+1)-th output of util::SplitMix64(config.seed);
-//   B. routing (serial): the per-region streams are k-way merged in time
-//      order (ties break on the lower region index) and fed through
-//      metro::Router, whose shared link/slot state demands one writer;
-//   C. per-region accounting (parallel): region g's slot walks the
-//      decisions for arrivals that originated there, computes each
-//      request's penalized wait (broadcast tune wait and/or tail admission
-//      wait, plus link transit, or the rejection penalty), and records
-//      metrics, spans and wait samples into a private obs::Sink and
-//      sim::Distribution;
+//      seeded with the (g+1)-th output of util::SplitMix64(config.seed),
+//      keeping the full stream and its contended subsequence: every
+//      arrival metro::uncontended() does not mark (a replicated title at
+//      a lit origin touches no router state);
+//   B. routing (serial): only the contended subsequences are k-way merged
+//      in time order (ties break on the lower region index) and fed
+//      through metro::Router, whose shared link/slot state demands one
+//      writer;
+//   C. per-region accounting (parallel): region g's slot walks its full
+//      stream in arrival order, taking the next routed decision for a
+//      contended arrival and building metro::local_broadcast() for the
+//      rest, so every add lands in the order routing every arrival gives;
+//      it computes each request's penalized wait (broadcast tune wait
+//      and/or tail admission wait, plus link transit, or the rejection
+//      penalty), and records metrics, spans and wait samples into a
+//      private obs::Sink and sim::Distribution;
 //   D. fold (serial): per-region sinks merge into config.sink via
 //      obs::Sink::merge_from and per-region distributions merge metro-wide,
 //      all in region index order.
@@ -23,13 +29,15 @@
 // (the width follows from the regions' total rate) as a three-stage
 // pipeline (util::parallel_for_each_alongside): the calling thread routes
 // window w (B) while the pool generates window w+1 (A) and accounts window
-// w-1 (C), each stage in its own buffers. The request generators, the
-// router and the per-region reports and sinks carry over from one window
-// to the next. Windows partition time, so the result equals one pass over
-// the whole horizon while the request and decision buffers hold two
-// windows. Each region's feed and ledger, which A and C write once per
-// arrival, sit on cache lines of their own. The result is bit-identical
-// at any thread count, including none.
+// w-1 (C), each stage in its own buffers, and once B returns the calling
+// thread runs the step's unclaimed A and C tasks too. The request
+// generators, the router and the per-region reports and sinks carry over
+// from one window to the next. Windows partition time, so the result
+// equals one pass over the whole horizon; full streams take three window
+// slots (C reads window w-1 while A writes w+1), contended subsequences
+// and decisions two. Each region's feed and ledger, which A and C write
+// once per arrival, sit on cache lines of their own. The result is
+// bit-identical at any thread count, including none.
 //
 // Observability (docs/OBSERVABILITY.md): the unlabeled counter
 // `metro.arrivals` plus {region}-labeled families `metro.region_arrivals`,

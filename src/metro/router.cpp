@@ -11,7 +11,40 @@ namespace {
 
 constexpr double kNoPending = -1.0;
 
+bool dark_in(const std::vector<fault::Plan>* fault_plans, std::size_t region,
+             double t) {
+  if (fault_plans == nullptr || fault_plans->empty()) {
+    return false;
+  }
+  for (const auto& e : (*fault_plans)[region].episodes()) {
+    if (e.start_min > t) {
+      break;  // episodes are sorted by start time
+    }
+    if (e.kind == fault::EpisodeKind::kChannelOutage && t < e.end_min) {
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
+
+bool uncontended(const Placement& placement,
+                 const std::vector<fault::Plan>* fault_plans,
+                 const Arrival& arrival) {
+  return placement.is_replicated(arrival.video) &&
+         !dark_in(fault_plans, arrival.origin, arrival.at.v);
+}
+
+RouteDecision local_broadcast(const Arrival& arrival) {
+  RouteDecision d;
+  d.origin = arrival.origin;
+  d.served_by = arrival.origin;
+  d.video = arrival.video;
+  d.arrival_min = arrival.at.v;
+  d.broadcast = true;
+  return d;
+}
 
 Router::Router(const Topology& topology, const Placement& placement,
                std::vector<int> tail_slots, RouterConfig config)
@@ -67,18 +100,7 @@ std::span<const std::uint32_t> Router::substitutes(std::size_t home,
 }
 
 bool Router::dark(std::size_t region, double t) const {
-  if (config_.fault_plans == nullptr || config_.fault_plans->empty()) {
-    return false;
-  }
-  for (const auto& e : (*config_.fault_plans)[region].episodes()) {
-    if (e.start_min > t) {
-      break;  // episodes are sorted by start time
-    }
-    if (e.kind == fault::EpisodeKind::kChannelOutage && t < e.end_min) {
-      return true;
-    }
-  }
-  return false;
+  return dark_in(config_.fault_plans, region, t);
 }
 
 bool Router::link_free(std::size_t from, std::size_t to, double t) {
@@ -86,14 +108,16 @@ bool Router::link_free(std::size_t from, std::size_t to, double t) {
     return true;
   }
   auto& releases = busy_[from * topology_->size() + to];
-  std::erase_if(releases, [t](double until) { return until <= t; });
+  while (!releases.empty() && releases.top() <= t) {
+    releases.pop();
+  }
   return releases.size() <
          static_cast<std::size_t>(topology_->link_capacity());
 }
 
 void Router::occupy_link(std::size_t from, std::size_t to, double until) {
   if (from != to) {
-    busy_[from * topology_->size() + to].push_back(until);
+    busy_[from * topology_->size() + to].push(until);
   }
 }
 
@@ -114,6 +138,9 @@ RouteDecision Router::serve_tail_local(RouteDecision d, std::size_t home,
 }
 
 RouteDecision Router::route(const Arrival& arrival) {
+  if (uncontended(*placement_, config_.fault_plans, arrival)) {
+    return local_broadcast(arrival);
+  }
   const double t = arrival.at.v;
   const double dur = config_.video.duration.v;
   const double stream_mbits = config_.video.size().v;
@@ -126,11 +153,9 @@ RouteDecision Router::route(const Arrival& arrival) {
   d.arrival_min = t;
 
   if (placement_->is_replicated(arrival.video)) {
+    // The origin is dark. Failover: the cheapest non-dark neighbor whose
+    // delivery link has room.
     d.broadcast = true;
-    if (!dark(o, t)) {
-      return d;  // kLocal: tune into the origin region's own broadcast
-    }
-    // Failover: cheapest non-dark neighbor whose delivery link has room.
     for (const std::uint32_t s : substitutes(o, o)) {
       if (dark(s, t) || !link_free(s, o, t)) {
         continue;

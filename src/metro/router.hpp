@@ -86,6 +86,21 @@ struct RouteDecision {
   bool broadcast = false;  ///< served from the replicated head
 };
 
+/// True when no router state can change `arrival`'s verdict: a replicated
+/// title requested from an origin that no kChannelOutage episode of its
+/// fault plan covers at the arrival time tunes into that origin's own
+/// broadcast and touches no link or slot. Reads only the placement and the
+/// fault plans (null, empty, or one per region), never a Router, so pool
+/// workers may call it while the caller routes. Router::route() makes this
+/// its first test and answers local_broadcast(arrival).
+[[nodiscard]] bool uncontended(const Placement& placement,
+                               const std::vector<fault::Plan>* fault_plans,
+                               const Arrival& arrival);
+
+/// The verdict for an uncontended arrival: kLocal, served by the origin's
+/// own broadcast, no queue wait, transit or link traffic.
+[[nodiscard]] RouteDecision local_broadcast(const Arrival& arrival);
+
 class Router {
  public:
   /// `tail_slots[r]` is region r's concurrent tail-stream budget (channels
@@ -104,6 +119,7 @@ class Router {
   [[nodiscard]] bool dark(std::size_t region, double t) const;
 
  private:
+  /// Release times, earliest on top.
   using SlotQueue =
       std::priority_queue<double, std::vector<double>, std::greater<>>;
 
@@ -124,7 +140,7 @@ class Router {
   std::vector<SlotQueue> slots_;            ///< per region: release times
   std::vector<std::vector<double>> pending_;  ///< region x title: batch start
   /// busy_[from * N + to]: release times of occupied link streams.
-  std::vector<std::vector<double>> busy_;
+  std::vector<SlotQueue> busy_;
   /// The substitutes() rows, (home * N + origin) * (N - 1) onward:
   /// N * N * (N - 1) entries.
   std::vector<std::uint32_t> substitutes_;

@@ -5,6 +5,7 @@
 // provide overflow-checked 64-bit arithmetic alongside the usual gcd/lcm.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -55,6 +56,22 @@ namespace vodbcast::util {
 /// Preconditions: `sorted` non-empty and ascending; q in [0, 1].
 [[nodiscard]] double interpolated_quantile(const std::vector<double>& sorted,
                                            double q);
+
+/// std::fmod(t, d) for t >= 0 and d > 0, bit for bit, at the cost of a
+/// division and two fused multiply-adds instead of fmod's bitwise long
+/// division. q = floor(t / d) is the true floor quotient, or one above it
+/// when t / d rounds up to an integer; t - q * d at the true floor is the
+/// exactly representable remainder, so one FMA returns it exactly, and a
+/// negative result marks the rounded-up q for one fix-up step. Where q is
+/// not an exact integer (t / d >= 2^53, or not finite) it calls std::fmod.
+[[nodiscard]] inline double fmod_nonneg(double t, double d) noexcept {
+  const double q = std::floor(t / d);
+  if (!(q < 0x1p53)) {
+    return std::fmod(t, d);
+  }
+  const double r = std::fma(-q, d, t);
+  return r < 0.0 ? std::fma(1.0 - q, d, t) : r;
+}
 
 /// Euler's number to full double precision; the paper's alpha target.
 inline constexpr double kEuler = 2.718281828459045235;

@@ -1,6 +1,8 @@
 #include "util/task_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
 #include <utility>
 
 #include "util/contracts.hpp"
@@ -9,15 +11,47 @@ namespace vodbcast::util {
 
 namespace {
 
-/// Shared completion state for one run_indexed() batch. Tasks outlive the
-/// call frame only until the final decrement, but heap-allocating the state
-/// (shared_ptr) keeps the teardown safe even if the caller rethrows early.
+/// Shared state of one run_indexed() batch: the next index to hand out and
+/// the completion count. Drainer tasks can outlive the call (one still
+/// queued when the caller has drained the batch finds no index left), so
+/// they hold the state through a shared_ptr and touch `fn` only for an
+/// index they claimed.
 struct BatchState {
+  BatchState(std::size_t n, const std::function<void(std::size_t)>& f)
+      : size(n), fn(&f), remaining(n) {}
+
+  const std::size_t size;
+  const std::function<void(std::size_t)>* const fn;
+  std::atomic<std::size_t> next{0};
   std::mutex mutex;
   std::condition_variable done;
-  std::size_t remaining = 0;
+  std::size_t remaining;
   std::exception_ptr error;  ///< first failure (by completion time)
 };
+
+/// Runs fn(i) for every index still unclaimed in `state`, one at a time,
+/// until none is left.
+void drain(BatchState& state) {
+  for (;;) {
+    const std::size_t i = state.next.fetch_add(1);
+    if (i >= state.size) {
+      return;
+    }
+    std::exception_ptr error;
+    try {
+      (*state.fn)(i);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    const std::scoped_lock lock(state.mutex);
+    if (error != nullptr && state.error == nullptr) {
+      state.error = error;
+    }
+    if (--state.remaining == 0) {
+      state.done.notify_all();
+    }
+  }
+}
 
 }  // namespace
 
@@ -83,27 +117,13 @@ void TaskPool::worker_loop() {
 void TaskPool::run_indexed(std::size_t n,
                            const std::function<void(std::size_t)>& fn,
                            const std::function<void()>& serial) {
-  auto state = std::make_shared<BatchState>();
-  state->remaining = n;
-  for (std::size_t i = 0; i < n; ++i) {
-    submit([state, &fn, i] {
-      std::exception_ptr error;
-      try {
-        fn(i);
-      } catch (...) {
-        error = std::current_exception();
-      }
-      const std::scoped_lock lock(state->mutex);
-      if (error != nullptr && state->error == nullptr) {
-        state->error = error;
-      }
-      if (--state->remaining == 0) {
-        state->done.notify_all();
-      }
-    });
+  auto state = std::make_shared<BatchState>(n, fn);
+  const std::size_t drainers = std::min<std::size_t>(n, workers_.size());
+  for (std::size_t k = 0; k < drainers; ++k) {
+    submit([state] { drain(*state); });
   }
-  // The tasks reference fn and the caller's state, so a throwing serial()
-  // must not unwind this frame before the batch has finished.
+  // The drainers reference fn and the caller's state, so a throwing
+  // serial() must not unwind this frame before the batch has finished.
   std::exception_ptr serial_error;
   if (serial) {
     try {
@@ -112,7 +132,10 @@ void TaskPool::run_indexed(std::size_t n,
       serial_error = std::current_exception();
     }
   }
-  // Move the error out under the lock: the last task lambda to be destroyed
+  // Help instead of idling: indices no worker has claimed yet run here, so
+  // a batch finishes even while every worker is descheduled or blocked.
+  drain(*state);
+  // Move the error out under the lock: the last drainer to be destroyed
   // releases the final BatchState reference on a *worker* thread, and that
   // teardown must not also release the exception object the caller is busy
   // rethrowing — the exception's lifetime has to end on this thread.

@@ -19,7 +19,9 @@
 // `parallel_for_each_alongside` is the pipeline step: the calling thread
 // runs a serial stage while the workers run the batch, so a loop whose
 // stages touch disjoint state keeps every core busy and still has one
-// code path for the serial and the pooled run.
+// code path for the serial and the pooled run. Once the serial stage
+// returns, the caller runs the batch's unclaimed indices itself instead of
+// waiting, so one descheduled worker cannot stall the step.
 #pragma once
 
 #include <condition_variable>
@@ -60,14 +62,18 @@ class TaskPool {
   /// worker would deadlock waiting on itself).
   void submit(std::function<void()> task);
 
-  /// Runs fn(0) .. fn(n-1) across the workers and blocks until all have
-  /// finished. If any invocation throws, the batch still runs to
-  /// completion, then the first exception (by completion time) is
-  /// rethrown here. Reusable: call again for the next batch.
+  /// Runs fn(0) .. fn(n-1) and blocks until all have finished. Indices are
+  /// handed out from an atomic counter to at most thread_count() drainer
+  /// tasks on the workers and, once serial() returned, to the calling
+  /// thread, which drains beside them instead of idling at the barrier.
+  /// If any invocation throws, the batch still runs to completion, then
+  /// the first exception (by completion time) is rethrown here. Reusable:
+  /// call again for the next batch.
   ///
-  /// A non-empty `serial` runs on the calling thread once every task is
-  /// queued, beside the batch. The call still returns or throws only after
-  /// every task finished, and an exception from serial() is rethrown in
+  /// A non-empty `serial` runs on the calling thread once the drainers are
+  /// queued, beside the batch; no index runs on the calling thread before
+  /// serial() returned. The call still returns or throws only after every
+  /// index finished, and an exception from serial() is rethrown in
   /// preference to the batch's.
   void run_indexed(std::size_t n, const std::function<void(std::size_t)>& fn,
                    const std::function<void()>& serial = {});
@@ -104,8 +110,9 @@ void parallel_for_each(TaskPool* pool, std::size_t n, Fn&& fn) {
 }
 
 /// serial() on the calling thread while fn(i) for every i in [0, n) runs on
-/// the pool's workers — one worker is enough for the overlap. Returns once
-/// serial() and every fn(i) finished; if any of them threw, serial()'s
+/// the pool's workers — one worker is enough for the overlap — and, once
+/// serial() returned, on the calling thread too. Returns once serial() and
+/// every fn(i) finished; if any of them threw, serial()'s
 /// exception is rethrown, otherwise the batch's first (by completion time).
 /// serial() and the batch must touch disjoint state. A null pool runs
 /// serial(), then fn(0) .. fn(n-1) in index order, so the pooled and the

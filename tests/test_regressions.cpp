@@ -182,6 +182,10 @@ class Fnv {
             std::bit_cast<std::uint64_t>(static_cast<double>(expected))) \
       << #actual " = " << std::hexfloat << static_cast<double>(actual)
 
+std::uint64_t text_digest(const std::string& text) {
+  return Fnv().add(std::string_view(text)).value();
+}
+
 std::uint64_t digest(const sim::SimulationReport& r) {
   return Fnv()
       .add(r.clients_served)
@@ -536,6 +540,44 @@ TEST(EngineReportPinTest, FederationWithDarkRegionAndStatsCap) {
   EXPECT_EQ(digest(pooled), digest(serial));
   EXPECT_EQ(sink.metrics.counter("metro.arrivals").value(), 299506U);
   EXPECT_EQ(sink.spans.recorded(), 221327U);
+  EXPECT_DIGEST(text_digest(sink.spans.to_jsonl()), 0x41cbe94ef0d369af);
+  EXPECT_DIGEST(text_digest(sink.metrics.to_openmetrics()),
+                0x35b289161c1ce8ac);
+}
+
+// The same campaign with every head end lit: each replicated-head arrival
+// is served by its origin's own broadcast, which the router cannot change.
+TEST(EngineReportPinTest, FederationAllLit) {
+  const metro::Topology topology({{400.0, 120},
+                                  {300.0, 120},
+                                  {200.0, 120},
+                                  {100.0, 120}},
+                                 8, core::Minutes{0.5});
+  metro::FederationConfig config;
+  config.catalog_size = 40;
+  config.replicate_top = 6;
+  config.horizon = core::Minutes{300.0};
+  config.seed = 11;
+  config.stats_sample_cap = 1024;
+
+  const auto serial = metro::simulate_federation(topology, config);
+  EXPECT_EQ(serial.arrivals, 299506U);
+  EXPECT_EQ(serial.served_local, 214068U);
+  EXPECT_EQ(serial.rerouted, 40U);
+  EXPECT_EQ(serial.rejected, 85398U);
+  EXPECT_BITS(serial.link_mbits, 0x1.790dp+21);
+  EXPECT_BITS(serial.wait_minutes.mean(), 0x1.45e2400d83d9p+3);
+  EXPECT_DIGEST(digest(serial), 0x68c61ec59b090884);
+
+  util::TaskPool pool(2);
+  obs::Sink sink;
+  config.sink = &sink;
+  const auto pooled = metro::simulate_federation(topology, config, &pool);
+  EXPECT_EQ(digest(pooled), digest(serial));
+  EXPECT_EQ(sink.spans.recorded(), 221335U);
+  EXPECT_DIGEST(text_digest(sink.spans.to_jsonl()), 0xb664c5f80d48f7c0);
+  EXPECT_DIGEST(text_digest(sink.metrics.to_openmetrics()),
+                0x5eafc8452a9abc75);
 }
 
 
@@ -551,10 +593,6 @@ TEST(EngineReportPinTest, FederationWithDarkRegionAndStatsCap) {
 // forced demotions moved from trace events onto instant spans; with those
 // spans removed and the ids renumbered, each export is byte-identical to
 // the one pinned before.
-
-std::uint64_t text_digest(const std::string& text) {
-  return Fnv().add(std::string_view(text)).value();
-}
 
 const schemes::DesignInput kPinnedSbInput{
     .server_bandwidth = core::MbitPerSec{300.0},

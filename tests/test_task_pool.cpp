@@ -76,15 +76,25 @@ TEST(TaskPoolTest, PropagatesTheFirstWorkerException) {
 }
 
 TEST(TaskPoolTest, BoundedQueueBlocksSubmitWithoutDeadlock) {
-  // Capacity 2 with slow tasks forces submit() to block and resume; the
-  // batch must still complete every task.
-  TaskPool pool(2, 2);
+  // Capacity 2 with slow tasks forces submit() to block and resume; every
+  // task must still run. run_indexed() queues at most one drainer per
+  // worker, so it never fills the queue, and a batch on the same small
+  // queue must complete too.
   std::atomic<int> ran{0};
-  pool.run_indexed(16, [&ran](std::size_t) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    ran.fetch_add(1);
-  });
-  EXPECT_EQ(ran.load(), 16);
+  {
+    TaskPool pool(2, 2);
+    for (int i = 0; i < 16; ++i) {
+      pool.submit([&ran] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        ran.fetch_add(1);
+      });
+    }
+    pool.run_indexed(16, [&ran](std::size_t) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      ran.fetch_add(1);
+    });
+  }
+  EXPECT_EQ(ran.load(), 32);
 }
 
 TEST(TaskPoolTest, DestructorDrainsPendingTasks) {
@@ -127,19 +137,24 @@ TEST(ParallelMapTest, NullPoolMatchesPooledResult) {
             parallel_map<double>(&pool, 9, fn));
 }
 
-/// Spins until `flag` is set or ten seconds pass; false on the timeout, so
+/// Spins until done() holds or ten seconds pass; false on the timeout, so
 /// an implementation that serializes the two sides fails instead of
 /// hanging.
-bool await(const std::atomic<bool>& flag) {
+template <typename Done>
+bool await_until(Done done) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (!flag.load()) {
+  while (!done()) {
     if (std::chrono::steady_clock::now() > deadline) {
       return false;
     }
     std::this_thread::yield();
   }
   return true;
+}
+
+bool await(const std::atomic<bool>& flag) {
+  return await_until([&flag] { return flag.load(); });
 }
 
 /// A pool that finishes one more batch after a failed one.
@@ -165,12 +180,15 @@ TEST(ParallelForEachAlongsideTest, BatchRunsWhileSerialRuns) {
     bool serial_saw_start = false;
     const auto caller = std::this_thread::get_id();
     std::thread::id serial_thread;
-    std::atomic<int> tasks_on_caller{0};
+    std::atomic<bool> serial_returned{false};
+    std::atomic<int> early_on_caller{0};
     parallel_for_each_alongside(
         &pool, 5,
         [&](std::size_t) {
-          if (std::this_thread::get_id() == caller) {
-            tasks_on_caller.fetch_add(1);
+          // The caller helps with the batch only once serial() returned.
+          if (std::this_thread::get_id() == caller &&
+              !serial_returned.load()) {
+            early_on_caller.fetch_add(1);
           }
           started.store(true);
           if (await(go)) {
@@ -181,11 +199,52 @@ TEST(ParallelForEachAlongsideTest, BatchRunsWhileSerialRuns) {
           serial_thread = std::this_thread::get_id();
           serial_saw_start = await(started);
           go.store(true);
+          serial_returned.store(true);
         });
     EXPECT_TRUE(serial_saw_start);
     EXPECT_EQ(saw_go.load(), 5);
     EXPECT_EQ(serial_thread, caller);
-    EXPECT_EQ(tasks_on_caller.load(), 0);
+    EXPECT_EQ(early_on_caller.load(), 0);
+    expect_reusable(pool);
+  }
+}
+
+// Every worker parks on a latch that only the batch's last index opens, and
+// serial() returns only once all of them parked, so the batch can finish
+// only if the calling thread runs that index itself. A caller that idles
+// at the barrier instead leaves the workers to their bounded wait, and the
+// test fails rather than hangs.
+TEST(TaskPoolTest, RunIndexedFinishesWhileEveryWorkerIsBlocked) {
+  for (const unsigned workers : {1U, 2U, 4U}) {
+    SCOPED_TRACE(workers);
+    TaskPool pool(workers);
+    const std::size_t last = workers;  // the batch is workers + 1 indices
+    std::atomic<unsigned> parked{0};
+    std::atomic<bool> open{false};
+    std::atomic<unsigned> released{0};
+    std::atomic<bool> last_on_caller{false};
+    bool all_parked = false;
+    const auto caller = std::this_thread::get_id();
+    pool.run_indexed(
+        workers + 1,
+        [&](std::size_t i) {
+          if (i == last) {
+            last_on_caller.store(std::this_thread::get_id() == caller);
+            open.store(true);
+            return;
+          }
+          parked.fetch_add(1);
+          if (await(open)) {
+            released.fetch_add(1);
+          }
+        },
+        [&] {
+          all_parked =
+              await_until([&] { return parked.load() == workers; });
+        });
+    EXPECT_TRUE(all_parked);
+    EXPECT_TRUE(last_on_caller.load());
+    EXPECT_EQ(released.load(), workers);
     expect_reusable(pool);
   }
 }

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 
+#include "schemes/skyscraper.hpp"
 #include "util/contracts.hpp"
+#include "util/rng.hpp"
 
 namespace vodbcast::util {
 namespace {
@@ -117,6 +120,99 @@ TEST(InterpolatedQuantileTest, LinearBetweenOrderStatistics) {
   EXPECT_DOUBLE_EQ(interpolated_quantile({7.0}, 0.5), 7.0);
   EXPECT_THROW((void)interpolated_quantile({}, 0.5), ContractViolation);
   EXPECT_THROW((void)interpolated_quantile(sorted, 1.5), ContractViolation);
+}
+
+/// Compares fmod_nonneg with std::fmod bit for bit (signed zeros
+/// included), reports the first mismatch and counts them all, and counts
+/// the pairs where floor(t / d) overshoots the true floor quotient: the
+/// case fmod_nonneg's fix-up step exists for.
+struct FmodCheck {
+  std::uint64_t pairs = 0;
+  std::uint64_t mismatches = 0;
+  std::uint64_t fixups = 0;
+
+  void operator()(double t, double d) {
+    ++pairs;
+    const double q = std::floor(t / d);
+    fixups += q < 0x1p53 && std::fma(-q, d, t) < 0.0 ? 1 : 0;
+    const double want = std::fmod(t, d);
+    const double got = fmod_nonneg(t, d);
+    if (std::bit_cast<std::uint64_t>(got) !=
+        std::bit_cast<std::uint64_t>(want)) {
+      if (mismatches == 0) {
+        ADD_FAILURE() << std::hexfloat << "fmod_nonneg(" << t << ", " << d
+                      << ") = " << got << ", std::fmod = " << want;
+      }
+      ++mismatches;
+    }
+  }
+};
+
+TEST(FmodNonnegTest, EqualsFmodOnRandomPairsAcrossExponents) {
+  // t and d span 2^-40 .. 2^41 independently, so t / d ranges from far
+  // below 1 to past 2^53 (where the helper hands over to std::fmod).
+  Rng rng(20260807);
+  const auto draw = [&rng] {
+    const double mantissa = 1.0 + rng.next_double();
+    const int exponent = static_cast<int>(rng.next_below(81)) - 40;
+    return std::ldexp(mantissa, exponent);
+  };
+  FmodCheck check;
+  for (int i = 0; i < 10'000'000; ++i) {
+    const double t = draw();
+    check(t, draw());
+  }
+  EXPECT_EQ(check.mismatches, 0U) << "of " << check.pairs;
+  EXPECT_GT(check.fixups, 0U);
+}
+
+TEST(FmodNonnegTest, EqualsFmodAtEveryMultipleAndItsNeighbours) {
+  // k * d rounds to a double near a multiple of d, where t / d rounds to
+  // the integer k from either side; its nextafter neighbours straddle it.
+  // d1 is the metro campaign's broadcast latency (SB:W=52 on 6 channels).
+  const schemes::SkyscraperScheme sb(52);
+  const core::VideoParams video{};
+  const double d1 =
+      sb.evaluate(schemes::DesignInput{
+                      core::MbitPerSec{video.display_rate.v * 6}, 1, video})
+          ->metrics.access_latency.v;
+  FmodCheck check;
+  for (const double d : {d1, 0.1, 1.0 / 3.0, 0.7, 3.0, 4.4, 1e-3, 123.456,
+                         0x1.fffffffffffffp-1, 5e-324}) {
+    for (std::uint64_t k = 0; k <= 200'000; ++k) {
+      const double t = static_cast<double>(k) * d;
+      check(t, d);
+      check(std::nextafter(t, 0.0), d);
+      check(std::nextafter(t, HUGE_VAL), d);
+    }
+  }
+  EXPECT_EQ(check.mismatches, 0U) << "of " << check.pairs;
+  EXPECT_GT(check.fixups, 0U);
+}
+
+TEST(FmodNonnegTest, EqualsFmodOnSmallQuotientsZeroAndTheFallback) {
+  FmodCheck check;
+  // t < d: the remainder is t itself; t = 0 gives +0.
+  for (const double d : {1e-300, 0.5, 4.4444444444444446, 1e300}) {
+    for (const double t : {0.0, d * 0.5, std::nextafter(d, 0.0),
+                           std::numeric_limits<double>::denorm_min()}) {
+      check(t, d);
+    }
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(fmod_nonneg(0.0, 3.0)), 0U);
+  // t / d at or past 2^53, or not finite: std::fmod itself answers.
+  for (const auto& [t, d] :
+       {std::pair{0x1p53, 1.0}, std::pair{0x1p60, 3.0},
+        std::pair{1e300, 1e-300}, std::pair{0x1.fffffffffffffp+52, 1.0}}) {
+    check(t, d);
+  }
+  EXPECT_TRUE(std::isnan(fmod_nonneg(HUGE_VAL, 2.0)));
+  // The campaign's arrival times: [0, 1200) minutes against its d1.
+  Rng rng(31337);
+  for (int i = 0; i < 1'000'000; ++i) {
+    check(1200.0 * rng.next_double(), 4.4444444444444446);
+  }
+  EXPECT_EQ(check.mismatches, 0U) << "of " << check.pairs;
 }
 
 TEST(ContractsTest, ViolationCarriesContext) {
