@@ -3,6 +3,7 @@
 // simulator's per-arrival tune-in and stats steps, the metro federation's
 // router and broadcast tune wait, and the end-to-end simulator inner loop.
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <array>
 #include <cmath>
@@ -11,8 +12,10 @@
 #include <memory>
 #include <vector>
 
+#include "batching/queue_policies.hpp"
 #include "client/client_session.hpp"
 #include "client/reception_plan.hpp"
+#include "ctrl/adaptive.hpp"
 #include "metro/placement.hpp"
 #include "metro/router.hpp"
 #include "metro/topology.hpp"
@@ -248,6 +251,62 @@ void BM_DistributionAddFolded(benchmark::State& state) {
   benchmark::DoNotOptimize(waits.count());
 }
 BENCHMARK(BM_DistributionAddFolded);
+
+// The hybrid_adaptive campaign (MQL tail, 600 Mb/s, 100 titles, 10 hot
+// titles x 6 SB channels, 200 arrivals/min over 6000 min, a popularity
+// flip at 3000 min, seed 11): its 1.2M served arrivals' waits, in the
+// order the engine adds them, computed once.
+const std::vector<double>& hybrid_campaign_waits() {
+  static const std::vector<double> waits = [] {
+    ctrl::AdaptiveConfig config;
+    config.total_bandwidth = core::MbitPerSec{600.0};
+    config.catalog_size = 100;
+    config.hot_titles = 10;
+    config.broadcast_channels_per_video = 6;
+    config.arrivals_per_minute = 200.0;
+    config.horizon = core::Minutes{6000.0};
+    config.flip_at = core::Minutes{3000.0};
+    config.seed = 11;
+    return ctrl::simulate_adaptive(batching::MqlPolicy(), config)
+        .wait_minutes.samples();
+  }();
+  return waits;
+}
+
+// One campaign's waits per iteration, added into a fresh exact
+// distribution without (/0) and with (/1) the reserve the engine makes from
+// its feed's count bound. minflt is the page faults per iteration.
+void BM_DistributionAddExact(benchmark::State& state) {
+  const auto& waits = hybrid_campaign_waits();
+  const std::size_t bound =
+      workload::RequestFeed(
+          workload::RequestGenerator({1.0}, 200.0, util::Rng(0)),
+          core::Minutes{6000.0})
+          .count_bound();
+  rusage before{};
+  getrusage(RUSAGE_SELF, &before);
+  for (auto _ : state) {
+    sim::Distribution distribution;
+    if (state.range(0) == 1) {
+      distribution.reserve(bound);
+    }
+    for (const double wait : waits) {
+      distribution.add(wait);
+    }
+    benchmark::DoNotOptimize(distribution.count());
+  }
+  rusage after{};
+  getrusage(RUSAGE_SELF, &after);
+  state.counters["minflt"] =
+      benchmark::Counter(static_cast<double>(after.ru_minflt - before.ru_minflt),
+                         benchmark::Counter::kAvgIterations);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(waits.size()));
+}
+BENCHMARK(BM_DistributionAddExact)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 // The metro_federation campaign: 4 regions at 700/500/300/200 arrivals/min
 // with 400/300/200/140 channels, link capacity 32 at 0.5 min/hop, the top

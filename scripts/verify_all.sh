@@ -21,8 +21,9 @@
 # five-window run, with and without a dark region, at --threads 2, 3
 # and 4), a
 # replication self-check (simulate --reps 4, hybrid --reps 3 and
-# hybrid --adaptive --reps 3 must give byte-identical stdout and span
-# exports at --threads 1 and --threads 4), an O(live state) self-check
+# hybrid --adaptive --reps 3, exact and at --stats-cap 64, must give
+# byte-identical stdout and span exports at --threads 1 and --threads 4),
+# an O(live state) self-check
 # (simulate, hybrid, hybrid --adaptive and metro each peak within 10% of
 # their 1x-horizon RSS at 10x the horizon), a
 # CLI strictness self-check (a misspelled flag must exit 2 and name the
@@ -383,22 +384,30 @@ done
 echo "== replication self-check =="
 # Replicated runs go through one driver (sim::replicate): seeds, folds and
 # span merges must not depend on the pool, so one worker and four give the
-# same report and the same span export, byte for byte.
-for reps_cmd in "simulate --horizon 60 --reps 4" \
-                "hybrid --horizon 600 --reps 3" \
-                "hybrid --adaptive --horizon 600 --reps 3"; do
-  read -r -a reps_args <<< "$reps_cmd"
-  for threads in 1 4; do
-    build/tools/vodbcast "${reps_args[@]}" --threads "$threads" \
-      --spans-out "$om_dir/reps_t$threads.jsonl" --spans-limit 262144 \
-      > "$om_dir/reps_t$threads.txt" 2> /dev/null
+# same report and the same span export, byte for byte. The capped runs fold
+# each replication's distributions into sketches and merge those, so their
+# stdout prints sketch quantiles and folded counts.
+for cap_args in "" "--stats-cap 64"; do
+  for reps_cmd in "simulate --horizon 60 --reps 4" \
+                  "hybrid --horizon 600 --reps 3" \
+                  "hybrid --adaptive --horizon 600 --reps 3"; do
+    read -r -a reps_args <<< "$reps_cmd $cap_args"
+    for threads in 1 4; do
+      build/tools/vodbcast "${reps_args[@]}" --threads "$threads" \
+        --spans-out "$om_dir/reps_t$threads.jsonl" --spans-limit 262144 \
+        > "$om_dir/reps_t$threads.txt" 2> /dev/null
+    done
+    diff "$om_dir/reps_t1.txt" "$om_dir/reps_t4.txt"
+    diff "$om_dir/reps_t1.jsonl" "$om_dir/reps_t4.jsonl"
+    grep -q 'replications *: [34]' "$om_dir/reps_t1.txt" || {
+      echo "replication self-check: '$reps_cmd' did not replicate" >&2
+      exit 1
+    }
+    if [[ -n $cap_args ]] && ! grep -q 'folded=' "$om_dir/reps_t1.txt"; then
+      echo "replication self-check: '$reps_cmd $cap_args' did not fold" >&2
+      exit 1
+    fi
   done
-  diff "$om_dir/reps_t1.txt" "$om_dir/reps_t4.txt"
-  diff "$om_dir/reps_t1.jsonl" "$om_dir/reps_t4.jsonl"
-  grep -q 'replications *: [34]' "$om_dir/reps_t1.txt" || {
-    echo "replication self-check: '$reps_cmd' did not replicate" >&2
-    exit 1
-  }
 done
 
 echo "== CLI strictness self-check =="

@@ -197,6 +197,7 @@ MulticastReport simulate_scheduled_multicast(const BatchingPolicy& policy,
   MulticastReport report;
   report.policy = policy.name();
   report.wait_minutes.set_sample_cap(config.stats_sample_cap);
+  report.wait_minutes.reserve(requests.count_bound());  // one per arrival
   report.batch_size.set_sample_cap(config.stats_sample_cap);
 
   obs::Sink* sink = config.sink;

@@ -510,10 +510,13 @@ AdaptiveReport simulate_adaptive(const batching::BatchingPolicy& policy,
     perm = flip_permutation(config.catalog_size, config.seed ^ 0x9e3779b9u);
   }
 
+  // Each wait distribution takes at most one sample per arrival.
   AdaptiveReport report;
-  report.wait_minutes.set_sample_cap(config.stats_sample_cap);
-  report.hot_wait_minutes.set_sample_cap(config.stats_sample_cap);
-  report.tail_wait_minutes.set_sample_cap(config.stats_sample_cap);
+  for (auto* waits : {&report.wait_minutes, &report.hot_wait_minutes,
+                      &report.tail_wait_minutes}) {
+    waits->set_sample_cap(config.stats_sample_cap);
+    waits->reserve(arrivals.count_bound());
+  }
   report.channels_per_video = capacity.channels_per_video;
   report.broadcast_worst_latency = core::Minutes{slot_d1};
   report.degraded = capacity.degraded;

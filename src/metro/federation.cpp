@@ -87,8 +87,11 @@ struct alignas(kCacheLine) RegionLedger {
   obs::Counter* link_bytes = nullptr;
   std::uint64_t ordinal = 0;
 
-  RegionLedger(std::size_t g, const FederationConfig& config) {
+  /// `arrivals_bound` bounds the region's arrivals, one wait each.
+  RegionLedger(std::size_t g, const FederationConfig& config,
+               std::size_t arrivals_bound) {
     report.wait_minutes.set_sample_cap(config.stats_sample_cap);
+    report.wait_minutes.reserve(arrivals_bound);
     if (config.sink == nullptr) {
       return;
     }
@@ -240,7 +243,7 @@ FederationReport simulate_federation(const Topology& topology,
   std::vector<RegionLedger> ledgers;
   ledgers.reserve(n);
   for (std::size_t g = 0; g < n; ++g) {
-    ledgers.emplace_back(g, config);
+    ledgers.emplace_back(g, config, feeds[g].feed.count_bound());
   }
 
   // Phases A-C run as a three-stage pipeline over consecutive time windows
@@ -366,6 +369,11 @@ FederationReport simulate_federation(const Topology& topology,
   // Phase D — fold in region index order.
   FederationReport out;
   out.wait_minutes.set_sample_cap(config.stats_sample_cap);
+  std::size_t accounted = 0;
+  for (const auto& ledger : ledgers) {
+    accounted += ledger.report.wait_minutes.count();
+  }
+  out.wait_minutes.reserve(accounted);
   out.replicated_titles = placement.replicated;
   out.tail_slots_total = tail_slots_total;
   out.broadcast_latency_min = d1;

@@ -1,10 +1,11 @@
 #include "obs/span.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <map>
 #include <sstream>
+#include <type_traits>
 #include <unordered_map>
 
 #include "util/contracts.hpp"
@@ -18,14 +19,28 @@ namespace {
 // matching the Tracer's chrome export scale.
 constexpr double kMicrosPerSimMinute = 1e6;
 
-// Round-trip exact: trace_analyze recomputes waits from these fields and
+// Appends each part to `out`: text as is, integers in decimal, doubles
+// round-trip exact. trace_analyze recomputes waits from these fields and
 // compares sums against the metric families at 1e-9 relative tolerance, so
 // the export must not round away bits.
-std::string fmt(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+template <typename... Parts>
+void append(std::string& out, const Parts&... parts) {
+  const auto put = [&out](const auto& part) {
+    using T = std::decay_t<decltype(part)>;
+    if constexpr (std::is_floating_point_v<T>) {
+      util::json::append_exact(out, part);
+    } else if constexpr (std::is_integral_v<T>) {
+      char buf[24];
+      out.append(buf, std::to_chars(buf, buf + sizeof buf, part).ptr);
+    } else {
+      out += part;
+    }
+  };
+  (put(parts), ...);
 }
+
+// Bytes of a typical exported span, to reserve the output once.
+constexpr std::size_t kSpanBytes = 160;
 
 std::string span_name(const Span& s) {
   return s.label.empty() ? std::string(to_string(s.phase)) : s.label;
@@ -127,19 +142,20 @@ std::vector<Span> SpanTracer::spans() const {
 }
 
 std::string SpanTracer::to_jsonl() const {
-  std::ostringstream os;
-  for (const auto& s : spans()) {
-    os << "{\"id\":" << s.id << ",\"parent\":" << s.parent << ",\"phase\":\""
-       << to_string(s.phase) << "\",\"start\":" << fmt(s.start_min)
-       << ",\"end\":" << fmt(s.end_min) << ",\"channel\":" << s.channel
-       << ",\"video\":" << s.video << ",\"client\":" << s.client
-       << ",\"value\":" << fmt(s.value);
+  const auto ordered = spans();
+  std::string out;
+  out.reserve(ordered.size() * kSpanBytes);
+  for (const auto& s : ordered) {
+    append(out, "{\"id\":", s.id, ",\"parent\":", s.parent, ",\"phase\":\"",
+           to_string(s.phase), "\",\"start\":", s.start_min, ",\"end\":",
+           s.end_min, ",\"channel\":", s.channel, ",\"video\":", s.video,
+           ",\"client\":", s.client, ",\"value\":", s.value);
     if (!s.label.empty()) {
-      os << ",\"label\":" << util::json::quote(s.label);
+      append(out, ",\"label\":", util::json::quote(s.label));
     }
-    os << "}\n";
+    out += "}\n";
   }
-  return os.str();
+  return out;
 }
 
 std::string SpanTracer::to_chrome_trace() const {
@@ -150,8 +166,9 @@ std::string SpanTracer::to_chrome_trace() const {
     by_id.emplace(s.id, &s);
   }
 
-  std::ostringstream os;
-  os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  std::string out;
+  out.reserve(ordered.size() * 2 * kSpanBytes);
+  out += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
   const auto sep = [&]() -> const char* {
     const char* s = first ? "" : ",";
@@ -162,31 +179,29 @@ std::string SpanTracer::to_chrome_trace() const {
     const double ts = s.start_min * kMicrosPerSimMinute;
     const double dur =
         std::max(0.0, (s.end_min - s.start_min) * kMicrosPerSimMinute);
-    os << sep() << "\n{\"name\":" << util::json::quote(span_name(s))
-       << ",\"cat\":\"vodbcast.span\",\"ph\":\"X\",\"pid\":1,\"tid\":"
-       << s.channel << ",\"ts\":" << fmt(ts) << ",\"dur\":" << fmt(dur)
-       << ",\"args\":{\"id\":" << s.id << ",\"parent\":" << s.parent
-       << ",\"video\":" << s.video << ",\"client\":" << s.client
-       << ",\"value\":" << fmt(s.value) << "}}";
+    append(out, sep(), "\n{\"name\":", util::json::quote(span_name(s)),
+           ",\"cat\":\"vodbcast.span\",\"ph\":\"X\",\"pid\":1,\"tid\":",
+           s.channel, ",\"ts\":", ts, ",\"dur\":", dur,
+           ",\"args\":{\"id\":", s.id, ",\"parent\":", s.parent,
+           ",\"video\":", s.video, ",\"client\":", s.client, ",\"value\":",
+           s.value, "}}");
     // Causal hand-off to a different channel track: a flow arrow from the
     // parent's slice to this one. Same-track children nest visually already.
     if (s.parent != 0) {
       const auto it = by_id.find(s.parent);
       if (it != by_id.end() && it->second->channel != s.channel) {
         const Span& p = *it->second;
-        os << sep() << "\n{\"name\":\"causal\",\"cat\":\"vodbcast.flow\","
-           << "\"ph\":\"s\",\"id\":" << s.id << ",\"pid\":1,\"tid\":"
-           << p.channel << ",\"ts\":" << fmt(p.start_min * kMicrosPerSimMinute)
-           << "}";
-        os << sep() << "\n{\"name\":\"causal\",\"cat\":\"vodbcast.flow\","
-           << "\"ph\":\"f\",\"bp\":\"e\",\"id\":" << s.id
-           << ",\"pid\":1,\"tid\":" << s.channel << ",\"ts\":" << fmt(ts)
-           << "}";
+        append(out, sep(), "\n{\"name\":\"causal\",\"cat\":\"vodbcast.flow\",",
+               "\"ph\":\"s\",\"id\":", s.id, ",\"pid\":1,\"tid\":",
+               p.channel, ",\"ts\":", p.start_min * kMicrosPerSimMinute, "}");
+        append(out, sep(), "\n{\"name\":\"causal\",\"cat\":\"vodbcast.flow\",",
+               "\"ph\":\"f\",\"bp\":\"e\",\"id\":", s.id,
+               ",\"pid\":1,\"tid\":", s.channel, ",\"ts\":", ts, "}");
       }
     }
   }
-  os << "\n]}\n";
-  return os.str();
+  out += "\n]}\n";
+  return out;
 }
 
 std::string SpanTracer::to_folded() const {

@@ -153,6 +153,11 @@ SimulationReport simulate(const schemes::BroadcastScheme& scheme,
   if (sb != nullptr && config.plan_clients) {
     layout.emplace(sb->layout(input, *design));
   }
+  // One wait per arrival, and one buffer peak per planned arrival.
+  report.latency_minutes.reserve(arrivals.count_bound());
+  if (layout.has_value()) {
+    report.buffer_peak_mbits.reserve(arrivals.count_bound());
+  }
   // Phase-keyed plan cache, private to this run, so the replication
   // bit-identity contract is untouched. Only tracing (a sink) and fault
   // assessment walk an arrival's downloads; without either, the run reads

@@ -9,6 +9,22 @@
 
 namespace vodbcast::sim {
 
+namespace {
+
+/// Welford's update over samples[from..], where samples[i] was the
+/// (i + 1)-th add: the arithmetic of an eager add, in insertion order.
+void replay_moments(const std::vector<double>& samples, std::size_t from,
+                    double& mean, double& m2) {
+  for (std::size_t i = from; i < samples.size(); ++i) {
+    const double sample = samples[i];
+    const double delta = sample - mean;
+    mean += delta / static_cast<double>(i + 1);
+    m2 += delta * (sample - mean);
+  }
+}
+
+}  // namespace
+
 void Distribution::add(double sample) {
   VB_EXPECTS(std::isfinite(sample));
   if (count_ == 0) {
@@ -20,22 +36,34 @@ void Distribution::add(double sample) {
   }
   ++count_;
   sum_ += sample;
+  if (!sketch_.has_value()) {
+    if (cap_ == 0 || samples_.size() < cap_) {
+      samples_.push_back(sample);  // the moments wait for a fold or merge
+      return;
+    }
+    fold_now();
+  }
   const double delta = sample - welford_mean_;
   welford_mean_ += delta / static_cast<double>(count_);
   welford_m2_ += delta * (sample - welford_mean_);
-  if (sketch_.has_value()) {
-    sketch_->observe(sample);
+  sketch_->observe(sample);
+}
+
+void Distribution::reserve(std::size_t n) {
+  const std::size_t want = cap_ == 0 ? n : std::min(n, cap_);
+  if (sketch_.has_value() || want > kReserveCeiling) {
     return;
   }
-  if (cap_ != 0 && samples_.size() >= cap_) {
-    fold_now();
-    sketch_->observe(sample);
-    return;
-  }
-  samples_.push_back(sample);
+  samples_.reserve(want);
+}
+
+void Distribution::catch_up_moments() {
+  replay_moments(samples_, moments_seen_, welford_mean_, welford_m2_);
+  moments_seen_ = samples_.size();
 }
 
 void Distribution::fold_now() {
+  catch_up_moments();
   if (!sketch_.has_value()) {
     sketch_.emplace();
   }
@@ -44,6 +72,7 @@ void Distribution::fold_now() {
   }
   samples_.clear();
   samples_.shrink_to_fit();
+  moments_seen_ = 0;
 }
 
 void Distribution::merge(const Distribution& other) {
@@ -57,13 +86,18 @@ void Distribution::merge(const Distribution& other) {
     min_ = std::min(min_, other.min_);
     max_ = std::max(max_, other.max_);
   }
-  // Chan's parallel combination of the streaming moments; merging in a
-  // fixed shard order keeps the floats bit-identical at any thread count.
+  // Chan's parallel combination of the streaming moments, each side first
+  // brought up to date (`other`'s in locals); merging in a fixed shard
+  // order keeps the floats bit-identical at any thread count.
+  catch_up_moments();
+  double other_mean = other.welford_mean_;
+  double other_m2 = other.welford_m2_;
+  replay_moments(other.samples_, other.moments_seen_, other_mean, other_m2);
   const double na = static_cast<double>(count_);
   const double nb = static_cast<double>(other.count_);
-  const double delta = other.welford_mean_ - welford_mean_;
+  const double delta = other_mean - welford_mean_;
   welford_mean_ += delta * nb / (na + nb);
-  welford_m2_ += other.welford_m2_ + delta * delta * na * nb / (na + nb);
+  welford_m2_ += other_m2 + delta * delta * na * nb / (na + nb);
   count_ += other.count_;
   sum_ += other.sum_;
 
@@ -73,6 +107,7 @@ void Distribution::merge(const Distribution& other) {
   if (!must_fold) {
     samples_.insert(samples_.end(), other.samples_.begin(),
                     other.samples_.end());
+    moments_seen_ = samples_.size();
     return;
   }
   fold_now();

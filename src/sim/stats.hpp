@@ -23,7 +23,13 @@ struct HistogramBins {
 /// Two accounting modes:
 ///   * exact (the default, cap 0): every sample is retained and quantiles
 ///     interpolate over the sorted samples — bit-for-bit the historical
-///     behavior;
+///     behavior. An exact add only appends and updates count, sum, min and
+///     max: the streaming moments, which nothing reads before a fold, are
+///     deferred and replayed over the retained samples in insertion order
+///     at the first fold or merge, with the arithmetic of an eager add, so
+///     their bits do not change. reserve(n) sizes the sample store up
+///     front, so a run that knows its arrival count writes each sample
+///     once and never holds two stores;
 ///   * streaming (set_sample_cap(n)): samples are retained exactly up to
 ///     the cap; crossing it folds everything into an obs::SketchCore (the
 ///     sketch's bucket state, unlocked: only this distribution reaches it)
@@ -41,6 +47,12 @@ class Distribution {
  public:
   /// Precondition: `sample` is finite.
   void add(double sample);
+
+  /// Room for `n` retained samples, clamped to the cap. A no-op once
+  /// folded, and for more than kReserveCeiling samples (the store then
+  /// grows by doubling, so an oversized exact run fails no earlier).
+  void reserve(std::size_t n);
+  static constexpr std::size_t kReserveCeiling = std::size_t{1} << 27;
 
   /// Folds `other`'s samples into this distribution (shard merging: each
   /// worker accumulates locally, then the results are combined). If either
@@ -90,10 +102,10 @@ class Distribution {
   /// 0 for fewer than two samples.
   [[nodiscard]] double stddev() const;
 
-  /// Heap bytes retained by this distribution right now (sample storage
-  /// plus the sketch's counter array, SketchCore::heap_bytes). Quantile
-  /// calls sort into a scratch copy that is freed before returning, so this
-  /// is also the post-query high water.
+  /// Heap bytes retained by this distribution right now (the sample
+  /// store's capacity, reserved or grown, plus the sketch's counter array,
+  /// SketchCore::heap_bytes). Quantile calls sort into a scratch copy that
+  /// is freed before returning, so this is also the post-query high water.
   [[nodiscard]] std::size_t retained_bytes() const noexcept;
 
   /// Equal-width bins spanning [min(), max()]; the top edge is inclusive so
@@ -108,6 +120,8 @@ class Distribution {
  private:
   /// Moves every retained sample into the sketch and frees the storage.
   void fold_now();
+  /// Replays the retained samples the streaming moments have not seen.
+  void catch_up_moments();
   [[nodiscard]] std::vector<double> sorted_copy() const;
 
   std::vector<double> samples_;
@@ -117,10 +131,11 @@ class Distribution {
   double sum_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-  // Streaming (Welford) moments, maintained alongside the exact samples so
-  // stddev stays available after a fold.
+  // Streaming (Welford) moments, so stddev stays available after a fold.
+  // While exact they cover the first moments_seen_ retained samples.
   double welford_mean_ = 0.0;
   double welford_m2_ = 0.0;
+  std::size_t moments_seen_ = 0;
 };
 
 }  // namespace vodbcast::sim

@@ -1,6 +1,7 @@
 #include "util/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -341,6 +342,14 @@ std::string number(double value) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.10g", value);
   return buf;
+}
+
+void append_exact(std::string& out, double value) {
+  char buf[32];  // "-1.2345678901234567e-308" is the longest, 24 chars
+  const auto end = std::to_chars(buf, buf + sizeof buf, value,
+                                 std::chars_format::general, 17)
+                       .ptr;
+  out.append(buf, end);
 }
 
 namespace {

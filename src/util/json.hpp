@@ -109,4 +109,9 @@ class Value {
 /// NaN, which JSON cannot represent.
 [[nodiscard]] std::string number(double value);
 
+/// Appends `value` round-trip exact, as printf's "%.17g" writes it (the
+/// standard defines std::chars_format::general at precision 17 so), without
+/// a format string or a temporary.
+void append_exact(std::string& out, double value);
+
 }  // namespace vodbcast::util::json

@@ -82,4 +82,14 @@ RequestFeed::RequestFeed(RequestGenerator generator, core::Minutes horizon,
   advance();
 }
 
+std::size_t RequestFeed::count_bound() const noexcept {
+  const double mean =
+      generator_.arrivals_per_minute() * std::max(horizon_, 0.0);
+  const double bound = std::ceil(mean + 5.0 * std::sqrt(mean));
+  // Saturates long before the conversion could overflow; no store reserves
+  // anywhere near this many entries.
+  constexpr double kSaturate = 0x1p62;
+  return static_cast<std::size_t>(std::min(bound, kSaturate));
+}
+
 }  // namespace vodbcast::workload

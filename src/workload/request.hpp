@@ -61,6 +61,10 @@ class RequestGenerator {
   /// All requests within [0, horizon); `horizon` must be finite.
   [[nodiscard]] std::vector<Request> generate_until(core::Minutes horizon);
 
+  [[nodiscard]] double arrivals_per_minute() const noexcept {
+    return arrivals_.rate();
+  }
+
  private:
   PoissonProcess arrivals_;
   util::Rng rng_;
@@ -85,6 +89,12 @@ class RequestFeed {
   [[nodiscard]] double next_at() const noexcept {
     return ahead_.arrival.v < horizon_ ? ahead_.arrival.v : kExhausted;
   }
+  /// An upper bound on the requests the feed yields, for sizing storage
+  /// that takes one entry per arrival: the Poisson mean rate x horizon
+  /// plus five standard deviations, rounded up. A run draws more with
+  /// probability about 3e-7 (the storage then grows); a filter only keeps
+  /// fewer.
+  [[nodiscard]] std::size_t count_bound() const noexcept;
   /// Removes and returns the next request. Precondition: next_at() is
   /// finite.
   Request pop() {

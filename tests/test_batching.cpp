@@ -85,6 +85,20 @@ TEST(ScheduledMulticastTest, AllServedWhenCapacityIsAmple) {
   EXPECT_DOUBLE_EQ(report.wait_minutes.max(), 0.0);
 }
 
+TEST(ScheduledMulticastTest, ExactWaitStoreIsReservedFromTheFeed) {
+  // At most one wait per arrival: the store takes the feed's count bound up
+  // front, so the exact run never regrew it.
+  auto requests = uniform_requests(5.0, 1000.0, 4, 7);
+  const std::size_t bound = requests.count_bound();
+  MulticastConfig config;
+  config.channels = 6;
+  config.horizon = core::Minutes{1200.0};
+  const auto report =
+      simulate_scheduled_multicast(MqlPolicy(), requests, 4, config);
+  ASSERT_LE(report.served, bound);
+  EXPECT_EQ(report.wait_minutes.samples().capacity(), bound);
+}
+
 TEST(ScheduledMulticastTest, BatchingSharesStreams) {
   auto requests = uniform_requests(5.0, 1000.0, 4, 7);
   MulticastConfig config;

@@ -16,7 +16,9 @@
 #include "ctrl/popularity.hpp"
 #include "obs/sink.hpp"
 #include "util/contracts.hpp"
+#include "util/rng.hpp"
 #include "util/task_pool.hpp"
+#include "workload/request.hpp"
 #include "workload/zipf.hpp"
 
 namespace vodbcast {
@@ -497,6 +499,26 @@ TEST(AdaptiveSimTest, StatsCapKeepsExactCountAndMoments) {
   }
   EXPECT_EQ(capped_reps.replication_means.samples(),
             exact_reps.replication_means.samples());
+}
+
+TEST(AdaptiveSimTest, ExactWaitStoresAreReservedFromTheFeed) {
+  // Each wait distribution takes at most one sample per arrival, so each
+  // store is sized to the feed's count bound (a function of the rate and
+  // the horizon) up front and the exact run never regrew it.
+  const batching::MqlPolicy policy;
+  const auto config = adaptive_config();
+  const auto report = ctrl::simulate_adaptive(policy, config);
+  const std::size_t bound =
+      workload::RequestFeed(
+          workload::RequestGenerator({1.0}, config.arrivals_per_minute,
+                                     util::Rng(0)),
+          config.horizon)
+          .count_bound();
+  ASSERT_LE(report.wait_minutes.count(), bound);
+  for (const auto* waits : {&report.wait_minutes, &report.hot_wait_minutes,
+                            &report.tail_wait_minutes}) {
+    EXPECT_EQ(waits->samples().capacity(), bound);
+  }
 }
 
 // A replication that served nobody has no mean wait, so it adds no sample

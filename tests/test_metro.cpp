@@ -532,6 +532,28 @@ TEST(FederationTest, SampleCapKeepsMomentsExact) {
   EXPECT_DOUBLE_EQ(capped.wait_minutes.max(), exact.wait_minutes.max());
 }
 
+TEST(FederationTest, ExactWaitStoresAreReservedFromTheFeeds) {
+  // One wait per arrival: each region's store is sized to its feed's count
+  // bound (a function of its rate and the horizon) and the metro-wide one
+  // to the regions' summed count, so the exact run never regrew either.
+  const auto topo = four_regions();
+  const auto config = small_config();
+  const auto report = simulate_federation(topo, config);
+  ASSERT_EQ(report.regions.size(), topo.size());
+  for (std::size_t g = 0; g < topo.size(); ++g) {
+    const std::size_t bound =
+        workload::RequestFeed(
+            workload::RequestGenerator(
+                {1.0}, topo.region(g).arrivals_per_minute, util::Rng(0)),
+            config.horizon)
+            .count_bound();
+    const auto& waits = report.regions[g].wait_minutes;
+    ASSERT_LE(waits.count(), bound) << g;
+    EXPECT_EQ(waits.samples().capacity(), bound) << g;
+  }
+  EXPECT_EQ(report.wait_minutes.samples().capacity(), report.arrivals);
+}
+
 TEST(FederationTest, ReplicatedRunsMergeInRepOrder) {
   const auto topo = four_regions();
   const auto config = small_config();

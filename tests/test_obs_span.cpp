@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <map>
 #include <sstream>
 #include <string>
@@ -14,6 +18,7 @@
 #include "sim/simulator.hpp"
 #include "util/contracts.hpp"
 #include "util/json.hpp"
+#include "util/rng.hpp"
 
 namespace vodbcast::obs {
 namespace {
@@ -242,6 +247,65 @@ TEST(SpanTracerTest, JsonlRoundTripsFields) {
             "{\"id\":1,\"parent\":0,\"phase\":\"tune\",\"start\":2.5,"
             "\"end\":4.5,\"channel\":3,\"video\":7,\"client\":11,"
             "\"value\":2}\n");
+}
+
+TEST(SpanTracerTest, ExportedNumbersMatchPrintf17g) {
+  // The exports write doubles through util::json::append_exact, which must
+  // print every double exactly as snprintf("%.17g") does: the span pins and
+  // every capture on disk were written that way.
+  const auto printf_17g = [](double v) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    return std::string(buf);
+  };
+  const auto exact = [](double v) {
+    std::string out = "x";  // appends, never overwrites
+    util::json::append_exact(out, v);
+    return out.substr(1);
+  };
+  std::vector<double> values{0.0,     -0.0,     DBL_MIN,     -DBL_MIN,
+                             DBL_MAX, -DBL_MAX, DBL_EPSILON, 1.0,
+                             -1.0,    0.1,      1.0 / 3.0,   123456789.0,
+                             0x1p53,  0x1p63,   1e300,       0x1p53 + 2.0};
+  // Subnormals, from the smallest to the largest.
+  for (double v = DBL_TRUE_MIN; v < DBL_MIN; v *= 7.0) {
+    values.push_back(v);
+    values.push_back(-v);
+  }
+  values.push_back(std::nextafter(DBL_MIN, 0.0));
+  // %g switches to the exponent form below 1e-4 and from 1e17 on, after
+  // rounding to 17 digits: walk the neighbours of each switch point.
+  for (const double pivot : {1e-5, 1e-4, 1e16, 1e17, 1e18}) {
+    double down = pivot;
+    double up = pivot;
+    for (int k = 0; k < 16; ++k) {
+      values.push_back(down);
+      values.push_back(up);
+      down = std::nextafter(down, 0.0);
+      up = std::nextafter(up, DBL_MAX);
+    }
+  }
+  for (int i = -1000; i <= 1000; ++i) {
+    values.push_back(static_cast<double>(i));
+  }
+  for (const double v : values) {
+    ASSERT_EQ(exact(v), printf_17g(v)) << std::bit_cast<std::uint64_t>(v);
+  }
+  // Random finite bit patterns cover every exponent and mantissa shape.
+  util::Rng rng(20261019);
+  std::size_t checked = 0;
+  while (checked < 1000000) {
+    const double v = std::bit_cast<double>(rng.next_u64());
+    if (!std::isfinite(v)) {
+      continue;
+    }
+    ++checked;
+    const std::string got = exact(v);
+    if (got != printf_17g(v)) {
+      FAIL() << std::bit_cast<std::uint64_t>(v) << ": " << got << " vs "
+             << printf_17g(v);
+    }
+  }
 }
 
 TEST(SpanTracerTest, JsonlEmitsLabelOnlyWhenPresent) {

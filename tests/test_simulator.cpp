@@ -7,6 +7,8 @@
 #include "schemes/skyscraper.hpp"
 #include "schemes/staggered.hpp"
 #include "util/contracts.hpp"
+#include "util/rng.hpp"
+#include "workload/request.hpp"
 
 namespace vodbcast::sim {
 namespace {
@@ -52,6 +54,28 @@ TEST(SimulatorTest, SkyscraperClientsAreJitterFreeWithBoundedBuffers) {
   EXPECT_LE(report.max_concurrent_downloads, 2);
   ASSERT_FALSE(report.buffer_peak_mbits.empty());
   EXPECT_LE(report.buffer_peak_mbits.max(), metrics.client_buffer.v + 1e-6);
+}
+
+TEST(SimulatorTest, ExactStoresAreReservedFromTheArrivalFeed) {
+  // One wait and one buffer peak per arrival: both stores are sized to the
+  // feed's count bound (a function of the rate and the horizon) up front,
+  // so the exact run never regrew them.
+  const schemes::SkyscraperScheme sb(12);
+  const auto input = paper_input(150.0);
+  SimulationConfig config;
+  config.horizon = core::Minutes{200.0};
+  config.arrivals_per_minute = 3.0;
+  config.plan_clients = true;
+  const auto report = simulate(sb, input, config);
+  const std::size_t bound =
+      workload::RequestFeed(
+          workload::RequestGenerator({1.0}, config.arrivals_per_minute,
+                                     util::Rng(0)),
+          config.horizon)
+          .count_bound();
+  ASSERT_LE(report.clients_served, bound);
+  EXPECT_EQ(report.latency_minutes.samples().capacity(), bound);
+  EXPECT_EQ(report.buffer_peak_mbits.samples().capacity(), bound);
 }
 
 TEST(SimulatorTest, SimulatedBufferPeakReachesTheBound) {

@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "util/contracts.hpp"
+#include "util/math.hpp"
 #include "util/rng.hpp"
 
 namespace vodbcast::sim {
@@ -416,6 +424,284 @@ TEST(StreamingDistributionTest, LateCapOnOversizedSetFoldsImmediately) {
   EXPECT_TRUE(d.samples().empty());
   EXPECT_EQ(d.count(), 100U);
   EXPECT_DOUBLE_EQ(d.mean(), 50.5);
+}
+
+// A distribution with eager moments: every add updates Welford's moments,
+// and merge combines them with Chan's formula. Distribution defers the
+// moments while exact, and must reproduce this arithmetic bit for bit.
+struct EagerReference {
+  std::vector<double> samples;
+  std::size_t cap = 0;
+  std::optional<obs::SketchCore> sketch;
+  std::uint64_t count = 0;
+  double sum = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+  double welford_mean = 0.0;
+  double welford_m2 = 0.0;
+
+  void add(double sample) {
+    min = count == 0 ? sample : std::min(min, sample);
+    max = count == 0 ? sample : std::max(max, sample);
+    ++count;
+    sum += sample;
+    const double delta = sample - welford_mean;
+    welford_mean += delta / static_cast<double>(count);
+    welford_m2 += delta * (sample - welford_mean);
+    if (sketch.has_value()) {
+      sketch->observe(sample);
+      return;
+    }
+    if (cap != 0 && samples.size() >= cap) {
+      fold();
+      sketch->observe(sample);
+      return;
+    }
+    samples.push_back(sample);
+  }
+
+  void fold() {
+    if (!sketch.has_value()) {
+      sketch.emplace();
+    }
+    for (const double s : samples) {
+      sketch->observe(s);
+    }
+    samples.clear();
+  }
+
+  void merge(const EagerReference& other) {
+    if (other.count == 0) {
+      return;
+    }
+    min = count == 0 ? other.min : std::min(min, other.min);
+    max = count == 0 ? other.max : std::max(max, other.max);
+    const double na = static_cast<double>(count);
+    const double nb = static_cast<double>(other.count);
+    const double delta = other.welford_mean - welford_mean;
+    welford_mean += delta * nb / (na + nb);
+    welford_m2 += other.welford_m2 + delta * delta * na * nb / (na + nb);
+    count += other.count;
+    sum += other.sum;
+    if (!sketch.has_value() && !other.sketch.has_value() &&
+        (cap == 0 || samples.size() + other.samples.size() <= cap)) {
+      samples.insert(samples.end(), other.samples.begin(),
+                     other.samples.end());
+      return;
+    }
+    fold();
+    for (const double s : other.samples) {
+      sketch->observe(s);
+    }
+    if (other.sketch.has_value()) {
+      sketch->merge_from(*other.sketch);
+    }
+  }
+
+  void set_sample_cap(std::size_t c) {
+    cap = c;
+    if (cap != 0 && samples.size() > cap) {
+      fold();
+    }
+  }
+
+  [[nodiscard]] double stddev() const {
+    if (count < 2) {
+      return 0.0;
+    }
+    if (sketch.has_value()) {
+      return std::sqrt(welford_m2 / static_cast<double>(count));
+    }
+    const double m = sum / static_cast<double>(count);
+    double acc = 0.0;
+    for (const double s : samples) {
+      acc += (s - m) * (s - m);
+    }
+    return std::sqrt(acc / static_cast<double>(count));
+  }
+
+  [[nodiscard]] double quantile(double q) const {
+    if (sketch.has_value()) {
+      return sketch->quantile(q);
+    }
+    std::vector<double> sorted = samples;
+    std::sort(sorted.begin(), sorted.end());
+    return util::interpolated_quantile(sorted, q);
+  }
+};
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_matches(const Distribution& d, const EagerReference& e,
+                    bool quantiles, const std::string& where) {
+  ASSERT_EQ(d.count(), e.count) << where;
+  ASSERT_EQ(d.folded(), e.sketch.has_value()) << where;
+  EXPECT_EQ(d.samples_folded(), e.sketch.has_value() ? e.sketch->count() : 0)
+      << where;
+  ASSERT_EQ(d.samples().size(), e.samples.size()) << where;
+  for (std::size_t i = 0; i < e.samples.size(); ++i) {
+    ASSERT_EQ(bits(d.samples()[i]), bits(e.samples[i])) << where << " #" << i;
+  }
+  if (e.sketch.has_value()) {
+    EXPECT_EQ(d.sketch()->buckets(), e.sketch->buckets()) << where;
+  }
+  if (e.count == 0) {
+    return;
+  }
+  EXPECT_EQ(bits(d.mean()), bits(e.sum / static_cast<double>(e.count)))
+      << where;
+  EXPECT_EQ(bits(d.min()), bits(e.min)) << where;
+  EXPECT_EQ(bits(d.max()), bits(e.max)) << where;
+  EXPECT_EQ(bits(d.stddev()), bits(e.stddev())) << where;
+  if (quantiles) {
+    for (const double q : {0.0, 0.25, 0.5, 0.99, 1.0}) {
+      EXPECT_EQ(bits(d.quantile(q)), bits(e.quantile(q))) << where << " q=" << q;
+    }
+  }
+}
+
+// Samples whose moments round differently in every step: plain values,
+// an adversarial large mean with a tiny spread, a wide log range and zeros.
+double draw_sample(util::Rng& rng) {
+  switch (rng.next_below(4)) {
+    case 0:
+      return 100.0 * rng.next_double();
+    case 1:
+      return 1e9 + 1e-3 * rng.next_double();
+    case 2:
+      return std::exp(20.0 * rng.next_double() - 10.0);
+    default:
+      return 0.0;
+  }
+}
+
+TEST(DeferredMomentsTest, RandomOperationsMatchEagerArithmeticBitForBit) {
+  // Random sequences over four distributions of every operation that can
+  // reach the moments: adds, reserves, merges (exact and folded, either
+  // side empty), caps that fold and caps that do not, copies that then
+  // diverge, and resets. A sequence that folds reads the replayed moments
+  // through stddev(); one that stays exact checks that nothing else moved.
+  constexpr std::size_t kDists = 4;
+  for (std::uint64_t seed = 1; seed <= 150; ++seed) {
+    util::Rng rng(seed);
+    std::array<Distribution, kDists> dists;
+    std::array<EagerReference, kDists> refs;
+    for (int step = 0; step < 120; ++step) {
+      const auto i = static_cast<std::size_t>(rng.next_below(kDists));
+      auto j = static_cast<std::size_t>(rng.next_below(kDists - 1));
+      j += j >= i ? 1 : 0;  // another distribution
+      const std::string where = "seed " + std::to_string(seed) + " step " +
+                                std::to_string(step);
+      switch (rng.next_below(10)) {
+        case 0:
+        case 1:
+        case 2:
+        case 3: {
+          const auto burst = 1 + rng.next_below(12);
+          for (std::uint64_t k = 0; k < burst; ++k) {
+            const double x = draw_sample(rng);
+            dists[i].add(x);
+            refs[i].add(x);
+          }
+          break;
+        }
+        case 4:
+          dists[i].reserve(static_cast<std::size_t>(rng.next_below(200)));
+          break;
+        case 5:
+        case 6:
+          dists[i].merge(dists[j]);
+          refs[i].merge(refs[j]);
+          expect_matches(dists[j], refs[j], false, where + " (source)");
+          break;
+        case 7: {
+          // Below, at and above the retained count, or back to exact.
+          const std::size_t size = dists[i].samples().size();
+          const std::array<std::size_t, 5> caps{
+              0, size > 1 ? size - 1 : 1, std::max<std::size_t>(size, 1),
+              size + 1, 1 + static_cast<std::size_t>(rng.next_below(40))};
+          const std::size_t cap = caps[rng.next_below(caps.size())];
+          dists[i].set_sample_cap(cap);
+          refs[i].set_sample_cap(cap);
+          break;
+        }
+        case 8:
+          dists[i] = dists[j];
+          refs[i] = refs[j];
+          break;
+        default:
+          dists[i] = Distribution{};
+          refs[i] = EagerReference{};
+          break;
+      }
+      expect_matches(dists[i], refs[i], false, where);
+      if (::testing::Test::HasFatalFailure()) {
+        return;
+      }
+    }
+    for (std::size_t k = 0; k < kDists; ++k) {
+      // Folding the survivors reads every pending moment.
+      expect_matches(dists[k], refs[k], true,
+                     "seed " + std::to_string(seed) + " end");
+      dists[k].set_sample_cap(1);
+      refs[k].set_sample_cap(1);
+      expect_matches(dists[k], refs[k], true,
+                     "seed " + std::to_string(seed) + " folded");
+    }
+  }
+}
+
+TEST(DeferredMomentsTest, ReserveClampsToTheCapAndIsANoOpOnceFolded) {
+  Distribution exact;
+  exact.reserve(1000);
+  EXPECT_EQ(exact.samples().capacity(), 1000U);
+  EXPECT_EQ(exact.retained_bytes(), 1000 * sizeof(double));
+  for (int i = 0; i < 1000; ++i) {
+    exact.add(static_cast<double>(i));
+  }
+  EXPECT_EQ(exact.samples().capacity(), 1000U);  // no regrowth
+
+  Distribution capped;
+  capped.set_sample_cap(10);
+  capped.reserve(1000);
+  EXPECT_EQ(capped.samples().capacity(), 10U);
+  // The cap clamps before the ceiling does.
+  capped.reserve(Distribution::kReserveCeiling + 1);
+  EXPECT_EQ(capped.samples().capacity(), 10U);
+
+  Distribution folded;
+  folded.set_sample_cap(2);
+  for (int i = 0; i < 3; ++i) {
+    folded.add(static_cast<double>(i));
+  }
+  ASSERT_TRUE(folded.folded());
+  const std::size_t bytes = folded.retained_bytes();
+  folded.reserve(1000);
+  EXPECT_EQ(folded.samples().capacity(), 0U);
+  EXPECT_EQ(folded.retained_bytes(), bytes);
+
+  // Past the ceiling the store grows as it would without a reserve.
+  Distribution oversized;
+  oversized.reserve(Distribution::kReserveCeiling + 1);
+  EXPECT_EQ(oversized.samples().capacity(), 0U);
+}
+
+TEST(DeferredMomentsTest, ReservedStoreHoldsTheSameSamples) {
+  Distribution reserved;
+  reserved.reserve(500);
+  Distribution grown;
+  util::Rng rng(7);
+  for (int i = 0; i < 500; ++i) {
+    const double x = draw_sample(rng);
+    reserved.add(x);
+    grown.add(x);
+  }
+  EXPECT_EQ(reserved.samples(), grown.samples());
+  EXPECT_EQ(bits(reserved.stddev()), bits(grown.stddev()));
+  reserved.set_sample_cap(100);
+  grown.set_sample_cap(100);
+  EXPECT_EQ(bits(reserved.stddev()), bits(grown.stddev()));
+  EXPECT_EQ(reserved.sketch()->buckets(), grown.sketch()->buckets());
 }
 
 }  // namespace

@@ -239,6 +239,33 @@ TEST(RequestFeedTest, PopReturnsTheRewrittenRequests) {
   EXPECT_TRUE(same(drain(feed), expected));
 }
 
+TEST(RequestFeedTest, CountBoundIsTheMeanPlusFiveSigma) {
+  // 2/min over 50 min: mean 100, sigma 10, so the bound is 150; it does
+  // not depend on the popularity, the seed or a filter.
+  EXPECT_EQ(RequestFeed(RequestGenerator(zipf_probabilities(12), 2.0,
+                                         util::Rng(1)),
+                        core::Minutes{50.0})
+                .count_bound(),
+            150U);
+  EXPECT_EQ(RequestFeed(RequestGenerator({1.0}, 2.0, util::Rng(9)),
+                        core::Minutes{50.0},
+                        [](Request&) { return false; })
+                .count_bound(),
+            150U);
+  // No horizon, no requests.
+  EXPECT_EQ(RequestFeed(RequestGenerator({1.0}, 2.0, util::Rng(1)),
+                        core::Minutes{0.0})
+                .count_bound(),
+            0U);
+  // Every seed's stream stays within it.
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    RequestFeed feed(RequestGenerator({1.0}, 2.0, util::Rng(seed)),
+                     core::Minutes{50.0});
+    const std::size_t bound = feed.count_bound();
+    EXPECT_LE(drain(feed).size(), bound) << seed;
+  }
+}
+
 TEST(RequestGeneratorTest, VideosFollowPopularity) {
   const std::vector<double> popularity{0.7, 0.2, 0.1};
   RequestGenerator gen(popularity, 10.0, util::Rng(23));
