@@ -22,9 +22,10 @@
 #               on a pool) and one plan cache per replication on 3- and
 #               4-thread pools (test_plan_cache), and over the Registry
 #               and its families (threads racing on one quantile sketch
-#               while its counter window grows, and unlabeled, labeled and
-#               snapshot lookups racing through the family locks) — the
-#               data races serial ctest cannot see.
+#               while its counter window grows, threads racing to the
+#               sketch boundary table's first use, and unlabeled, labeled
+#               and snapshot lookups racing through the family locks) —
+#               the data races serial ctest cannot see.
 #
 #   scripts/verify_sanitize.sh [all|asan|thread]   (default: all)
 set -euo pipefail
@@ -103,6 +104,10 @@ if [[ $mode == all || $mode == thread ]]; then
   ./build-tsan/tests/test_obs_registry
   ./build-tsan/tests/test_obs_family
   ./build-tsan/tests/test_obs_openmetrics
+  # Alone first, so its threads race the sketch's boundary table to its
+  # first use (a thread-safe static initializer) in a fresh process.
+  ./build-tsan/tests/test_obs_sketch \
+    --gtest_filter=BucketBoundsTest.ThreadsRaceToFirstUse
   ./build-tsan/tests/test_obs_sketch
   ./build-tsan/tests/test_regressions
   ./build-tsan/tests/test_plan_cache

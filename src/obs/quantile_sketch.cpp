@@ -1,6 +1,7 @@
 #include "obs/quantile_sketch.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -15,7 +16,61 @@ namespace {
 /// Spare counters on each side of a freshly grown window, at the least.
 constexpr std::int64_t kMinSpare = 32;
 
+/// The largest double whose log_index is at most `index`: from gamma^index,
+/// within a few dozen ulps of the boundary, one ulp at a time (the bits of
+/// a positive finite double count its ulps).
+double largest_in_bucket(std::int32_t index, double log_gamma) {
+  const auto at = [log_gamma](std::uint64_t bits) {
+    return detail::log_index(std::bit_cast<double>(bits), log_gamma);
+  };
+  auto bits = std::bit_cast<std::uint64_t>(
+      std::exp(static_cast<double>(index) * log_gamma));
+  while (at(bits) > index) {
+    --bits;
+  }
+  while (at(bits + 1) <= index) {
+    ++bits;
+  }
+  return std::bit_cast<double>(bits);
+}
+
 }  // namespace
+
+namespace detail {
+
+BucketBounds::BucketBounds()
+    : log_gamma_(log_gamma_of(kDefaultAccuracy)),
+      first_key_(std::bit_cast<std::uint64_t>(kLow) >> kShift) {
+  const std::uint64_t last_key = std::bit_cast<std::uint64_t>(kHigh) >> kShift;
+  const auto key_front = [](std::uint64_t key) {
+    return std::bit_cast<double>(key << kShift);
+  };
+  const auto key_back = [](std::uint64_t key) {
+    return std::bit_cast<double>(((key + 1) << kShift) - 1);
+  };
+  first_index_ = log_index(key_front(first_key_), log_gamma_);
+  const std::int32_t last_index = log_index(key_back(last_key), log_gamma_);
+  VB_ASSERT(last_index - first_index_ < 0xFFFF);  // guide entries fit
+  upper_.reserve(static_cast<std::size_t>(last_index - first_index_ + 1));
+  for (std::int32_t i = first_index_; i <= last_index; ++i) {
+    upper_.push_back(largest_in_bucket(i, log_gamma_));
+    // The boundaries of a monotone log_index rise.
+    VB_ASSERT(upper_.size() == 1 || upper_[upper_.size() - 2] < upper_.back());
+  }
+  guide_.reserve(static_cast<std::size_t>(last_key - first_key_ + 1));
+  std::size_t j = 0;
+  for (std::uint64_t key = first_key_; key <= last_key; ++key) {
+    while (key_front(key) > upper_[j]) {
+      ++j;
+    }
+    // One compare settles a key: it holds at most one boundary, so its
+    // last double lies in bucket j or j + 1.
+    VB_ASSERT(key_back(key) <= upper_[std::min(j + 1, upper_.size() - 1)]);
+    guide_.push_back(static_cast<std::uint16_t>(j));
+  }
+}
+
+}  // namespace detail
 
 SketchCore::SketchCore(Options options) : options_(options) {
   VB_EXPECTS(options_.relative_accuracy > 0.0 &&
@@ -23,14 +78,17 @@ SketchCore::SketchCore(Options options) : options_(options) {
   VB_EXPECTS(options_.max_buckets >= 2);
   gamma_ = (1.0 + options_.relative_accuracy) /
            (1.0 - options_.relative_accuracy);
-  log_gamma_ = std::log(gamma_);
+  log_gamma_ = detail::log_gamma_of(options_.relative_accuracy);
   // Every finite sample's bucket index must fit an int32_t.
   VB_EXPECTS(std::log(std::numeric_limits<double>::max()) / log_gamma_ <
              static_cast<double>(std::numeric_limits<std::int32_t>::max()));
-  // index_of is monotone, so these bound every index a finite sample above
-  // kMinTrackable can have.
-  min_index_ = index_of(kMinTrackable);
-  max_index_ = index_of(std::numeric_limits<double>::max());
+  // index_of is monotone (the tests check it), so these bound every index a
+  // finite sample above kMinTrackable can have. The formula gives the same
+  // indices as the table and leaves the table unbuilt until a sketch
+  // observes.
+  min_index_ = detail::log_index(kMinTrackable, log_gamma_);
+  max_index_ = detail::log_index(std::numeric_limits<double>::max(),
+                                 log_gamma_);
 }
 
 void SketchCore::observe_new_bucket(std::int32_t index) {

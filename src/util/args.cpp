@@ -41,6 +41,10 @@ std::vector<std::string> split_list(const std::string& text) {
 }  // namespace
 
 ArgParser::ArgParser(const std::vector<std::string>& args) {
+  const auto set = [this](const std::string& flag, const std::string& value) {
+    const bool first = flags_.emplace(flag, value).second;
+    VB_EXPECTS_MSG(first, "--" + flag + " is given more than once");
+  };
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& token = args[i];
     if (token.rfind("--", 0) != 0) {
@@ -51,14 +55,14 @@ ArgParser::ArgParser(const std::vector<std::string>& args) {
     VB_EXPECTS_MSG(!body.empty(), "bare '--' is not a flag");
     const auto eq = body.find('=');
     if (eq != std::string::npos) {
-      flags_[body.substr(0, eq)] = body.substr(eq + 1);
+      set(body.substr(0, eq), body.substr(eq + 1));
       continue;
     }
     if (i + 1 < args.size() && args[i + 1].rfind("--", 0) != 0) {
-      flags_[body] = args[i + 1];
+      set(body, args[i + 1]);
       ++i;
     } else {
-      flags_[body] = "true";
+      set(body, "true");
     }
   }
 }

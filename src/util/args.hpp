@@ -16,7 +16,9 @@ class ArgParser {
   /// Parses argv-style input (excluding the program name). A token starting
   /// with "--" introduces a flag; its value is the text after '=' or, when
   /// absent, the following token ("true" if none follows or the next token
-  /// is itself a flag). All other tokens are positionals, in order.
+  /// is itself a flag). All other tokens are positionals, in order. A flag
+  /// given twice, in either syntax, throws ContractViolation naming it:
+  /// the parser does not pick one of the two values.
   explicit ArgParser(const std::vector<std::string>& args);
   /// argv-style entry point: argv[0] (the program name) is skipped.
   ArgParser(int argc, const char* const* argv);

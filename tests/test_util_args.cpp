@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "util/contracts.hpp"
 
@@ -53,6 +54,28 @@ TEST(ArgParserTest, UnknownFlagNamesTheFirstStranger) {
   EXPECT_EQ(args.unknown_flag({}), "arrivals");
   // No flags at all is always fine.
   EXPECT_EQ(ArgParser({"simulate"}).unknown_flag({}), std::nullopt);
+}
+
+TEST(ArgParserTest, RejectsRepeatedFlag) {
+  // Neither value silently wins, whichever syntax either occurrence uses.
+  for (const std::vector<std::string>& argv :
+       {std::vector<std::string>{"simulate", "--x", "1", "--x", "2"},
+        std::vector<std::string>{"simulate", "--x=1", "--x", "2"},
+        std::vector<std::string>{"--x", "--y", "3", "--x"}}) {
+    try {
+      const ArgParser args(argv);
+      ADD_FAILURE() << "a repeated --x was accepted";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find("--x is given more than once"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // Distinct flags, and a repeated positional, are fine.
+  const ArgParser args({"simulate", "--x", "1", "--y=1", "simulate"});
+  EXPECT_EQ(args.get_int("x", 0), 1);
+  EXPECT_EQ(args.get_int("y", 0), 1);
+  EXPECT_EQ(args.positional_count(), 2U);
 }
 
 TEST(ArgParserTest, Defaults) {
