@@ -2,10 +2,12 @@
 // executable documentation of the fixes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <ios>
 #include <string>
 #include <string_view>
@@ -20,6 +22,7 @@
 #include "fault/injector.hpp"
 #include "metro/federation.hpp"
 #include "net/delivery.hpp"
+#include "obs/sampler.hpp"
 #include "obs/sink.hpp"
 #include "schemes/permutation_pyramid.hpp"
 #include "schemes/skyscraper.hpp"
@@ -297,13 +300,9 @@ TEST(EngineReportPinTest, SimulateWithPlanCacheOnAndOff) {
   }
 }
 
-TEST(EngineReportPinTest, SimulateWithFaultPlanAndStatsCap) {
-  const schemes::SkyscraperScheme sb(12);
-  const schemes::DesignInput input{
-      .server_bandwidth = core::MbitPerSec{300.0},
-      .num_videos = 10,
-      .video = kTwoHourVideo,
-  };
+/// Two outages, two loss bursts, a disk stall and a server restart over
+/// the pinned SB runs' 240 minutes, with one catch-up retry.
+fault::Injector pinned_fault_injector() {
   fault::PlanSpec spec;
   spec.horizon_min = 240.0;
   spec.channels = 10;
@@ -311,8 +310,18 @@ TEST(EngineReportPinTest, SimulateWithFaultPlanAndStatsCap) {
   spec.bursts = 2;
   spec.disk_stalls = 1;
   spec.server_restart = true;
-  const fault::Injector injector{fault::Plan::generate(spec, 7),
-                                 fault::RecoveryPolicy{.retry_budget = 1}};
+  return fault::Injector{fault::Plan::generate(spec, 7),
+                         fault::RecoveryPolicy{.retry_budget = 1}};
+}
+
+TEST(EngineReportPinTest, SimulateWithFaultPlanAndStatsCap) {
+  const schemes::SkyscraperScheme sb(12);
+  const schemes::DesignInput input{
+      .server_bandwidth = core::MbitPerSec{300.0},
+      .num_videos = 10,
+      .video = kTwoHourVideo,
+  };
+  const auto injector = pinned_fault_injector();
   auto config = pinned_sim_config(true);
   config.injector = &injector;
   config.stats_sample_cap = 256;
@@ -732,6 +741,83 @@ TEST(SessionSpanPinTest, Simulate) {
   (void)sim::simulate(sb, kPinnedSbInput, config);
   EXPECT_EQ(sink.spans.dropped(), 0U);
   EXPECT_DIGEST(text_digest(sink.spans.to_jsonl()), 0x04c4f40d2908a2d4);
+}
+
+/// "name{key=value,...}=value" per line for every counter of `snapshot`
+/// whose name is in `names`, in the snapshot's order.
+std::string counter_lines(const obs::Snapshot& snapshot,
+                          std::initializer_list<std::string_view> names) {
+  std::string text;
+  for (const auto& counter : snapshot.counters) {
+    if (std::find(names.begin(), names.end(), counter.name) == names.end()) {
+      continue;
+    }
+    text += counter.name;
+    for (const auto& [key, value] : counter.labels) {
+      text += "{" + key + "=" + value + "}";
+    }
+    text += "=" + std::to_string(counter.value) + "\n";
+  }
+  return text;
+}
+
+// The sink-side arrival paths under a fault plan: every trace event and
+// span of an SB:W=12 run, its fault and per-arrival counters, the plan
+// cache's totals and the repair-penalty sketch. The same run without the
+// plan cache records the same exports.
+TEST(SessionSpanPinTest, SimulateWithFaultPlan) {
+  const schemes::SkyscraperScheme sb(12);
+  const auto injector = pinned_fault_injector();
+  const auto run = [&](bool plan_cache, obs::Sink& sink) {
+    auto config = pinned_sim_config(plan_cache);
+    config.injector = &injector;
+    config.sink = &sink;
+    return sim::simulate(sb, kPinnedSbInput, config);
+  };
+  obs::Sink sink(1U << 17, 1U << 17);
+  const auto report = run(true, sink);
+  EXPECT_EQ(report.fault_hits, 1268U);
+  EXPECT_EQ(sink.spans.dropped(), 0U);
+  EXPECT_EQ(sink.trace.dropped(), 0U);
+  EXPECT_DIGEST(text_digest(sink.spans.to_jsonl()), 0x86bcce2c274d8be8);
+  EXPECT_DIGEST(text_digest(sink.trace.to_jsonl()), 0xb78fdb8e28db981c);
+  const auto snapshot = sink.metrics.snapshot();
+  EXPECT_EQ(counter_lines(snapshot,
+                          {"fault.hits", "fault.repairs", "fault.degraded",
+                           "sim.clients_served", "sim.jitter_events",
+                           "sim.plan_cache.hits", "sim.plan_cache.misses"}),
+            "fault.degraded=304\n"
+            "fault.repairs=964\n"
+            "sim.clients_served=983\n"
+            "sim.jitter_events=0\n"
+            "sim.plan_cache.hits=923\n"
+            "sim.plan_cache.misses=60\n"
+            "fault.hits{kind=0}=315\n"
+            "fault.hits{kind=1}=61\n"
+            "fault.hits{kind=2}=471\n"
+            "fault.hits{kind=3}=421\n");
+  EXPECT_EQ(sink.metrics.gauge("sim.plan_cache.entries").value(), 60.0);
+  EXPECT_EQ(sink.metrics.gauge("sim.plan_cache.bytes").value(), 84000.0);
+  const auto& penalty = sink.metrics.sketch("fault.repair_penalty_min");
+  EXPECT_EQ(penalty.count(), 964U);
+  EXPECT_BITS(penalty.sum(), 0x1.dc0c03420edb5p+10);
+
+  obs::Sink uncached(1U << 17, 1U << 17);
+  (void)run(false, uncached);
+  EXPECT_EQ(uncached.spans.to_jsonl(), sink.spans.to_jsonl());
+  EXPECT_EQ(uncached.trace.to_jsonl(), sink.trace.to_jsonl());
+}
+
+// The time series read the report at every tick the arrival clock
+// crosses, before that arrival's adds.
+TEST(SessionSpanPinTest, SimulateSeriesAtOneMinute) {
+  const schemes::SkyscraperScheme sb(52);
+  obs::Sampler sampler(obs::Sampler::Options{.interval_min = 1.0});
+  auto config = pinned_sim_config(true);
+  config.sampler = &sampler;
+  (void)sim::simulate(sb, kPinnedSbInput, config);
+  EXPECT_EQ(sampler.dropped(), 0U);
+  EXPECT_DIGEST(text_digest(sampler.to_jsonl()), 0xaa64ec16226864f9);
 }
 
 TEST(SessionSpanPinTest, ScheduledMulticastFcfsWithReneges) {
