@@ -9,7 +9,8 @@
 # under tools/trace_analyze --check, keep two loaders and a bounded buffer
 # per client, and record no jitter), a fault-injection self-check (a
 # seeded simulate --fault-plan span capture must satisfy the hit = repair +
-# degraded contract under tools/trace_analyze, with no jitter), a
+# degraded contract under tools/trace_analyze, with no jitter, and its
+# stdout, span and trace exports must be byte-identical at --plan-cache 0), a
 # control-plane self-check (a seeded hybrid --adaptive run with a
 # popularity flip must keep one download per loader and drain before every
 # reallocation under tools/trace_analyze --max-loaders 1), one mutated
@@ -30,8 +31,10 @@
 # flag, not fall back to its default; a failed output write must exit 1
 # naming the path; a negative --fault-retries, an unknown --policy,
 # --reps 0, a nan or non-positive --horizon, a negative
-# --reject-penalty and a --flip-at outside [0, horizon) must exit 1 naming
-# the bound; --trace-out outside simulate must exit 2 naming the flag), a
+# --reject-penalty, a --flip-at outside [0, horizon) and a fault plan on a
+# scheme without planned SB clients must exit 1 naming the bound;
+# --trace-out outside simulate must exit 2 naming the flag, and so must a
+# malformed flag of trace_analyze, bench_diff and metrics_check), a
 # quick pass of the bench suite to prove every binary still writes a valid
 # BENCH_*.json that bench_diff can read back and that names the checked-out
 # commit, and (opt-in) the mechanical perf gate against the committed
@@ -236,12 +239,25 @@ build/tools/trace_analyze "$om_dir/spans.jsonl" --max-units "$peak_units" \
 echo "== fault-injection self-check =="
 # Injected damage never becomes silent: no jitter, and every fault_hit
 # span on a (client, segment) is matched by a repair or a fault_degraded.
-build/tools/vodbcast simulate --scheme SB:W=12 --bandwidth 300 \
-  --horizon 240 --arrivals 4 --seed 42 \
-  --fault-plan outages=2,bursts=2,stalls=1,restart=1 --fault-seed 7 \
-  --spans-out "$om_dir/faults.jsonl" --spans-limit 262144 \
+fault_args=(simulate --scheme SB:W=12 --bandwidth 300 --horizon 240
+  --arrivals 4 --seed 42 --fault-plan outages=2,bursts=2,stalls=1,restart=1
+  --fault-seed 7 --spans-limit 262144)
+build/tools/vodbcast "${fault_args[@]}" --spans-out "$om_dir/faults.jsonl" \
+  --trace-out "$om_dir/faults_trace.jsonl" \
   --metrics-format openmetrics --metrics-out "$om_dir/faults_metrics.txt" \
-  > /dev/null
+  > "$om_dir/faults_stdout.txt"
+# The fold reads a walked plan from the cache or from the planner; both
+# must record the same run.
+build/tools/vodbcast "${fault_args[@]}" --plan-cache 0 \
+  --spans-out "$om_dir/faults_nocache.jsonl" \
+  --trace-out "$om_dir/faults_nocache_trace.jsonl" \
+  > "$om_dir/faults_nocache_stdout.txt"
+for capture in _stdout.txt .jsonl _trace.jsonl; do
+  if ! cmp -s "$om_dir/faults$capture" "$om_dir/faults_nocache$capture"; then
+    echo "fault self-check: --plan-cache 0 changed faults$capture" >&2
+    exit 1
+  fi
+done
 build/tools/metrics_check "$om_dir/faults_metrics.txt" \
   'sim_jitter_events_total == 0' \
   'sum(fault_hits_total{kind=*}) == fault_repairs_total + fault_degraded_total'
@@ -466,6 +482,36 @@ expect_cli_error 1 \
 expect_cli_error 1 \
   '--flip-at must be >= 0 and below the horizon (1500 min), got -5' \
   hybrid --adaptive --flip-at -5 --horizon 1500
+# Only planned SB clients are assessed against a fault plan; any other
+# scheme used to run and report no damage.
+expect_cli_error 1 'a fault plan with episodes needs an SB scheme' \
+  simulate --scheme PB:a --fault-plan outages=2 --horizon 60
+# The tools reject a malformed flag as a usage error, naming it, instead
+# of aborting in std::terminate.
+expect_tool_error() {
+  local text=$1 tool=$2
+  shift 2
+  local rc=0
+  "build/tools/$tool" "$@" > /dev/null 2> "$om_dir/cli_err.txt" || rc=$?
+  if [[ $rc -ne 2 ]] || ! grep -qF -- "$text" "$om_dir/cli_err.txt" \
+      || grep -q 'terminate called' "$om_dir/cli_err.txt"; then
+    echo "cli strictness: expected '$tool $*' to exit 2 naming" \
+         "\"$text\", got $rc:" >&2
+    cat "$om_dir/cli_err.txt" >&2
+    exit 1
+  fi
+}
+expect_tool_error '--top is given more than once' trace_analyze x.jsonl \
+  --top 1 --top 2
+expect_tool_error "bare '--' is not a flag" trace_analyze --
+expect_tool_error "--top expects an unsigned integer, got 'abc'" \
+  trace_analyze x.jsonl --top abc
+expect_tool_error '--threshold must be non-negative' bench_diff d d \
+  --threshold -1
+expect_tool_error "--threshold expects a finite number, got 'x'" \
+  bench_diff d d --threshold x
+expect_tool_error '--verbose is given more than once' metrics_check f \
+  --verbose --verbose
 # hybrid --adaptive takes --stats-cap like the static hybrid (it used to
 # exit 2 naming the flag).
 build/tools/vodbcast hybrid --adaptive --horizon 120 --stats-cap 4096 \

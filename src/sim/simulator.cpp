@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <vector>
 
 #include "client/plan_cache.hpp"
 #include "client/reception_plan.hpp"
@@ -40,47 +41,31 @@ void trace_channel_slots(obs::Sink& sink, const channel::ChannelPlan& plan,
   }
 }
 
-/// Traces one client's exact reception plan (tuner joins and releases),
-/// both as instant trace events and as segment_download spans hanging off
-/// the client's session span (channel = segment index, so the chrome export
-/// draws each download on its segment track with a flow arrow from the
-/// session).
-void trace_reception(obs::Sink& sink, const client::PlanView& plan,
-                     double d1, core::VideoId video, std::uint64_t client,
-                     std::uint64_t session_span) {
-  for (std::size_t i = 0; i < plan.download_count(); ++i) {
-    const auto d = plan.download(i);
-    const double start_min = static_cast<double>(d.start) * d1;
-    const double length_min = static_cast<double>(d.length) * d1;
-    sink.trace.record(obs::TraceEvent{
-        .sim_time_min = start_min,
-        .kind = obs::EventKind::kSegmentDownloadStart,
-        .channel = d.segment,
-        .video = video,
-        .client = client,
-        .value = length_min,
-    });
-    sink.trace.record(obs::TraceEvent{
-        .sim_time_min = start_min + length_min,
-        .kind = obs::EventKind::kSegmentDownloadEnd,
-        .channel = d.segment,
-        .video = video,
-        .client = client,
-        .value = 0.0,
-    });
-    sink.spans.record(obs::Span{
-        .parent = session_span,
-        .start_min = start_min,
-        .end_min = start_min + length_min,
-        .phase = obs::SpanPhase::kSegmentDownload,
-        .channel = d.segment,
-        .video = video,
-        .client = client,
-        .value = length_min,
-        .label = {},
-    });
-  }
-}
+/// A planned download a fault episode damaged, as recovery resolved it.
+struct DamagedDownload {
+  client::SegmentDownload download;  ///< in the arrival's absolute time
+  fault::DownloadDamage damage;
+  double penalty_min = 0.0;  ///< the repair's wait penalty; 0 if degraded
+};
+
+/// A walk of an arrival's downloads: the plan and, under a fault plan, the
+/// damaged downloads in plan order. The run owns one and reuses it.
+struct WalkedPlan {
+  client::PlanView plan;
+  std::vector<DamagedDownload> damaged;
+};
+
+/// All that one arrival computes (paper Section 3.3): it tunes in at the
+/// next segment-1 broadcast and, as a planned SB client, plays from slot
+/// t0 under the two-loader reception plan.
+struct ArrivalOutcome {
+  workload::Request request;
+  double start_min = 0.0;       ///< the joined segment-1 broadcast
+  std::uint64_t t0 = 0;         ///< playback start slot (planned clients)
+  client::PlanSummary summary;  ///< the plan's verdicts (planned clients)
+  /// Set only when a sink or a fault plan walks the downloads.
+  const WalkedPlan* walked = nullptr;
+};
 
 }  // namespace
 
@@ -94,6 +79,12 @@ SimulationReport simulate(const schemes::BroadcastScheme& scheme,
   obs::Sink* sink = config.sink;
   const bool faults =
       config.injector != nullptr && !config.injector->plan().empty();
+  // For SB clients we run the exact reception plan, and only its downloads
+  // are assessed against a fault plan.
+  const auto* sb = dynamic_cast<const schemes::SkyscraperScheme*>(&scheme);
+  VB_EXPECTS_MSG(!faults || (sb != nullptr && config.plan_clients),
+                 "a fault plan with episodes needs an SB scheme with "
+                 "plan_clients set");
   obs::ScopedTimer run_timer(
       sink != nullptr
           ? &sink->metrics.histogram("sim.simulate_ns",
@@ -147,12 +138,11 @@ SimulationReport simulate(const schemes::BroadcastScheme& scheme,
           config.arrivals_per_minute, util::Rng(config.seed)),
       config.horizon);
 
-  // For SB clients we run the exact reception plan; resolve the layout once.
-  const auto* sb = dynamic_cast<const schemes::SkyscraperScheme*>(&scheme);
   std::optional<series::SegmentLayout> layout;
   if (sb != nullptr && config.plan_clients) {
     layout.emplace(sb->layout(input, *design));
   }
+  const double d1 = layout.has_value() ? layout->unit_duration().v : 0.0;
   // One wait per arrival, and one buffer peak per planned arrival.
   report.latency_minutes.reserve(arrivals.count_bound());
   if (layout.has_value()) {
@@ -189,8 +179,6 @@ SimulationReport simulate(const schemes::BroadcastScheme& scheme,
   }
 
   // Instrument handles resolved once, outside the per-client loop.
-  obs::Counter* clients_counter = nullptr;
-  obs::Counter* jitter_counter = nullptr;
   obs::Histogram* wait_hist = nullptr;
   obs::Histogram* plan_ns = nullptr;
   obs::Histogram* plan_cache_hit_ns = nullptr;
@@ -200,8 +188,6 @@ SimulationReport simulate(const schemes::BroadcastScheme& scheme,
   // once, and the arrival hot path only touches the sketch.
   std::vector<obs::QuantileSketch*> title_wait;
   if (sink != nullptr) {
-    clients_counter = &sink->metrics.counter("sim.clients_served");
-    jitter_counter = &sink->metrics.counter("sim.jitter_events");
     wait_hist = &sink->metrics.histogram("sim.tune_wait_min",
                                          obs::default_latency_bounds_min());
     wait_sketch = &sink->metrics.sketch("sim.tune_wait_sketch_min");
@@ -225,194 +211,231 @@ SimulationReport simulate(const schemes::BroadcastScheme& scheme,
     }
   }
 
-  // Every client arrival is pulled from the generator by the discrete-event
-  // engine (no server-side events exist here, so the heap stays empty):
-  // the run is metered by the same engine as the batching server and the
-  // control plane, in O(1) memory per arrival.
-  const auto handle_arrival = [&](const workload::Request& request) {
-    probes.advance(request.arrival.v);
+  // An arrival is a step, then a fold. The step computes the outcome from
+  // the request, its 1-based ordinal and state the run does not change
+  // (the server's index, the layout, the injector; the plan cache still
+  // plans a phase on its first visit). The fold applies outcomes in arrival
+  // order and alone writes the report, the probes' state and the sink, but
+  // for the plan-lookup timers, which time the lookup itself.
+  client::ReceptionPlan uncached_plan;  // the plan without a cache
+  WalkedPlan walked;
+  if (faults) {
+    walked.damaged.reserve(static_cast<std::size_t>(layout->segment_count()));
+  }
+
+  // The part of the step that only a sink or a fault plan needs. It stays
+  // out of line so that the summaries-only step is small enough to inline,
+  // and its outcome stays in registers.
+  const auto walk = [&](std::uint64_t t0, std::uint64_t ordinal)
+      __attribute__((noinline)) {
+    auto& plan = walked.plan;
+    if (cache.has_value()) {
+      // A cheap contains() probe picks the timer before the clock
+      // starts, so hit and miss latencies land in separate histograms.
+      const obs::ScopedTimer plan_timer(cache->contains(t0) ? plan_cache_hit_ns
+                                                            : plan_ns);
+      plan = cache->at(t0);
+    } else {
+      const obs::ScopedTimer plan_timer(plan_ns);
+      uncached_plan = client::plan_reception(*layout, t0);
+      plan = client::PlanView(uncached_plan, 0, false);
+    }
+    walked.damaged.clear();
+    // Assess each planned download against the fault plan and play the
+    // recovery policy forward. Views hand out downloads already shifted
+    // into absolute time, so damage is assessed against the arrival's real
+    // windows — cached plans can never alias another episode's damage.
+    for (std::size_t di = 0; faults && di < plan.download_count(); ++di) {
+      const auto d = plan.download(di);
+      const double w_begin = static_cast<double>(d.start) * d1;
+      const double w_end = static_cast<double>(d.end()) * d1;
+      const auto damage = fault::assess_download(
+          config.injector, w_begin, w_end, d.segment,
+          static_cast<double>(d.length) * d1,
+          ordinal * 4096 + static_cast<std::uint64_t>(d.segment));
+      if (!damage.damaged) {
+        continue;
+      }
+      // Download and playback both run at the display rate, so a catch-up
+      // that slides the download later stalls every byte by the same
+      // amount: the penalty is the effective start's overshoot past the
+      // segment's playback deadline.
+      double penalty = 0.0;
+      if (damage.repaired) {
+        const double effective_start =
+            damage.repaired_at_min - (w_end - w_begin);
+        penalty = std::max(
+            0.0, effective_start - static_cast<double>(d.deadline) * d1);
+      }
+      walked.damaged.push_back({d, damage, penalty});
+    }
+  };
+
+  const auto step = [&](const workload::Request& request,
+                        std::uint64_t ordinal) __attribute__((always_inline)) {
     const auto start =
         server.next_segment_start(request.video, 1, request.arrival);
     VB_ASSERT(start.has_value());
-    const double wait = start->v - request.arrival.v;
-    report.latency_minutes.add(wait);
-    ++report.clients_served;
-    std::uint64_t session_span = 0;
-    if (sink != nullptr) {
-      clients_counter->add();
-      wait_hist->observe(wait);
-      wait_sketch->observe(wait);
-      title_wait[static_cast<std::size_t>(request.video)]->observe(wait);
-      sink->trace.record(obs::TraceEvent{
-          .sim_time_min = request.arrival.v,
-          .kind = obs::EventKind::kClientArrival,
-          .channel = 0,
-          .video = request.video,
-          .client = report.clients_served,
-          .value = 0.0,
-      });
-      sink->trace.record(obs::TraceEvent{
-          .sim_time_min = start->v,
-          .kind = obs::EventKind::kTuneIn,
-          .channel = 0,
-          .video = request.video,
-          .client = report.clients_served,
-          .value = wait,
-      });
-      // The tune child's duration *is* the reported wait — the invariant
-      // trace_analyze --check leans on. Download children follow per
-      // planned client.
-      session_span = obs::record_session(
-          sink->spans, {.video = request.video,
-                        .client = report.clients_served,
-                        .arrival_min = request.arrival.v,
-                        .served_min = start->v,
-                        .duration_min = input.video.duration.v});
-    }
-
+    ArrivalOutcome out{request, start->v, 0, {}, nullptr};
     if (layout.has_value()) {
       // Playback starts at the joined broadcast, i.e. slot
       // round(start / D1); the quotient is integral up to rounding noise.
-      const double d1 = layout->unit_duration().v;
-      const auto t0 = static_cast<std::uint64_t>(
-          std::llround(start->v / d1));
-      client::ReceptionPlan local_plan;
-      client::PlanView plan;  // left empty when summaries_only
-      client::PlanSummary summary;
+      out.t0 = static_cast<std::uint64_t>(std::llround(start->v / d1));
       if (summaries_only) {
-        summary = cache->summary(t0);
+        out.summary = cache->summary(out.t0);
       } else {
-        if (cache.has_value()) {
-          // A cheap contains() probe picks the timer before the clock
-          // starts, so hit and miss latencies land in separate histograms.
-          const bool cached = cache->contains(t0);
-          const obs::ScopedTimer plan_timer(cached ? plan_cache_hit_ns
-                                                   : plan_ns);
-          plan = cache->at(t0);
-        } else {
-          const obs::ScopedTimer plan_timer(plan_ns);
-          local_plan = client::plan_reception(*layout, t0);
-          plan = client::PlanView(local_plan, 0, false);
-        }
-        summary = plan.summary();
+        walk(out.t0, ordinal);
+        out.summary = walked.plan.summary();
+        out.walked = &walked;
       }
-      if (!summary.jitter_free) {
-        ++report.jitter_events;
-        obs::logf(obs::LogLevel::kWarn,
-                  "simulate: jitter for client %llu of video %llu (t0=%llu)",
-                  static_cast<unsigned long long>(report.clients_served),
-                  static_cast<unsigned long long>(request.video),
-                  static_cast<unsigned long long>(t0));
-        if (sink != nullptr) {
-          jitter_counter->add();
-          sink->trace.record(obs::TraceEvent{
-              .sim_time_min = start->v,
-              .kind = obs::EventKind::kJitter,
-              .channel = 0,
-              .video = request.video,
-              .client = report.clients_served,
-              .value = 0.0,
-          });
-        }
-      }
-      report.max_concurrent_downloads =
-          std::max(report.max_concurrent_downloads,
-                   summary.max_concurrent_downloads);
-      last_buffer_peak_units =
-          static_cast<double>(summary.max_buffer_units);
-      report.buffer_peak_mbits.add(summary.max_buffer(*layout).v);
-      if (sink != nullptr) {
-        trace_reception(*sink, plan, d1, request.video,
-                        report.clients_served, session_span);
-      }
+    }
+    return out;
+  };
 
-      if (faults) {
-        // Assess each planned download against the fault plan and play the
-        // recovery policy forward. Damage never becomes silent jitter: it
-        // is either repaired (catch-up on a later repetition, or a disk
-        // stall absorbed in place, both with the wait penalty recorded) or
-        // surfaced as degradation.
-        // Views hand out downloads already shifted into absolute time, so
-        // damage is assessed against the arrival's real windows — cached
-        // plans can never alias another episode's damage.
-        for (std::size_t di = 0; di < plan.download_count(); ++di) {
-          const auto d = plan.download(di);
-          const double w_begin = static_cast<double>(d.start) * d1;
-          const double w_end = static_cast<double>(d.end()) * d1;
-          const double deadline_min = static_cast<double>(d.deadline) * d1;
-          const double period_min = static_cast<double>(d.length) * d1;
-          const auto damage = fault::assess_download(
-              config.injector, w_begin, w_end, d.segment, period_min,
-              report.clients_served * 4096 +
-                  static_cast<std::uint64_t>(d.segment));
-          if (!damage.damaged) {
-            continue;
-          }
-          ++report.fault_hits;
-          const auto episode = static_cast<double>(damage.episode);
-          // fault_hit and fault_degraded are instants under the session; a
-          // repair runs from the damaged window's end to the heal. Every
-          // hit resolves to exactly one repair or fault_degraded.
-          const auto record_fault = [&](obs::SpanPhase phase, double from,
-                                        double to, double value) {
-            sink->spans.record(obs::Span{.parent = session_span,
-                                         .start_min = from,
-                                         .end_min = to,
-                                         .phase = phase,
-                                         .channel = d.segment,
-                                         .video = request.video,
-                                         .client = report.clients_served,
-                                         .value = value,
-                                         .label = {}});
-          };
-          if (sink != nullptr) {
-            sink->metrics.counter_family("fault.hits", {"kind"})
-                .with_ids({static_cast<std::uint64_t>(
-                    config.injector->plan()
-                        .episodes()[damage.episode]
-                        .kind)})
-                .add();
-            record_fault(obs::SpanPhase::kFaultHit, w_end, w_end, episode);
-          }
-          if (damage.repaired) {
-            ++report.fault_repairs;
-            // Download and playback both run at the display rate, so a
-            // catch-up that slides the download later stalls every byte by
-            // the same amount: the penalty is the effective start's
-            // overshoot past the segment's playback deadline.
-            const double effective_start =
-                damage.repaired_at_min - (w_end - w_begin);
-            const double penalty =
-                std::max(0.0, effective_start - deadline_min);
-            report.fault_penalty_minutes.add(penalty);
-            if (sink != nullptr) {
-              sink->metrics.counter("fault.repairs").add();
-              sink->metrics.sketch("fault.repair_penalty_min")
-                  .observe(penalty);
-              record_fault(obs::SpanPhase::kRepair, w_end,
-                           damage.repaired_at_min, penalty);
-            }
-          } else {
-            ++report.fault_degraded;
-            if (sink != nullptr) {
-              sink->metrics.counter("fault.degraded").add();
-              const double given_up =
-                  w_end + static_cast<double>(damage.retries) * period_min;
-              record_fault(obs::SpanPhase::kFaultDegraded, given_up, given_up,
-                           episode);
-            }
-          }
-        }
+  // Every sink record of one arrival, in this order: its wait metrics, its
+  // arrival and tune-in events, its session span, a jitter event, its
+  // downloads, then per damaged download its hit and its repair or
+  // degradation. It takes a copy and stays out of line, so the plain
+  // path's outcome never has its address taken.
+  const auto record = [&](const ArrivalOutcome out, std::uint64_t client)
+      __attribute__((noinline)) {
+    const auto video = out.request.video;
+    const double wait = out.start_min - out.request.arrival.v;
+    wait_hist->observe(wait);
+    wait_sketch->observe(wait);
+    title_wait[static_cast<std::size_t>(video)]->observe(wait);
+    const auto event = [&](double at, obs::EventKind kind, int channel,
+                           double value) {
+      sink->trace.record(obs::TraceEvent{.sim_time_min = at,
+                                         .kind = kind,
+                                         .channel = channel,
+                                         .video = video,
+                                         .client = client,
+                                         .value = value});
+    };
+    event(out.request.arrival.v, obs::EventKind::kClientArrival, 0, 0.0);
+    event(out.start_min, obs::EventKind::kTuneIn, 0, wait);
+    // The tune child's duration *is* the reported wait — the invariant
+    // trace_analyze --check leans on. Download and fault children follow
+    // per planned client, on their segment's track (channel = segment
+    // index, so the chrome export draws a flow arrow from the session).
+    const auto session_span = obs::record_session(
+        sink->spans, {.video = video,
+                      .client = client,
+                      .arrival_min = out.request.arrival.v,
+                      .served_min = out.start_min,
+                      .duration_min = input.video.duration.v});
+    const auto child = [&](obs::SpanPhase phase, int segment, double from,
+                           double to, double value) {
+      sink->spans.record(obs::Span{.parent = session_span,
+                                   .start_min = from,
+                                   .end_min = to,
+                                   .phase = phase,
+                                   .channel = segment,
+                                   .video = video,
+                                   .client = client,
+                                   .value = value,
+                                   .label = {}});
+    };
+    if (!layout.has_value()) {
+      return;
+    }
+    if (!out.summary.jitter_free) {
+      event(out.start_min, obs::EventKind::kJitter, 0, 0.0);
+    }
+    // The exact reception plan: tuner joins and releases.
+    const auto& plan = out.walked->plan;
+    for (std::size_t i = 0; i < plan.download_count(); ++i) {
+      const auto d = plan.download(i);
+      const double start_min = static_cast<double>(d.start) * d1;
+      const double length_min = static_cast<double>(d.length) * d1;
+      event(start_min, obs::EventKind::kSegmentDownloadStart, d.segment,
+            length_min);
+      event(start_min + length_min, obs::EventKind::kSegmentDownloadEnd,
+            d.segment, 0.0);
+      child(obs::SpanPhase::kSegmentDownload, d.segment, start_min,
+            start_min + length_min, length_min);
+    }
+    // Damage never becomes silent jitter: every fault_hit instant resolves
+    // to exactly one repair, from the damaged window's end to the heal, or
+    // one fault_degraded instant.
+    for (const auto& [d, damage, penalty] : out.walked->damaged) {
+      const double w_end = static_cast<double>(d.end()) * d1;
+      const auto episode = static_cast<double>(damage.episode);
+      sink->metrics.counter_family("fault.hits", {"kind"})
+          .with_ids({static_cast<std::uint64_t>(
+              config.injector->plan().episodes()[damage.episode].kind)})
+          .add();
+      child(obs::SpanPhase::kFaultHit, d.segment, w_end, w_end, episode);
+      if (damage.repaired) {
+        sink->metrics.counter("fault.repairs").add();
+        sink->metrics.sketch("fault.repair_penalty_min").observe(penalty);
+        child(obs::SpanPhase::kRepair, d.segment, w_end,
+              damage.repaired_at_min, penalty);
+      } else {
+        sink->metrics.counter("fault.degraded").add();
+        const double given_up =
+            w_end + static_cast<double>(damage.retries) *
+                        (static_cast<double>(d.length) * d1);
+        child(obs::SpanPhase::kFaultDegraded, d.segment, given_up, given_up,
+              episode);
       }
     }
   };
 
+  const auto fold = [&](const ArrivalOutcome& out)
+      __attribute__((always_inline)) {
+    probes.advance(out.request.arrival.v);
+    report.latency_minutes.add(out.start_min - out.request.arrival.v);
+    ++report.clients_served;
+    if (layout.has_value()) {
+      if (!out.summary.jitter_free) {
+        ++report.jitter_events;
+        obs::logf(obs::LogLevel::kWarn,
+                  "simulate: jitter for client %llu of video %llu (t0=%llu)",
+                  static_cast<unsigned long long>(report.clients_served),
+                  static_cast<unsigned long long>(out.request.video),
+                  static_cast<unsigned long long>(out.t0));
+      }
+      report.max_concurrent_downloads =
+          std::max(report.max_concurrent_downloads,
+                   out.summary.max_concurrent_downloads);
+      last_buffer_peak_units =
+          static_cast<double>(out.summary.max_buffer_units);
+      report.buffer_peak_mbits.add(out.summary.max_buffer(*layout).v);
+      for (std::size_t i = 0; out.walked != nullptr &&
+                              i < out.walked->damaged.size(); ++i) {
+        const auto& [d, damage, penalty] = out.walked->damaged[i];
+        ++report.fault_hits;
+        if (damage.repaired) {
+          ++report.fault_repairs;
+          report.fault_penalty_minutes.add(penalty);
+        } else {
+          ++report.fault_degraded;
+        }
+      }
+    }
+    if (sink != nullptr) {
+      record(out, report.clients_served);
+    }
+  };
+
+  // Every client arrival is pulled from the generator by the discrete-event
+  // engine (no server-side events exist here, so the heap stays empty):
+  // the run is metered by the same engine as the batching server and the
+  // control plane, in O(1) memory per arrival.
   EventQueue events;
   events.attach_sink(sink);
-  events.run_until(config.horizon.v, arrivals, handle_arrival);
+  events.run_until(config.horizon.v, arrivals,
+                   [&](const workload::Request& request) {
+                     fold(step(request, report.clients_served + 1));
+                   });
 
   probes.advance(config.horizon.v);
   if (sink != nullptr) {
+    // Mirrors of report fields, added once like the plan cache's totals.
+    sink->metrics.counter("sim.clients_served").add(report.clients_served);
+    sink->metrics.counter("sim.jitter_events").add(report.jitter_events);
     sink->metrics.gauge("sim.max_concurrent_downloads")
         .max_of(static_cast<double>(report.max_concurrent_downloads));
     if (cache.has_value()) {

@@ -64,7 +64,10 @@ struct SimulationConfig {
   /// the recovery policy is played forward: damage is repaired by catch-up
   /// repetitions within the retry budget (with the wait penalty recorded)
   /// or surfaced as degradation — never as silent jitter. Null, or a plan
-  /// with zero episodes, is bit-identical to today's behavior.
+  /// with zero episodes, is bit-identical to today's behavior. No other
+  /// client walks downloads, so a plan with episodes needs a
+  /// SkyscraperScheme and plan_clients set; otherwise simulate() throws
+  /// ContractViolation instead of reporting no damage.
   const fault::Injector* injector = nullptr;
 };
 

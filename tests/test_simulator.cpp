@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fault/injector.hpp"
 #include "obs/sink.hpp"
 #include "schemes/pyramid.hpp"
 #include "schemes/skyscraper.hpp"
@@ -142,6 +143,47 @@ TEST(SimulatorTest, DeterministicForFixedSeed) {
   const auto b = simulate(sb, input, config);
   EXPECT_EQ(a.clients_served, b.clients_served);
   EXPECT_DOUBLE_EQ(a.latency_minutes.mean(), b.latency_minutes.mean());
+}
+
+// Only a planned SB client walks downloads a fault plan can damage, so a
+// plan with episodes anywhere else would run and report no damage at all.
+TEST(SimulatorTest, FaultPlanNeedsPlannedSkyscraperClients) {
+  const fault::Injector outage{fault::Plan(
+      {fault::Episode{.kind = fault::EpisodeKind::kChannelOutage,
+                      .start_min = 10.0,
+                      .end_min = 40.0,
+                      .channel = 1}},
+      1)};
+  const auto input = paper_input(300.0);
+  SimulationConfig config;
+  config.horizon = core::Minutes{60.0};
+  config.plan_clients = true;
+  config.injector = &outage;
+  EXPECT_THROW(
+      (void)simulate(schemes::PyramidScheme(schemes::Variant::kA), input,
+                     config),
+      util::ContractViolation);
+  EXPECT_THROW((void)simulate(schemes::StaggeredScheme(), input, config),
+               util::ContractViolation);
+  config.plan_clients = false;
+  EXPECT_THROW((void)simulate(schemes::SkyscraperScheme(52), input, config),
+               util::ContractViolation);
+}
+
+TEST(SimulatorTest, EmptyFaultPlanRunsWithoutPlannedClients) {
+  const fault::Injector empty{fault::Plan{}};
+  const auto input = paper_input(300.0);
+  SimulationConfig config;
+  config.horizon = core::Minutes{60.0};
+  config.injector = &empty;
+  const auto sb = simulate(schemes::SkyscraperScheme(52), input, config);
+  EXPECT_GT(sb.clients_served, 0U);
+  EXPECT_EQ(sb.fault_hits, 0U);
+  config.plan_clients = true;
+  const auto pb = simulate(schemes::PyramidScheme(schemes::Variant::kA),
+                           input, config);
+  EXPECT_GT(pb.clients_served, 0U);
+  EXPECT_EQ(pb.fault_hits, 0U);
 }
 
 // Memory canary: arrivals are pulled through the engine, never scheduled

@@ -11,6 +11,7 @@
 //   build/tools/bench_diff base cand
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -76,10 +77,7 @@ int usage() {
   return 2;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const vodbcast::util::ArgParser args(argc, argv);
+int run(const vodbcast::util::ArgParser& args) {
   if (args.positional_count() != 2) {
     return usage();
   }
@@ -88,6 +86,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bench_diff: unknown flag --%s\n", flag->c_str());
     return usage();
   }
+  vodbcast::obs::DiffOptions options;
+  options.noise_threshold = args.get_double("threshold", 0.05);
+  options.min_time_ns = args.get_double("min-time-ns", 1000.0);
+  VB_EXPECTS_MSG(options.noise_threshold >= 0.0,
+                 "--threshold must be non-negative");
   const auto& base_dir = args.positional(0);
   const auto& cand_dir = args.positional(1);
   for (const auto& dir : {base_dir, cand_dir}) {
@@ -96,12 +99,6 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-
-  vodbcast::obs::DiffOptions options;
-  options.noise_threshold = args.get_double("threshold", 0.05);
-  options.min_time_ns = args.get_double("min-time-ns", 1000.0);
-  VB_EXPECTS_MSG(options.noise_threshold >= 0.0,
-                 "--threshold must be non-negative");
 
   const auto baseline = load_dir(base_dir);
   const auto candidate = load_dir(cand_dir);
@@ -125,4 +122,16 @@ int main(int argc, char** argv) {
     std::fputs(trimmed.render().c_str(), stdout);
   }
   return report.has_regression() ? 1 : 0;
+}
+
+}  // namespace
+
+// A malformed flag throws from the parser or a typed read: a usage error.
+int main(int argc, char** argv) {
+  try {
+    return run(vodbcast::util::ArgParser(argc, argv));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_diff: %s\n", e.what());
+    return 2;
+  }
 }

@@ -39,6 +39,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <exception>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -631,10 +632,7 @@ int usage() {
   return 2;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const vodbcast::util::ArgParser args(argc, argv);
+int run(const vodbcast::util::ArgParser& args) {
   if (args.positional_count() < 1) {
     return usage();
   }
@@ -665,4 +663,16 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "metrics_check: OK (%s)\n",
                args.positional(0).c_str());
   return 0;
+}
+
+}  // namespace
+
+// A malformed flag throws from the parser or a typed read: a usage error.
+int main(int argc, char** argv) {
+  try {
+    return run(vodbcast::util::ArgParser(argc, argv));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "metrics_check: %s\n", e.what());
+    return 2;
+  }
 }

@@ -49,6 +49,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -372,10 +373,7 @@ int usage() {
   return 2;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const vodbcast::util::ArgParser args(argc, argv);
+int run(const vodbcast::util::ArgParser& args) {
   if (args.positional_count() != 1) {
     return usage();
   }
@@ -649,4 +647,16 @@ int main(int argc, char** argv) {
   }
   std::printf("trace_analyze: ok\n");
   return 0;
+}
+
+}  // namespace
+
+// A malformed flag throws from the parser or a typed read: a usage error.
+int main(int argc, char** argv) {
+  try {
+    return run(vodbcast::util::ArgParser(argc, argv));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "trace_analyze: %s\n", e.what());
+    return 2;
+  }
 }
