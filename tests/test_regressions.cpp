@@ -300,6 +300,38 @@ TEST(EngineReportPinTest, SimulateWithPlanCacheOnAndOff) {
   }
 }
 
+// The path the 1.2M-arrival campaign takes: the plan cache on, no sink and
+// no fault plan, so each arrival reads its phase's summary. 983 arrivals
+// are not a whole number of 256-arrival windows, and the cap of 300 folds
+// both report distributions in the middle of a window.
+TEST(EngineReportPinTest, SimulateSummariesOnlyWithStatsCap) {
+  const schemes::SkyscraperScheme sb(52);
+  const schemes::DesignInput input{
+      .server_bandwidth = core::MbitPerSec{300.0},
+      .num_videos = 10,
+      .video = kTwoHourVideo,
+  };
+  auto config = pinned_sim_config(true);
+  config.stats_sample_cap = 300;
+  const auto report = sim::simulate(sb, input, config);
+  EXPECT_EQ(report.clients_served, 983U);
+  EXPECT_EQ(report.jitter_events, 0U);
+  EXPECT_EQ(report.max_concurrent_downloads, 2);
+  const auto& wait = report.latency_minutes;
+  EXPECT_BITS(wait.mean(), 0x1.6ff5fa1767772p-4);
+  EXPECT_BITS(wait.stddev(), 0x1.a67e9d48d259ap-5);
+  EXPECT_BITS(wait.quantile(0.5), 0x1.6fd5e34bfa5dfp-4);
+  EXPECT_BITS(wait.quantile(0.99), 0x1.6b0a14d09ca36p-3);
+  EXPECT_EQ(wait.samples_folded(), 983U);
+  const auto& buffer = report.buffer_peak_mbits;
+  EXPECT_BITS(buffer.mean(), 0x1.c01d397e9a16dp+8);
+  EXPECT_BITS(buffer.stddev(), 0x1.aae785e855a22p+7);
+  EXPECT_BITS(buffer.quantile(0.5), 0x1.978b6a0f264b5p+8);
+  EXPECT_BITS(buffer.quantile(0.99), 0x1.a2a58893f1bc2p+9);
+  EXPECT_EQ(buffer.samples_folded(), 983U);
+  EXPECT_DIGEST(digest(report), 0x02a67764bf6c8e5d);
+}
+
 /// Two outages, two loss bursts, a disk stall and a server restart over
 /// the pinned SB runs' 240 minutes, with one catch-up retry.
 fault::Injector pinned_fault_injector() {
