@@ -7,19 +7,6 @@
 
 namespace vodbcast::channel {
 
-namespace {
-constexpr double kTimeEps = 1e-9;
-}  // namespace
-
-core::Minutes PeriodicBroadcast::next_start_at_or_after(core::Minutes t) const {
-  VB_EXPECTS(period.v > 0.0);
-  if (t.v <= phase.v) {
-    return phase;
-  }
-  const double k = std::ceil((t.v - phase.v) / period.v - kTimeEps);
-  return core::Minutes{phase.v + k * period.v};
-}
-
 std::uint64_t PeriodicBroadcast::starts_before(core::Minutes t) const {
   VB_EXPECTS(period.v > 0.0);
   if (t.v <= phase.v) {

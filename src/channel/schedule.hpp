@@ -8,6 +8,7 @@
 // that concurrent transmissions never exceed the server budget.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -15,8 +16,13 @@
 
 #include "core/units.hpp"
 #include "core/video.hpp"
+#include "util/contracts.hpp"
 
 namespace vodbcast::channel {
+
+/// Slack on the stream timelines' boundary tests, in minutes: a time within
+/// it of a broadcast start counts as that start.
+inline constexpr double kTimeEps = 1e-9;
 
 /// One periodic broadcast stream.
 struct PeriodicBroadcast {
@@ -29,8 +35,16 @@ struct PeriodicBroadcast {
   core::Minutes phase{0.0};      ///< first start time (>= 0, < period)
   core::Minutes transmission{0.0};  ///< duration of one broadcast
 
-  /// Start time of the first broadcast at or after `t`.
-  [[nodiscard]] core::Minutes next_start_at_or_after(core::Minutes t) const;
+  /// Start time of the first broadcast at or after `t`. Inline: every
+  /// arrival's tune-in asks it once per replica.
+  [[nodiscard]] core::Minutes next_start_at_or_after(core::Minutes t) const {
+    VB_EXPECTS(period.v > 0.0);
+    if (t.v <= phase.v) {
+      return phase;
+    }
+    const double k = std::ceil((t.v - phase.v) / period.v - kTimeEps);
+    return core::Minutes{phase.v + k * period.v};
+  }
 
   /// Number of broadcasts started in [0, t).
   [[nodiscard]] std::uint64_t starts_before(core::Minutes t) const;

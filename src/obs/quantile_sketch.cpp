@@ -84,11 +84,15 @@ SketchCore::SketchCore(Options options) : options_(options) {
              static_cast<double>(std::numeric_limits<std::int32_t>::max()));
   // index_of is monotone (the tests check it), so these bound every index a
   // finite sample above kMinTrackable can have. The formula gives the same
-  // indices as the table and leaves the table unbuilt until a sketch
-  // observes.
+  // indices as the table.
   min_index_ = detail::log_index(kMinTrackable, log_gamma_);
   max_index_ = detail::log_index(std::numeric_limits<double>::max(),
                                  log_gamma_);
+  // Only a sketch on the table's grid builds the table (on first use, so
+  // this may throw bad_alloc).
+  if (log_gamma_ == detail::log_gamma_of(detail::kDefaultAccuracy)) {
+    bounds_ = &detail::BucketBounds::instance();
+  }
 }
 
 void SketchCore::observe_new_bucket(std::int32_t index) {

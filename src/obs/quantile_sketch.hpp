@@ -112,10 +112,20 @@ class BucketBounds {
   /// is this table's and the sample's key is in range; nullopt otherwise.
   [[nodiscard]] std::optional<std::int32_t> find(
       double sample, double log_gamma) const noexcept {
+    if (log_gamma != log_gamma_) {
+      return std::nullopt;  // another grid
+    }
+    return find(sample);
+  }
+
+  /// find(sample, log_gamma) on this table's own grid, for a caller that
+  /// compared the grids once.
+  [[nodiscard]] std::optional<std::int32_t> find(
+      double sample) const noexcept {
     const std::uint64_t key =
         (std::bit_cast<std::uint64_t>(sample) >> kShift) - first_key_;
-    if (log_gamma != log_gamma_ || key >= guide_.size()) {
-      return std::nullopt;  // another grid, or negative, tiny or huge
+    if (key >= guide_.size()) {
+      return std::nullopt;  // negative, tiny or huge
     }
     std::size_t j = guide_[key];
     j += static_cast<std::size_t>(sample > upper_[j]);
@@ -173,9 +183,8 @@ class SketchCore {
   /// of every folded report distribution.
   void observe(double sample) {
     VB_EXPECTS(std::isfinite(sample));
-    // Bucket first: building the boundary table on its first use and
-    // growing the window are the only steps that can throw (bad_alloc),
-    // and they leave the sketch untouched when they do.
+    // Bucket first: growing the window is the only step that can throw
+    // (bad_alloc), and it leaves the sketch untouched when it does.
     if (sample <= kMinTrackable) {
       ++zero_count_;
     } else {
@@ -247,12 +256,12 @@ class SketchCore {
 
  private:
   /// detail::log_index(sample, log_gamma_): from the boundary table when
-  /// it covers the sample, else from the formula. Throws only when the
-  /// table's first use fails to allocate it.
-  [[nodiscard]] std::int32_t index_of(double sample) const {
-    if (const auto index =
-            detail::BucketBounds::instance().find(sample, log_gamma_)) {
-      return *index;
+  /// it covers the sample, else from the formula.
+  [[nodiscard]] std::int32_t index_of(double sample) const noexcept {
+    if (bounds_ != nullptr) {
+      if (const auto index = bounds_->find(sample)) {
+        return *index;
+      }
     }
     return detail::log_index(sample, log_gamma_);
   }
@@ -272,6 +281,10 @@ class SketchCore {
   Options options_;
   double gamma_;
   double log_gamma_;
+  /// The boundary table when this sketch's grid is the table's; null
+  /// otherwise. Resolved once at construction, so an observe pays neither
+  /// the table's initialization guard nor a grid compare.
+  const detail::BucketBounds* bounds_ = nullptr;
   std::int32_t min_index_ = 0;  ///< no tracked sample has a lower index
   std::int32_t max_index_ = 0;  ///< no finite sample has a higher index
   /// counts_[k] counts bucket base_ + k; a zero counter is not a tracked

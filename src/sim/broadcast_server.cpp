@@ -46,39 +46,6 @@ BroadcastServer::BroadcastServer(channel::ChannelPlan plan)
   }
 }
 
-std::span<const std::uint32_t> BroadcastServer::replicas_of(
-    core::VideoId video, int segment) const noexcept {
-  // A value below its base wraps to a huge offset and fails the bounds test.
-  const std::uint64_t v = std::uint64_t{video} - video_base_;
-  const auto s =
-      static_cast<std::uint64_t>(std::int64_t{segment} - segment_base_);
-  if (v >= videos_ || s >= segments_) {
-    return {};
-  }
-  const std::uint64_t key = v * segments_ + s;
-  return {replicas_.data() + offsets_[key],
-          replicas_.data() + offsets_[key + 1]};
-}
-
-std::optional<core::Minutes> BroadcastServer::next_segment_start(
-    core::VideoId video, int segment, core::Minutes t) const {
-  const auto replicas = replicas_of(video, segment);
-  if (replicas.empty()) {
-    return std::nullopt;
-  }
-  // Earliest-encountered wins ties, matching the historical full scan in
-  // stream order bit for bit.
-  const auto& streams = plan_.streams();
-  core::Minutes best = streams[replicas.front()].next_start_at_or_after(t);
-  for (const std::uint32_t i : replicas.subspan(1)) {
-    const core::Minutes start = streams[i].next_start_at_or_after(t);
-    if (start.v < best.v) {
-      best = start;
-    }
-  }
-  return best;
-}
-
 std::optional<core::Minutes> BroadcastServer::worst_wait(core::VideoId video,
                                                          int segment) const {
   // Collect the replica streams; the steady-state start sequence is the

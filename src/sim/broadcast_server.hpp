@@ -26,9 +26,26 @@ class BroadcastServer {
   }
 
   /// Earliest start of any replica of (video, segment) at or after `t`.
-  /// Returns nullopt if the plan does not carry that segment.
+  /// Returns nullopt if the plan does not carry that segment. Inline: it is
+  /// every arrival's tune-in.
   [[nodiscard]] std::optional<core::Minutes> next_segment_start(
-      core::VideoId video, int segment, core::Minutes t) const;
+      core::VideoId video, int segment, core::Minutes t) const {
+    const auto replicas = replicas_of(video, segment);
+    if (replicas.empty()) {
+      return std::nullopt;
+    }
+    // Earliest-encountered wins ties, matching the historical full scan in
+    // stream order bit for bit.
+    const auto& streams = plan_.streams();
+    core::Minutes best = streams[replicas.front()].next_start_at_or_after(t);
+    for (const std::uint32_t i : replicas.subspan(1)) {
+      const core::Minutes start = streams[i].next_start_at_or_after(t);
+      if (start.v < best.v) {
+        best = start;
+      }
+    }
+    return best;
+  }
 
   /// Worst tune-in wait for (video, segment): the largest gap between
   /// consecutive replica starts (the scheme's access latency when segment
@@ -46,7 +63,19 @@ class BroadcastServer {
   /// scan the whole metro plan (thousands of streams) when only a handful
   /// of replicas carry the requested segment.
   [[nodiscard]] std::span<const std::uint32_t> replicas_of(
-      core::VideoId video, int segment) const noexcept;
+      core::VideoId video, int segment) const noexcept {
+    // A value below its base wraps to a huge offset and fails the bounds
+    // test.
+    const std::uint64_t v = std::uint64_t{video} - video_base_;
+    const auto s =
+        static_cast<std::uint64_t>(std::int64_t{segment} - segment_base_);
+    if (v >= videos_ || s >= segments_) {
+      return {};
+    }
+    const std::uint64_t key = v * segments_ + s;
+    return {replicas_.data() + offsets_[key],
+            replicas_.data() + offsets_[key + 1]};
+  }
 
   channel::ChannelPlan plan_;
   // CSR index over the plan's dense (video, segment) range

@@ -1,16 +1,6 @@
 #include "util/rng.hpp"
 
-#include <cmath>
-
 namespace vodbcast::util {
-
-namespace {
-
-std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
 
 std::uint64_t SplitMix64::next() noexcept {
   state_ += 0x9E3779B97F4A7C15ULL;
@@ -27,23 +17,6 @@ Rng::Rng(std::uint64_t seed) noexcept {
   }
 }
 
-std::uint64_t Rng::next_u64() noexcept {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::next_double() noexcept {
-  // 53 random bits scaled into [0, 1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
 std::uint64_t Rng::next_below(std::uint64_t bound) noexcept {
   // Unbiased rejection sampling: discard the low 2^64 mod bound words.
   if (bound == 0) {
@@ -56,14 +29,6 @@ std::uint64_t Rng::next_below(std::uint64_t bound) noexcept {
       return x % bound;
     }
   }
-}
-
-double Rng::next_exponential(double rate) noexcept {
-  double u = next_double();
-  if (u <= 0.0) {
-    u = 0x1.0p-53;  // avoid log(0)
-  }
-  return -std::log(1.0 - u) / rate;
 }
 
 Rng Rng::fork() noexcept { return Rng(next_u64()); }

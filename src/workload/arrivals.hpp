@@ -13,7 +13,10 @@ class PoissonProcess {
   PoissonProcess(double arrivals_per_minute, util::Rng rng);
 
   /// Advances to and returns the next arrival time.
-  core::Minutes next();
+  core::Minutes next() {
+    now_ += core::Minutes{rng_.next_exponential(rate_)};
+    return now_;
+  }
 
   [[nodiscard]] core::Minutes now() const noexcept { return now_; }
   [[nodiscard]] double rate() const noexcept { return rate_; }

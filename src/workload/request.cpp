@@ -35,30 +35,11 @@ TitleCdf::TitleCdf(const std::vector<double>& popularity) {
   }
 }
 
-std::size_t TitleCdf::rank(double u) const noexcept {
-  // u * m is exact and floor(u * m) / m <= u, so upper_bound's rank of u
-  // lies at or past the entry's rank, and all ranks before the entry have
-  // cdf_ <= u: the forward scan ends exactly on upper_bound's rank, within
-  // the table since cdf_.back() = 1 > u.
-  std::size_t i =
-      guide_[static_cast<std::size_t>(u * static_cast<double>(guide_.size()))];
-  while (cdf_[i] <= u) {
-    ++i;
-  }
-  return std::min(i, cdf_.size() - 1);
-}
-
 RequestGenerator::RequestGenerator(const std::vector<double>& popularity,
                                    double arrivals_per_minute, util::Rng rng)
     : arrivals_(arrivals_per_minute, rng.fork()),
       rng_(rng.fork()),
       titles_(popularity) {}
-
-Request RequestGenerator::next() {
-  const core::Minutes at = arrivals_.next();
-  const std::size_t rank = titles_.rank(rng_.next_double());
-  return Request{at, static_cast<core::VideoId>(rank)};
-}
 
 std::vector<Request> RequestGenerator::generate_until(core::Minutes horizon) {
   VB_EXPECTS(std::isfinite(horizon.v));

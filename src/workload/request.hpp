@@ -2,6 +2,7 @@
 // selection.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -32,7 +33,18 @@ class TitleCdf {
 
   /// The rank std::upper_bound(cdf(), u) points at, clamped to the last
   /// title. Precondition: u in [0, 1).
-  [[nodiscard]] std::size_t rank(double u) const noexcept;
+  [[nodiscard]] std::size_t rank(double u) const noexcept {
+    // u * m is exact and floor(u * m) / m <= u, so upper_bound's rank of u
+    // lies at or past the entry's rank, and all ranks before the entry
+    // have cdf_ <= u: the forward scan ends exactly on upper_bound's rank,
+    // within the table since cdf_.back() = 1 > u.
+    std::size_t i = guide_[static_cast<std::size_t>(
+        u * static_cast<double>(guide_.size()))];
+    while (cdf_[i] <= u) {
+      ++i;
+    }
+    return std::min(i, cdf_.size() - 1);
+  }
 
   /// Running sums of the popularity; the last entry is exactly 1.
   [[nodiscard]] const std::vector<double>& cdf() const noexcept {
@@ -56,7 +68,11 @@ class RequestGenerator {
                    double arrivals_per_minute, util::Rng rng);
 
   /// The next request in arrival order.
-  Request next();
+  Request next() {
+    const core::Minutes at = arrivals_.next();
+    const std::size_t rank = titles_.rank(rng_.next_double());
+    return Request{at, static_cast<core::VideoId>(rank)};
+  }
 
   /// All requests within [0, horizon); `horizon` must be finite.
   [[nodiscard]] std::vector<Request> generate_until(core::Minutes horizon);

@@ -700,7 +700,7 @@ TEST(BucketBoundsTest, OtherAccuraciesTakeTheFormula) {
 }
 
 TEST(BucketBoundsTest, ThreadsRaceToFirstUse) {
-  // Run alone (a fresh process), the first observe of any thread here
+  // Run alone (a fresh process), the first sketch any thread here builds
   // builds the table: four threads build sketches and observe at once, so
   // the thread sanitizer sees the static initializer raced.
   constexpr int kThreads = 4;
@@ -710,9 +710,9 @@ TEST(BucketBoundsTest, ThreadsRaceToFirstUse) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      start.arrive_and_wait();
       SketchCore core;
       QuantileSketch locked;
-      start.arrive_and_wait();
       for (int i = 1; i <= 2000; ++i) {
         const double x = 1e-3 * i * (t + 1);
         core.observe(x);
