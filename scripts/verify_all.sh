@@ -31,10 +31,12 @@
 # flag, not fall back to its default; a failed output write must exit 1
 # naming the path; a negative --fault-retries, an unknown --policy,
 # --reps 0, a nan or non-positive --horizon, a negative
-# --reject-penalty, a --flip-at outside [0, horizon) and a fault plan on a
-# scheme without planned SB clients must exit 1 naming the bound;
-# --trace-out outside simulate must exit 2 naming the flag, and so must a
-# malformed flag of trace_analyze, bench_diff and metrics_check), a
+# --reject-penalty, a --flip-at outside [0, horizon), a --plan-cache
+# other than 0 or 1 and a fault plan on a scheme without planned SB
+# clients must exit 1 naming the bound; --trace-out outside simulate,
+# --fault-seed or --fault-retries without --fault-plan must exit 2 naming
+# the flag, and so must a malformed flag of trace_analyze, bench_diff and
+# metrics_check), a
 # quick pass of the bench suite to prove every binary still writes a valid
 # BENCH_*.json that bench_diff can read back and that names the checked-out
 # commit, and (opt-in) the mechanical perf gate against the committed
@@ -486,6 +488,17 @@ expect_cli_error 1 \
 # scheme used to run and report no damage.
 expect_cli_error 1 'a fault plan with episodes needs an SB scheme' \
   simulate --scheme PB:a --fault-plan outages=2 --horizon 60
+# --plan-cache is a switch: 7 used to run with the cache on.
+expect_cli_error 1 '--plan-cache must be 0 or 1, got 7' \
+  simulate --plan-cache 7 --horizon 10
+# Only a fault plan reads its seed and retry budget; without one these
+# flags used to run as if absent.
+expect_cli_error 2 '--fault-retries needs --fault-plan' \
+  simulate --fault-retries 3 --horizon 10
+expect_cli_error 2 '--fault-retries needs --fault-plan' \
+  hybrid --adaptive --fault-retries 2 --horizon 60
+expect_cli_error 2 '--fault-seed needs --fault-plan' \
+  metro --fault-seed 5 --horizon 10
 # The tools reject a malformed flag as a usage error, naming it, instead
 # of aborting in std::terminate.
 expect_tool_error() {

@@ -143,6 +143,25 @@ TEST(DistributionTest, MergeIntoEmpty) {
   EXPECT_EQ(a.count(), 1U);
 }
 
+// A self-merge inserted the sample store into itself while exact, and threw
+// from the sketch merge after doubling count and sum once folded. It is
+// rejected up front and leaves the distribution as it was, in both modes.
+TEST(DistributionTest, RejectsSelfMerge) {
+  for (const std::size_t cap : {std::size_t{0}, std::size_t{2}}) {
+    Distribution d;
+    d.set_sample_cap(cap);
+    for (const double x : {1.0, 2.0, 4.0}) {
+      d.add(x);
+    }
+    ASSERT_EQ(d.folded(), cap != 0);
+    EXPECT_THROW(d.merge(d), util::ContractViolation) << "cap " << cap;
+    EXPECT_EQ(d.count(), 3U);
+    EXPECT_DOUBLE_EQ(d.mean(), 7.0 / 3.0);
+    EXPECT_EQ(d.samples().size(), cap == 0 ? 3U : 0U);
+    EXPECT_EQ(d.samples_folded(), cap == 0 ? 0U : 3U);
+  }
+}
+
 TEST(DistributionTest, HistogramBinsSpanMinToMax) {
   Distribution d;
   for (int i = 0; i < 10; ++i) {

@@ -352,7 +352,10 @@ int cmd_simulate(const util::ArgParser& args) {
   config.plan_clients = true;
   // --plan-cache 0 recomputes every reception plan (the A/B baseline);
   // output is bit-identical either way.
-  config.plan_cache = args.get_uint("plan-cache", 1) != 0;
+  const auto plan_cache = args.get_uint("plan-cache", 1);
+  VB_EXPECTS_MSG(plan_cache <= 1, "--plan-cache must be 0 or 1, got " +
+                                      std::to_string(plan_cache));
+  config.plan_cache = plan_cache == 1;
   config.stats_sample_cap =
       static_cast<std::size_t>(args.get_uint("stats-cap", 0));
   // Fault channels are the SB segment indices; size the plan to the design.
@@ -911,6 +914,14 @@ int main(int argc, char** argv) {
                      "vodbcast %s: unknown flag --%s; try 'vodbcast help'\n",
                      command.c_str(), flag->c_str());
         return 2;
+      }
+      // Only a fault plan reads its seed and retry budget.
+      for (const char* flag : {"fault-seed", "fault-retries"}) {
+        if (args.has(flag) && !args.has("fault-plan")) {
+          std::fprintf(stderr, "vodbcast %s: --%s needs --fault-plan\n",
+                       command.c_str(), flag);
+          return 2;
+        }
       }
     }
     if (command == "design") {
