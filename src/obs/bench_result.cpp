@@ -4,7 +4,9 @@
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <sstream>
+#include <utility>
 
 #include "util/contracts.hpp"
 #include "util/math.hpp"
@@ -172,6 +174,28 @@ void note_counter_drift(const std::string& bench,
   }
 }
 
+/// Median and IQR of unsorted values; {0, 0} when empty.
+std::pair<double, double> median_and_iqr(std::vector<double> values) {
+  if (values.empty()) {
+    return {0.0, 0.0};
+  }
+  std::sort(values.begin(), values.end());
+  return {util::interpolated_quantile(values, 0.5),
+          util::interpolated_quantile(values, 0.75) -
+              util::interpolated_quantile(values, 0.25)};
+}
+
+const char* verdict_name(CaseDelta::Verdict verdict) {
+  switch (verdict) {
+    case CaseDelta::Verdict::kUnchanged: return "ok";
+    case CaseDelta::Verdict::kImproved: return "IMPROVED";
+    case CaseDelta::Verdict::kRegressed: return "REGRESSED";
+    case CaseDelta::Verdict::kOnlyBase: return "only-baseline";
+    case CaseDelta::Verdict::kOnlyCand: return "only-candidate";
+  }
+  return "";
+}
+
 }  // namespace
 
 DiffReport diff_bench_results(const std::vector<BenchRunResult>& baseline,
@@ -272,20 +296,12 @@ std::string DiffReport::render() const {
       std::snprintf(buf, sizeof buf, "%+.1f%%", (d.ratio - 1.0) * 100.0);
       delta_cell = buf;
     }
-    const char* verdict = "";
-    switch (d.verdict) {
-      case CaseDelta::Verdict::kUnchanged: verdict = "ok"; break;
-      case CaseDelta::Verdict::kImproved: verdict = "IMPROVED"; break;
-      case CaseDelta::Verdict::kRegressed: verdict = "REGRESSED"; break;
-      case CaseDelta::Verdict::kOnlyBase: verdict = "only-baseline"; break;
-      case CaseDelta::Verdict::kOnlyCand: verdict = "only-candidate"; break;
-    }
     table.add_row({d.bench, d.name,
                    d.base_p50_ns > 0.0 ? util::TextTable::num(d.base_p50_ns, 0)
                                        : "-",
                    d.cand_p50_ns > 0.0 ? util::TextTable::num(d.cand_p50_ns, 0)
                                        : "-",
-                   delta_cell, verdict});
+                   delta_cell, verdict_name(d.verdict)});
   }
   os << table.render();
   if (!notes.empty()) {
@@ -296,6 +312,119 @@ std::string DiffReport::render() const {
   }
   os << '\n' << regressions << " regression(s), " << improvements
      << " improvement(s) across " << deltas.size() << " case(s)\n";
+  return os.str();
+}
+
+PairedDiffReport diff_bench_pairs(
+    const std::vector<std::vector<BenchRunResult>>& runs,
+    const DiffOptions& options) {
+  VB_EXPECTS_MSG(!runs.empty() && runs.size() % 2 == 0,
+                 "paired bench results come as baseline, candidate pairs");
+  PairedDiffReport report;
+  report.pairs = runs.size() / 2;
+  // (bench, case) -> each pair's baseline and candidate wall p50.
+  struct PerPair {
+    std::vector<std::optional<double>> base;
+    std::vector<std::optional<double>> cand;
+  };
+  std::map<std::pair<std::string, std::string>, PerPair> cases;
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    for (const auto& run : runs[r]) {
+      for (const auto& c : run.cases) {
+        auto& per_pair = cases[{run.bench, c.name}];
+        per_pair.base.resize(report.pairs);
+        per_pair.cand.resize(report.pairs);
+        (r % 2 == 0 ? per_pair.base : per_pair.cand)[r / 2] = c.wall_ns.p50;
+      }
+    }
+  }
+
+  for (const auto& [key, per_pair] : cases) {
+    PairedCaseDelta delta;
+    delta.bench = key.first;
+    delta.name = key.second;
+    std::vector<double> base;
+    std::vector<double> cand;
+    std::vector<double> ratios;
+    bool any_base = false;
+    bool any_cand = false;
+    for (std::size_t k = 0; k < report.pairs; ++k) {
+      any_base = any_base || per_pair.base[k].has_value();
+      any_cand = any_cand || per_pair.cand[k].has_value();
+      if (!per_pair.base[k] || !per_pair.cand[k] || *per_pair.base[k] <= 0.0) {
+        continue;
+      }
+      const double b = *per_pair.base[k];
+      const double c = *per_pair.cand[k];
+      base.push_back(b);
+      cand.push_back(c);
+      ratios.push_back(c / b);
+      delta.wins += c < b ? 1 : 0;
+      delta.losses += c > b ? 1 : 0;
+    }
+    delta.pairs = base.size();
+    if (!any_cand || !any_base) {
+      delta.verdict = any_cand ? CaseDelta::Verdict::kOnlyCand
+                               : CaseDelta::Verdict::kOnlyBase;
+      report.deltas.push_back(delta);
+      continue;
+    }
+    if (delta.pairs < report.pairs) {
+      report.notes.push_back(delta.bench + "/" + delta.name + ": compared in " +
+                             std::to_string(delta.pairs) + " of " +
+                             std::to_string(report.pairs) + " pairs");
+    }
+    std::tie(delta.base_median_ns, delta.base_iqr_ns) = median_and_iqr(base);
+    delta.cand_median_ns = median_and_iqr(cand).first;
+    delta.ratio_median = median_and_iqr(ratios).first;
+    // Decisive: the candidate loses (or wins) at least 80% of the pairs.
+    const auto decisive = [&delta](std::size_t count) {
+      return delta.pairs > 0 && 5 * count >= 4 * delta.pairs;
+    };
+    const bool comparable = delta.base_median_ns >= options.min_time_ns;
+    const double gap = delta.cand_median_ns - delta.base_median_ns;
+    if (comparable && decisive(delta.losses) && gap > delta.base_iqr_ns) {
+      delta.verdict = CaseDelta::Verdict::kRegressed;
+      ++report.regressions;
+    } else if (comparable && decisive(delta.wins) &&
+               -gap > delta.base_iqr_ns) {
+      delta.verdict = CaseDelta::Verdict::kImproved;
+      ++report.improvements;
+    }
+    report.deltas.push_back(delta);
+  }
+  return report;
+}
+
+std::string PairedDiffReport::render() const {
+  std::ostringstream os;
+  util::TextTable table({"bench", "case", "base p50 (ns)", "cand p50 (ns)",
+                         "ratio", "wins", "base IQR (ns)", "verdict"},
+                        {util::Align::kLeft, util::Align::kLeft,
+                         util::Align::kRight, util::Align::kRight,
+                         util::Align::kRight, util::Align::kRight,
+                         util::Align::kRight, util::Align::kLeft});
+  for (const auto& d : deltas) {
+    const bool compared = d.pairs > 0;
+    table.add_row(
+        {d.bench, d.name,
+         compared ? util::TextTable::num(d.base_median_ns, 0) : "-",
+         compared ? util::TextTable::num(d.cand_median_ns, 0) : "-",
+         compared ? util::TextTable::num(d.ratio_median, 3) : "-",
+         std::to_string(d.wins) + "/" + std::to_string(d.pairs),
+         compared ? util::TextTable::num(d.base_iqr_ns, 0) : "-",
+         verdict_name(d.verdict)});
+  }
+  os << table.render();
+  if (!notes.empty()) {
+    os << "\nnotes:\n";
+    for (const auto& note : notes) {
+      os << "  - " << note << '\n';
+    }
+  }
+  os << '\n' << pairs << " pair(s): " << regressions << " regression(s), "
+     << improvements << " improvement(s) across " << deltas.size()
+     << " case(s)\n";
   return os.str();
 }
 

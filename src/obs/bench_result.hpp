@@ -138,4 +138,49 @@ struct DiffReport {
     const std::vector<BenchRunResult>& candidate,
     const DiffOptions& options = {});
 
+// ---------------------------------------------------------------------------
+// Alternating pairs: one pair cannot resolve a change on a noisy host, N can.
+
+/// One case over N alternating (baseline, candidate) result pairs.
+struct PairedCaseDelta {
+  std::string bench;
+  std::string name;
+  std::size_t pairs = 0;        ///< pairs that ran the case on both sides
+  double base_median_ns = 0.0;  ///< median of the baseline runs' wall p50
+  double cand_median_ns = 0.0;  ///< median of the candidate runs' wall p50
+  double base_iqr_ns = 0.0;     ///< Q3 - Q1 of the baseline runs' wall p50
+  double ratio_median = 0.0;    ///< median per-pair cand/base; 0 if none
+  std::size_t wins = 0;         ///< pairs the candidate ran faster
+  std::size_t losses = 0;       ///< pairs the candidate ran slower
+  CaseDelta::Verdict verdict = CaseDelta::Verdict::kUnchanged;
+};
+
+struct PairedDiffReport {
+  std::size_t pairs = 0;  ///< N
+  std::vector<PairedCaseDelta> deltas;
+  /// Non-gating observations: cases compared in fewer than N pairs.
+  std::vector<std::string> notes;
+  std::uint64_t regressions = 0;
+  std::uint64_t improvements = 0;
+
+  [[nodiscard]] bool has_regression() const noexcept {
+    return regressions > 0;
+  }
+  /// Human-oriented table + notes.
+  [[nodiscard]] std::string render() const;
+};
+
+/// Compares N alternating result sets: `runs` holds baseline 1, candidate
+/// 1, ..., baseline N, candidate N (each matched by bench + case name).
+/// Per case it reports the median per-pair wall-p50 ratio, wins/N and the
+/// baseline's IQR. A case regresses only when the candidate loses at
+/// least 80% of its pairs and the gap between the two sides' median p50s
+/// exceeds the baseline's IQR; it improves under the mirrored rule. Cases
+/// whose baseline median is under options.min_time_ns never gate;
+/// options.noise_threshold plays no part. Precondition: runs.size() is
+/// even and non-zero.
+[[nodiscard]] PairedDiffReport diff_bench_pairs(
+    const std::vector<std::vector<BenchRunResult>>& runs,
+    const DiffOptions& options = {});
+
 }  // namespace vodbcast::obs

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -15,6 +16,7 @@
 #include "obs/bench_result.hpp"
 #include "util/contracts.hpp"
 #include "util/json.hpp"
+#include "util/rng.hpp"
 
 namespace vodbcast {
 namespace {
@@ -282,6 +284,104 @@ TEST(BenchDiffTest, SelfDiffIsCleanAndRenders) {
   const auto text = report.render();
   EXPECT_NE(text.find("0 regression(s)"), std::string::npos);
   EXPECT_NE(text.find("+0.0%"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// diff_bench_pairs: N alternating pairs
+
+/// N alternating pairs (baseline, candidate) of a synthetic two-case suite,
+/// "steady" at 10 us and "slow" at 50 us. The host's speed drifts by up to
+/// +/-5% from pair to pair, each run adds up to +/-1% of its own, and the
+/// candidate runs "slow" `slowdown` times longer.
+std::vector<std::vector<obs::BenchRunResult>> alternating_pairs(
+    std::size_t n, double slowdown) {
+  util::Rng rng(2024);
+  const auto noise = [&rng](double width) {
+    return 1.0 + width * (2.0 * rng.next_double() - 1.0);
+  };
+  std::vector<std::vector<obs::BenchRunResult>> runs;
+  for (std::size_t k = 0; k < n; ++k) {
+    const double drift = noise(0.05);
+    for (const double slow : {1.0, slowdown}) {
+      runs.push_back({make_run(
+          "b", {make_case("steady", 10000.0 * drift * noise(0.01)),
+                make_case("slow", 50000.0 * slow * drift * noise(0.01))})});
+    }
+  }
+  return runs;
+}
+
+const obs::PairedCaseDelta& paired_case(const obs::PairedDiffReport& report,
+                                        const std::string& name) {
+  const auto it = std::find_if(
+      report.deltas.begin(), report.deltas.end(),
+      [&name](const obs::PairedCaseDelta& d) { return d.name == name; });
+  EXPECT_NE(it, report.deltas.end()) << name;
+  return *it;
+}
+
+TEST(BenchDiffTest, AlternatingAaPairsFlagNothing) {
+  const auto report = obs::diff_bench_pairs(alternating_pairs(10, 1.0));
+  EXPECT_EQ(report.pairs, 10U);
+  ASSERT_EQ(report.deltas.size(), 2U);
+  EXPECT_FALSE(report.has_regression());
+  EXPECT_EQ(report.improvements, 0U);
+  EXPECT_TRUE(report.notes.empty());
+  for (const auto& d : report.deltas) {
+    EXPECT_EQ(d.pairs, 10U) << d.name;
+    EXPECT_EQ(d.verdict, obs::CaseDelta::Verdict::kUnchanged) << d.name;
+    EXPECT_NEAR(d.ratio_median, 1.0, 0.02) << d.name;
+    EXPECT_GT(d.base_iqr_ns, 0.0) << d.name;
+  }
+}
+
+TEST(BenchDiffTest, AlternatingPairsFlagATenPercentSlowdown) {
+  const auto report = obs::diff_bench_pairs(alternating_pairs(10, 1.10));
+  EXPECT_TRUE(report.has_regression());
+  EXPECT_EQ(report.regressions, 1U);
+  const auto& slow = paired_case(report, "slow");
+  EXPECT_EQ(slow.verdict, obs::CaseDelta::Verdict::kRegressed);
+  EXPECT_EQ(slow.losses, 10U);
+  EXPECT_EQ(slow.wins, 0U);
+  EXPECT_NEAR(slow.ratio_median, 1.10, 0.03);
+  EXPECT_GT(slow.cand_median_ns - slow.base_median_ns, slow.base_iqr_ns);
+  EXPECT_EQ(paired_case(report, "steady").verdict,
+            obs::CaseDelta::Verdict::kUnchanged);
+  const auto text = report.render();
+  EXPECT_NE(text.find("REGRESSED"), std::string::npos);
+  EXPECT_NE(text.find("10 pair(s): 1 regression(s)"), std::string::npos);
+}
+
+// Losing every pair is not enough: a gap inside the baseline's own spread
+// (here the host drifts +/-25% between pairs) does not gate.
+TEST(BenchDiffTest, AlternatingPairsNeedTheGapPastTheBaselineIqr) {
+  auto runs = alternating_pairs(10, 1.10);
+  for (std::size_t k = 0; k < runs.size(); k += 2) {
+    const double drift = 0.75 + 0.05 * static_cast<double>(k / 2);
+    for (auto* run : {&runs[k], &runs[k + 1]}) {
+      for (auto& c : run->front().cases) {
+        c.wall_ns.p50 *= drift;
+      }
+    }
+  }
+  const auto report = obs::diff_bench_pairs(runs);
+  const auto& slow = paired_case(report, "slow");
+  EXPECT_EQ(slow.losses, 10U);
+  EXPECT_LT(slow.cand_median_ns - slow.base_median_ns, slow.base_iqr_ns);
+  EXPECT_EQ(slow.verdict, obs::CaseDelta::Verdict::kUnchanged);
+  EXPECT_FALSE(report.has_regression());
+}
+
+TEST(BenchDiffTest, AlternatingPairsNoteMissingRunsAndRejectAnOddCount) {
+  auto runs = alternating_pairs(3, 1.0);
+  runs[3].front().cases.pop_back();  // candidate 2 lost "slow"
+  const auto report = obs::diff_bench_pairs(runs);
+  EXPECT_EQ(paired_case(report, "slow").pairs, 2U);
+  ASSERT_EQ(report.notes.size(), 1U);
+  EXPECT_NE(report.notes[0].find("compared in 2 of 3 pairs"),
+            std::string::npos);
+  runs.pop_back();
+  EXPECT_THROW((void)obs::diff_bench_pairs(runs), util::ContractViolation);
 }
 
 }  // namespace

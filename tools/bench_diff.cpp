@@ -1,9 +1,17 @@
-// bench_diff: compare two directories of BENCH_*.json result files
-// (schema "vodbcast-bench-v1", written by the bench/ binaries) and exit
-// non-zero when any case regressed beyond the noise threshold.
+// bench_diff: compare directories of BENCH_*.json result files (schema
+// "vodbcast-bench-v1", written by the bench/ binaries) and exit non-zero
+// when any case regressed.
 //
 //   bench_diff BASELINE_DIR CANDIDATE_DIR [--threshold 0.05]
 //              [--min-time-ns 1000] [--verbose]
+//   bench_diff BASE_1 CAND_1 ... BASE_N CAND_N [--min-time-ns 1000]
+//              [--verbose]
+//
+// Two directories are one pair: a case regresses when its wall p50 moved
+// past the noise threshold. 2N directories are N alternating pairs: per
+// case the median per-pair ratio, wins/N and the baseline's IQR, and a
+// case regresses only when the candidate loses at least 80% of the pairs
+// and the gap between the medians exceeds the baseline's IQR.
 //
 // Typical flow (see docs/OBSERVABILITY.md):
 //   scripts/run_bench_suite.sh --out base      # on main
@@ -67,18 +75,37 @@ int usage() {
   std::fputs(
       "usage: bench_diff BASELINE_DIR CANDIDATE_DIR [--threshold FRAC]\n"
       "                  [--min-time-ns NS] [--verbose]\n"
-      "  --threshold FRAC    relative wall-p50 change tolerated before a\n"
-      "                      case gates (default 0.05 = 5%)\n"
+      "       bench_diff BASE_1 CAND_1 ... BASE_N CAND_N [--min-time-ns NS]\n"
+      "                  [--verbose]\n"
+      "  --threshold FRAC    one pair: relative wall-p50 change tolerated\n"
+      "                      before a case gates (default 0.05 = 5%)\n"
       "  --min-time-ns NS    baseline p50 below this never gates\n"
       "                      (default 1000)\n"
       "  --verbose           print every case, not just the changed ones\n"
+      "N pairs gate a case that loses >= 80% of them by more than the\n"
+      "baseline's IQR\n"
       "exit status: 0 = no regression, 1 = regression, 2 = usage/IO error\n",
       stderr);
   return 2;
 }
 
+/// Prints the cases outside the noise band (every case with --verbose)
+/// and the summary; exits 1 on a regression.
+template <typename Report>
+int print(Report report, bool verbose) {
+  const bool regressed = report.has_regression();
+  if (!verbose) {
+    std::erase_if(report.deltas, [](const auto& d) {
+      return d.verdict == vodbcast::obs::CaseDelta::Verdict::kUnchanged;
+    });
+  }
+  std::fputs(report.render().c_str(), stdout);
+  return regressed ? 1 : 0;
+}
+
 int run(const vodbcast::util::ArgParser& args) {
-  if (args.positional_count() != 2) {
+  const std::size_t dirs = args.positional_count();
+  if (dirs < 2 || dirs % 2 != 0) {
     return usage();
   }
   if (const auto flag =
@@ -86,42 +113,38 @@ int run(const vodbcast::util::ArgParser& args) {
     std::fprintf(stderr, "bench_diff: unknown flag --%s\n", flag->c_str());
     return usage();
   }
+  if (dirs > 2 && args.has("threshold")) {
+    std::fputs("bench_diff: --threshold applies to one pair; N pairs gate "
+               "on their wins and the baseline's IQR\n",
+               stderr);
+    return 2;
+  }
   vodbcast::obs::DiffOptions options;
   options.noise_threshold = args.get_double("threshold", 0.05);
   options.min_time_ns = args.get_double("min-time-ns", 1000.0);
   VB_EXPECTS_MSG(options.noise_threshold >= 0.0,
                  "--threshold must be non-negative");
-  const auto& base_dir = args.positional(0);
-  const auto& cand_dir = args.positional(1);
-  for (const auto& dir : {base_dir, cand_dir}) {
+  std::vector<std::vector<BenchRunResult>> runs;
+  for (std::size_t i = 0; i < dirs; ++i) {
+    const auto& dir = args.positional(i);
     if (!fs::is_directory(dir)) {
       std::fprintf(stderr, "bench_diff: not a directory: %s\n", dir.c_str());
       return 2;
     }
+    runs.push_back(load_dir(dir));
+    if (runs.back().empty()) {
+      std::fprintf(stderr, "bench_diff: no parsable BENCH_*.json in %s\n",
+                   dir.c_str());
+      return 2;
+    }
   }
 
-  const auto baseline = load_dir(base_dir);
-  const auto candidate = load_dir(cand_dir);
-  if (baseline.empty() || candidate.empty()) {
-    std::fprintf(stderr,
-                 "bench_diff: no parsable BENCH_*.json in %s\n",
-                 baseline.empty() ? base_dir.c_str() : cand_dir.c_str());
-    return 2;
+  const bool verbose = args.has("verbose");
+  if (dirs == 2) {
+    return print(vodbcast::obs::diff_bench_results(runs[0], runs[1], options),
+                 verbose);
   }
-
-  const auto report =
-      vodbcast::obs::diff_bench_results(baseline, candidate, options);
-  if (args.has("verbose")) {
-    std::fputs(report.render().c_str(), stdout);
-  } else {
-    // Compact mode: only the cases outside the noise band plus the summary.
-    auto trimmed = report;
-    std::erase_if(trimmed.deltas, [](const auto& d) {
-      return d.verdict == vodbcast::obs::CaseDelta::Verdict::kUnchanged;
-    });
-    std::fputs(trimmed.render().c_str(), stdout);
-  }
-  return report.has_regression() ? 1 : 0;
+  return print(vodbcast::obs::diff_bench_pairs(runs, options), verbose);
 }
 
 }  // namespace
